@@ -16,15 +16,17 @@ import sys
 from . import __version__, search, theory
 from .cyclotomic import CyclotomicInt
 from .diffset import (
+    PDPDS_CLASSES,
     PdpdsParams,
     build_ra,
+    class_multiplicities,
     classify_pdpds,
     expected_pdpds_params,
     group_ring_residual,
     parse_subset,
     residual_is_zero,
 )
-from .sequence import classify_nps, parse_sequence, profile, two_valued_set
+from .sequence import parse_sequence, profile
 from .theory import (
     generate_bound_table,
     nonexistence_verdict,
@@ -65,8 +67,8 @@ def _emit_json(payload: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.p, args.seq)
     prof = profile(seq)
-    nps = classify_nps(seq) if seq.period >= 3 else None
-    two_valued = two_valued_set(seq)
+    nps = prof.nps_type
+    two_valued = prof.two_valued
     results: dict = {
         "period": seq.period,
         "n": seq.n,
@@ -81,7 +83,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "two_valued_set": sorted(two_valued) if two_valued is not None else None,
     }
     checks: dict = {}
-    if seq.zero_positions == (0, 1):
+    if seq.period >= 3 and seq.zero_positions == (0, 1):
         ra = build_ra(seq)
         params = classify_pdpds(ra)
         results["pdpds"] = list(params.as_tuple()) if params else None
@@ -158,20 +160,9 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
 
 def _first_violated_class(R) -> str:
     """Name the first difference class whose multiplicities are not constant."""
-    from .diffset import difference_multiset
-
-    grid = difference_multiset(R).counts
-    N, p = R.N, R.p
-    classes = [
-        ("far H-pure", [grid[d][0] for d in range(2, N - 1)]),
-        ("P-pure", [grid[0][e] for e in range(1, p)]),
-        ("near H-pure", [grid[d][0] for d in (1, N - 1)]),
-        ("far mixed", [grid[d][e] for d in range(2, N - 1) for e in range(1, p)]),
-        ("near mixed", [grid[d][e] for d in (1, N - 1) for e in range(1, p)]),
-    ]
-    for name, values in classes:
-        if values and len(set(values)) > 1:
-            return f"not a PDPDS: {name} class not constant ({sorted(set(values))})"
+    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(R)):
+        if len(set(values)) > 1:
+            return f"not a PDPDS: {cls.name} class not constant ({sorted(set(values))})"
     return "not a PDPDS"
 
 
@@ -240,7 +231,10 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     target = None
     mode = search.FILTER_NPS
     if getattr(args, "type", None):
-        g1, g2 = (int(x) for x in args.type.split(","))
+        try:
+            g1, g2 = (int(x) for x in args.type.split(","))
+        except ValueError:
+            raise ValueError(f"--type needs gamma1,gamma2, got {args.type!r}") from None
         target = (g1, g2)
         mode = search.FILTER_TYPE
     return search.SearchConfig(

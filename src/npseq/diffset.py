@@ -18,7 +18,7 @@ Two classifications are supported over the nonidentity cells:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cyclotomic import _require_prime
 from .sequence import AlmostParySequence
@@ -58,9 +58,12 @@ def parse_subset(N: int, p: int, text: str) -> GroupSubset:
                 raise ValueError(f"bad subset element {part!r}")
             try:
                 h_str, g_str = part[1:-1].split(",")
-                elements.add((int(h_str), int(g_str)))
+                element = (int(h_str), int(g_str))
             except ValueError:
                 raise ValueError(f"bad subset element {part!r}") from None
+            if element in elements:
+                raise ValueError(f"duplicate subset element ({element[0]},{element[1]})")
+            elements.add(element)
     return GroupSubset(N, p, frozenset(elements))
 
 
@@ -166,6 +169,47 @@ def classify_dpds(R: GroupSubset) -> DpdsParams | None:
     return DpdsParams(N, p, R.k, lambda1, lambda2, mu)
 
 
+@dataclass(frozen=True)
+class DifferenceClass:
+    """A class of nonidentity cells (d_h, d_g) of the five-class partition."""
+
+    name: str
+    param: str  # the PdpdsParams field its constant multiplicity fills
+    h_part: str  # d_h in "near" = {1, N-1}, "far" = {2, ..., N-2} or "identity" = {0}
+    pure: bool  # d_g == 0
+
+
+# In the order a failed classification names the first non-constant class.
+PDPDS_CLASSES = (
+    DifferenceClass("far H-pure", "lambda1", "far", True),
+    DifferenceClass("P-pure", "lambda2", "identity", False),
+    DifferenceClass("near H-pure", "lambda3", "near", True),
+    DifferenceClass("far mixed", "mu1", "far", False),
+    DifferenceClass("near mixed", "mu2", "near", False),
+)
+
+
+@lru_cache(maxsize=64)
+def _class_cells(N: int, p: int) -> tuple[tuple[GroupElement, ...], ...]:
+    """The cells of each PDPDS_CLASSES entry in Z_N x Z_p (N >= 3), row-major."""
+    h_part = ("identity", "near", *["far"] * (N - 3), "near")
+    return tuple(
+        tuple(
+            (h, g)
+            for h in range(N)
+            for g in range(p)
+            if h_part[h] == cls.h_part and (g == 0) == cls.pure
+        )
+        for cls in PDPDS_CLASSES
+    )
+
+
+def class_multiplicities(R: GroupSubset) -> list[list[int]]:
+    """Difference multiplicities of R over each PDPDS_CLASSES cell set (N >= 3)."""
+    grid = difference_multiset(R).counts
+    return [[grid[h][g] for h, g in cells] for cells in _class_cells(R.N, R.p)]
+
+
 def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     """Five-class classification; None unless every class is constant.
 
@@ -173,28 +217,15 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     identity); the far class is {2, ..., N-2}. When N = 3 the far classes are
     empty: lambda1 and mu1 are then reported as zero with far_class_empty set.
     """
-    N, p = R.N, R.p
-    if N < 3:
+    if R.N < 3:
         raise ValueError("partial classification needs N >= 3")
-    grid = difference_multiset(R).counts
-    near = (1, N - 1)
-    far = range(2, N - 1)
-    far_pure = [grid[d][0] for d in far]
-    p_pure = [grid[0][e] for e in range(1, p)]
-    near_pure = [grid[d][0] for d in near]
-    far_mixed = [grid[d][e] for d in far for e in range(1, p)]
-    near_mixed = [grid[d][e] for d in near for e in range(1, p)]
-    far_empty = not far_pure
-    lambda1 = 0 if far_empty else _constant(far_pure)
-    lambda2 = _constant(p_pure) if p_pure else 0
-    lambda3 = _constant(near_pure)
-    mu1 = 0 if far_empty else _constant(far_mixed)
-    mu2 = _constant(near_mixed) if near_mixed else 0
-    if None in (lambda1, lambda2, lambda3, mu1, mu2):
-        return None
-    return PdpdsParams(
-        N, p, R.k, lambda1, lambda2, lambda3, mu1, mu2, far_class_empty=far_empty
-    )
+    fields = {}
+    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(R)):
+        value = _constant(values) if values else 0
+        if value is None:
+            return None
+        fields[cls.param] = value
+    return PdpdsParams(R.N, R.p, R.k, **fields, far_class_empty=R.N == 3)
 
 
 def expected_pdpds_params(
@@ -222,43 +253,21 @@ def group_ring_residual(
 ) -> tuple[tuple[int, ...], ...]:
     """Cellwise difference between the five-class model grid and the actual one.
 
-    The model evaluates, at every cell of Z_N x Z_p including the identity,
-
-        (k - l1 - l2 + m1) * [identity] + (l1 - m1) * [H-row] + (l2 - m1) * [P-column]
-        + m1 * [everywhere] + (l3 - l1) * [near, pure] + (m2 - m1) * [near, mixed]
-
-    and subtracts the actual difference multiset plus k at the identity cell.
-    An all-zero grid is equivalent to R matching params on every class.
+    The model holds, at every nonidentity cell of Z_N x Z_p, the multiplicity
+    params gives that cell's class and k at the identity; the actual grid is
+    the difference multiset plus k at the identity. An all-zero grid is
+    equivalent to R matching params on every class.
     """
     N, p = R.N, R.p
     if N < 3:
         raise ValueError("residual check needs N >= 3")
-    grid = difference_multiset(R).counts
-    k, l1, l2, l3 = params.k, params.lambda1, params.lambda2, params.lambda3
-    m1, m2 = params.mu1, params.mu2
-    near = {1, N - 1}
-    residual = []
-    for d_h in range(N):
-        row = []
-        for d_g in range(p):
-            model = m1
-            if d_g == 0:
-                model += l1 - m1
-            if d_h == 0:
-                model += l2 - m1
-            if d_h == 0 and d_g == 0:
-                model += k - l1 - l2 + m1
-            if d_h in near:
-                if d_g == 0:
-                    model += l3 - l1
-                else:
-                    model += m2 - m1
-            actual = grid[d_h][d_g]
-            if d_h == 0 and d_g == 0:
-                actual += k
-            row.append(model - actual)
-        residual.append(tuple(row))
-    return tuple(residual)
+    # model minus actual, starting from a zero model; the k at the identity
+    # cancels on both sides
+    residual = [[-count for count in row] for row in difference_multiset(R).counts]
+    for cls, cells in zip(PDPDS_CLASSES, _class_cells(N, p)):
+        for h, g in cells:
+            residual[h][g] += getattr(params, cls.param)
+    return tuple(tuple(row) for row in residual)
 
 
 def residual_is_zero(residual: tuple[tuple[int, ...], ...]) -> bool:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cyclotomic import _require_prime
 from .diffset import PdpdsParams, build_ra, classify_pdpds, expected_pdpds_params
-from .sequence import AlmostParySequence, classify_nps, profile
+from .sequence import AlmostParySequence, NpsType, profile
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -61,6 +62,8 @@ class SearchConfig:
             raise ValueError("type filter requires a target (gamma1, gamma2)")
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
 
     @property
     def free_positions(self) -> int:
@@ -116,116 +119,111 @@ def _merge(into: SearchReport, part: SearchReport) -> None:
     into.violations.extend(part.violations)
 
 
-def _run_partitioned(config: SearchConfig, scan) -> SearchReport:
-    """Split [0, space) into job_count contiguous ranges and merge in order."""
+def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
+    """Split [0, space) into job_count contiguous ranges and merge in order.
+
+    The ranges are scanned by at most os.cpu_count() worker processes.
+    """
     total = config.space_size
     if total > config.budget:
         raise BudgetExceededError(total, config.budget)
-    jobs = min(config.job_count, total) or 1
+    jobs = min(config.job_count, total)
+    if jobs == 1:
+        return _scan(config, 0, total, visit)
     bounds = [total * j // jobs for j in range(jobs + 1)]
     ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
     report = SearchReport(config=config)
-    if jobs == 1:
-        _merge(report, scan(config, 0, total))
-        return report
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(scan, config, lo, hi) for lo, hi in ranges]
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
         for fut in futures:
             _merge(report, fut.result())
     return report
 
 
-def _scan_classify(config: SearchConfig, lo: int, hi: int) -> SearchReport:
+def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
+    """Profile each candidate of [lo, hi) once and pass it to `visit(part, seq,
+    prof)`, a module-level function (workers unpickle it) that records matches
+    in `part` and returns a violation text or None."""
     part = SearchReport(config=config)
     for index in range(lo, hi):
         seq = _candidate(config, index)
         part.total_enumerated += 1
         prof = profile(seq)
         part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + 1
-        nps = classify_nps(seq) if seq.period >= 3 else None
-        if config.filter_mode == FILTER_NPS and nps is None:
-            continue
-        if config.filter_mode == FILTER_TYPE and (
-            nps is None or (nps.gamma1, nps.gamma2) != config.target
-        ):
-            continue
-        pdpds = None
-        if nps is not None and config.zeros == 2:
-            pdpds = classify_pdpds(build_ra(seq))
-        exponents = tuple(b for b in seq.symbols if b is not None)
-        part.matches.append(
-            Match(
-                exponents,
-                nps.gamma1 if nps else None,
-                nps.gamma2 if nps else None,
-                pdpds,
-            )
-        )
+        violation = visit(part, seq, prof)
+        if violation is not None:
+            symbols = ",".join("Z" if b is None else str(b) for b in seq.symbols)
+            part.violations.append(f"index {index} [{symbols}]: {violation}")
     return part
+
+
+def _add_match(part: SearchReport, seq, nps: NpsType | None, pdpds) -> None:
+    exponents = tuple(b for b in seq.symbols if b is not None)
+    gamma1, gamma2 = (nps.gamma1, nps.gamma2) if nps else (None, None)
+    part.matches.append(Match(exponents, gamma1, gamma2, pdpds))
+
+
+def _visit_classify(part: SearchReport, seq, prof) -> None:
+    config = part.config
+    nps = prof.nps_type
+    if config.filter_mode == FILTER_NPS and nps is None:
+        return
+    if config.filter_mode == FILTER_TYPE and (
+        nps is None or (nps.gamma1, nps.gamma2) != config.target
+    ):
+        return
+    pdpds = None
+    if nps is not None and config.zeros == 2:
+        pdpds = classify_pdpds(build_ra(seq))
+    _add_match(part, seq, nps, pdpds)
 
 
 def enumerate_and_classify(config: SearchConfig) -> SearchReport:
     """Scan the whole space, recording classified sequences per the filter."""
-    return _run_partitioned(config, _scan_classify)
+    return _run_partitioned(config, _visit_classify)
 
 
-def _scan_ell(config: SearchConfig, lo: int, hi: int) -> SearchReport:
-    part = SearchReport(config=config)
-    for index in range(lo, hi):
-        seq = _candidate(config, index)
-        part.total_enumerated += 1
-        ell = profile(seq).ell
-        part.ell_histogram[ell] = part.ell_histogram.get(ell, 0) + 1
-        low, high = ell_bounds(seq.n, seq.s, seq.p)
-        if not low <= ell <= high:
-            part.violations.append(
-                f"index {index}: ell={ell} outside [{low},{high}]"
-            )
-    return part
+def _visit_ell(part: SearchReport, seq, prof) -> str | None:
+    low, high = ell_bounds(seq.n, seq.s, seq.p)
+    if not low <= prof.ell <= high:
+        return f"ell={prof.ell} outside [{low},{high}]"
+    return None
 
 
 def verify_ell_bounds(config: SearchConfig) -> SearchReport:
     """Histogram ell over all candidates; record any bound violation."""
     if config.zeros < 1:
         raise ValueError("ell bounds apply to sequences with at least one zero run")
-    return _run_partitioned(config, _scan_ell)
+    return _run_partitioned(config, _visit_ell)
 
 
-def _scan_roundtrip(config: SearchConfig, lo: int, hi: int) -> SearchReport:
-    part = SearchReport(config=config)
-    for index in range(lo, hi):
-        seq = _candidate(config, index)
-        part.total_enumerated += 1
-        prof = profile(seq)
-        part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + 1
-        if seq.n < 2:
-            continue  # the equivalence is stated for n >= 2
-        nps = classify_nps(seq)
-        actual = classify_pdpds(build_ra(seq))
-        if nps is None:
-            # backward direction: an unclassified sequence's difference set must
-            # not match the expected tuple of any type. Any expected tuple has
-            # lambda2 = 0 and determines its type via gamma2 = lambda1 - mu1,
-            # gamma1 = lambda3 - mu2, so one inversion suffices.
-            if actual is not None and actual.lambda2 == 0:
-                g1 = actual.lambda3 - actual.mu2
-                g2 = actual.lambda1 - actual.mu1
-                if actual == expected_pdpds_params(seq.n, seq.p, g1, g2):
-                    part.violations.append(
-                        f"index {index}: no NPS type but difference set matches "
-                        f"expected params for ({g1},{g2})"
-                    )
-            continue
-        expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
-        if expected is None or actual != expected:
-            part.violations.append(
-                f"index {index}: type ({nps.gamma1},{nps.gamma2}) but difference "
-                f"set classified as {actual!r}, expected {expected!r}"
-            )
-            continue
-        exponents = tuple(b for b in seq.symbols if b is not None)
-        part.matches.append(Match(exponents, nps.gamma1, nps.gamma2, actual))
-    return part
+def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
+    if seq.n < 2:
+        return None  # the equivalence is stated for n >= 2
+    nps = prof.nps_type
+    actual = classify_pdpds(build_ra(seq))
+    if nps is None:
+        # backward direction: an unclassified sequence's difference set must
+        # not match the expected tuple of any type. Any expected tuple has
+        # lambda2 = 0 and determines its type via gamma2 = lambda1 - mu1,
+        # gamma1 = lambda3 - mu2, so one inversion suffices.
+        if actual is not None and actual.lambda2 == 0:
+            g1 = actual.lambda3 - actual.mu2
+            g2 = actual.lambda1 - actual.mu1
+            if actual == expected_pdpds_params(seq.n, seq.p, g1, g2):
+                return (
+                    f"no NPS type but difference set matches "
+                    f"expected params for ({g1},{g2})"
+                )
+        return None
+    expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
+    if expected is None or actual != expected:
+        return (
+            f"type ({nps.gamma1},{nps.gamma2}) but difference "
+            f"set classified as {actual!r}, expected {expected!r}"
+        )
+    _add_match(part, seq, nps, actual)
+    return None
 
 
 def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:
@@ -234,7 +232,7 @@ def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:
     succeed or fail together with matching parameters."""
     if config.zeros != 2:
         raise ValueError("equivalence check requires exactly two zero-symbols")
-    return _run_partitioned(config, _scan_roundtrip)
+    return _run_partitioned(config, _visit_roundtrip)
 
 
 def _match_dict(m: Match) -> dict:
@@ -282,6 +280,3 @@ def report_to_csv(report: SearchReport) -> str:
         )
     return buf.getvalue()
 
-
-def with_jobs(config: SearchConfig, job_count: int) -> SearchConfig:
-    return replace(config, job_count=job_count)

@@ -53,18 +53,19 @@ class AlmostParySequence:
         return self.period - self.s
 
     @cached_property
+    def _zero_run_start(self) -> int | None:
+        """Start r of the cyclic zero run {r, ..., r+s-1} mod N (0 when s is 0
+        or N), or None when the zero positions are not one run."""
+        if self.s in (0, self.period):
+            return 0
+        zeros = set(self.zero_positions)
+        starts = [r for r in self.zero_positions if (r - 1) % self.period not in zeros]
+        return starts[0] if len(starts) == 1 else None
+
+    @property
     def has_consecutive_zeros(self) -> bool:
         """True iff the zero positions form one cyclic run of length s."""
-        s = self.s
-        if s == 0 or s == self.period:
-            return True
-        # a cyclic run of length s starting at r covers {r, ..., r+s-1} mod N
-        zeros = set(self.zero_positions)
-        start = self.zero_positions[0]
-        for r in self.zero_positions:
-            if {(r + j) % self.period for j in range(s)} == zeros:
-                return True
-        return False
+        return self._zero_run_start is not None
 
 
 def parse_sequence(p: int, text: str) -> AlmostParySequence:
@@ -108,15 +109,10 @@ def shift_phase(seq: AlmostParySequence, c: int) -> AlmostParySequence:
 
 def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
     """Rotate a consecutive-zero sequence so its zero run starts at index 0."""
-    if not seq.has_consecutive_zeros:
+    start = seq._zero_run_start
+    if start is None:
         raise ValueError("zero-symbols are not cyclically consecutive")
-    if seq.s in (0, seq.period):
-        return seq
-    zeros = set(seq.zero_positions)
-    for r in seq.zero_positions:
-        if {(r + j) % seq.period for j in range(seq.s)} == zeros:
-            return rotate(seq, r)
-    raise AssertionError("unreachable: has_consecutive_zeros held")
+    return rotate(seq, start)
 
 
 def _shift_counts(seq: AlmostParySequence, t: int) -> tuple[int, ...]:
@@ -154,6 +150,34 @@ class AutocorrelationProfile:
         """C(t) for 1 <= t <= N-1."""
         return self.values[t - 1]
 
+    @property
+    def nps_type(self) -> NpsType | None:
+        """Positional nearly-perfect type, or None.
+
+        Succeeds when every out-of-phase coefficient is a rational integer,
+        C(1) = C(N-1) (automatic once integral, by conjugate symmetry), and all
+        remaining shifts share one value gamma2. For N = 3 there are no
+        remaining shifts and the type degenerates to (gamma1, gamma1). None
+        for N = 2, which has no such split.
+        """
+        ints = self.integral_values
+        if ints is None or len(ints) < 2 or ints[-1] != ints[0]:
+            return None
+        rest = ints[1:-1]
+        gamma2 = rest[0] if rest else ints[0]
+        if any(v != gamma2 for v in rest):
+            return None
+        return NpsType(ints[0], gamma2)
+
+    @property
+    def two_valued(self) -> frozenset[int] | None:
+        """The set of out-of-phase values when they are integers taking at
+        most two distinct values, at any positions; None otherwise."""
+        if self.integral_values is None:
+            return None
+        distinct = frozenset(self.integral_values)
+        return distinct if len(distinct) <= 2 else None
+
 
 def profile(seq: AlmostParySequence) -> AutocorrelationProfile:
     """Compute C(t) for all out-of-phase shifts and the distinct-value count."""
@@ -186,31 +210,10 @@ class NpsType:
 
 
 def classify_nps(seq: AlmostParySequence) -> NpsType | None:
-    """Positional nearly-perfect classification.
-
-    Succeeds when every out-of-phase coefficient is a rational integer,
-    C(1) = C(N-1) (automatic once integral, by conjugate symmetry), and all
-    remaining shifts share one value gamma2. For N = 3 there are no remaining
-    shifts and the type degenerates to (gamma1, gamma1).
-    """
-    N = seq.period
-    if N < 3:
+    """Positional nearly-perfect classification (see AutocorrelationProfile.nps_type)."""
+    if seq.period < 3:
         raise ValueError("classification needs period >= 3")
-    prof = profile(seq)
-    if not prof.all_integral:
-        return None
-    ints = prof.integral_values
-    assert ints is not None
-    gamma1 = ints[0]
-    if ints[N - 2] != gamma1:
-        return None
-    rest = ints[1 : N - 2]
-    if not rest:
-        return NpsType(gamma1, gamma1)
-    gamma2 = rest[0]
-    if any(v != gamma2 for v in rest):
-        return None
-    return NpsType(gamma1, gamma2)
+    return profile(seq).nps_type
 
 
 def two_valued_set(seq: AlmostParySequence) -> frozenset[int] | None:
@@ -220,9 +223,4 @@ def two_valued_set(seq: AlmostParySequence) -> frozenset[int] | None:
     sequences whose zero-symbols are not consecutive, where the positional
     classification above may fail.
     """
-    prof = profile(seq)
-    if not prof.all_integral:
-        return None
-    assert prof.integral_values is not None
-    distinct = frozenset(prof.integral_values)
-    return distinct if len(distinct) <= 2 else None
+    return profile(seq).two_valued

@@ -8,6 +8,7 @@ import cmath
 import json
 import random
 import time
+from dataclasses import replace
 
 from golden_table import (
     ALL_ROWS,
@@ -28,7 +29,6 @@ from npseq.search import (
     report_to_json,
     verify_ell_bounds,
     verify_nps_pdpds_equivalence,
-    with_jobs,
 )
 from npseq.sequence import classify_nps, parse_sequence, profile
 from npseq.theory import (
@@ -236,7 +236,7 @@ def test_criterion_10_determinism(capsys):
     for p, period in [(3, 7), (5, 6)]:
         base = SearchConfig(p=p, period=period, zeros=2, normalize_phase=False)
         reference = report_to_json(verify_nps_pdpds_equivalence(base))
-        repeat = report_to_json(verify_nps_pdpds_equivalence(with_jobs(base, 8)))
+        repeat = report_to_json(verify_nps_pdpds_equivalence(replace(base, job_count=8)))
         ok &= reference == repeat
     with capsys.disabled():
         report_line(10, ok, "jobs 1 vs 8 byte-identical")

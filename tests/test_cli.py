@@ -47,6 +47,15 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_period_two_has_no_pdpds_block(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--p", "3", "--seq", "Z,Z", "--format", "json"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert "pdpds" not in results
+        assert results["nps_type"] is None
+
     def test_envelope_keys(self, capsys):
         _, out, _ = run(
             capsys, "analyze", "--p", "3", "--seq", "Z,Z,1,1,1", "--format", "json"
@@ -88,6 +97,13 @@ class TestVerifyPdpds:
         )
         assert code == 1
         assert "not a PDPDS" in out
+
+    def test_duplicate_element_exit2(self, capsys):
+        code, _, err = run(
+            capsys, "verify-pdpds", "--N", "5", "--p", "3", "--set", "(1,1);(1,1);(2,0)"
+        )
+        assert code == 2
+        assert "duplicate subset element (1,1)" in err
 
     def test_out_of_range_exit2(self, capsys):
         code, _, _ = run(
@@ -161,6 +177,22 @@ class TestSearch:
         )
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_exit2(self, capsys, budget):
+        code, _, err = run(
+            capsys, "search", "--p", "3", "--period", "5", "--zeros", "2",
+            "--budget", budget,
+        )
+        assert code == 2
+        assert "budget must be positive" in err
+
+    def test_type_needs_two_values_exit2(self, capsys):
+        code, _, err = run(
+            capsys, "search", "--p", "3", "--period", "5", "--zeros", "2", "--type", "1"
+        )
+        assert code == 2
+        assert "--type needs gamma1,gamma2" in err
 
     def test_roundtrip_clean(self, capsys):
         code, out, _ = run(

@@ -1,0 +1,31 @@
+"""The five-class table read three ways: classification, the first violated
+class named by the CLI, and the group-ring residual."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from npseq.cli import _first_violated_class
+from npseq.diffset import GroupSubset, classify_pdpds, group_ring_residual, residual_is_zero
+
+
+@st.composite
+def subsets(draw):
+    N = draw(st.integers(3, 8))
+    p = draw(st.sampled_from([2, 3, 5]))
+    cells = st.tuples(st.integers(0, N - 1), st.integers(0, p - 1))
+    return GroupSubset(N, p, frozenset(draw(st.sets(cells, max_size=N * p))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subsets())
+def test_class_table_consumers_agree(R):
+    params = classify_pdpds(R)
+    message = _first_violated_class(R)
+    assert (params is None) == (message != "not a PDPDS")
+    if params is None:
+        assert message.startswith("not a PDPDS: ") and " class not constant (" in message
+    else:
+        assert residual_is_zero(group_ring_residual(R, params))

@@ -1,10 +1,12 @@
 """Exhaustive search driver: content, completeness, and determinism."""
 
 import itertools
+from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
-from npseq import search
+from npseq import search, sequence
 from npseq.search import (
     FILTER_ALL,
     FILTER_NPS,
@@ -16,8 +18,8 @@ from npseq.search import (
     report_to_json,
     verify_ell_bounds,
     verify_nps_pdpds_equivalence,
-    with_jobs,
 )
+from npseq.sequence import AlmostParySequence, classify_nps
 
 
 class TestEnumeration:
@@ -124,15 +126,84 @@ class TestDeterminism:
         base = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)
         reference = report_to_json(verify_nps_pdpds_equivalence(base))
         for jobs in (2, 8):
-            report = verify_nps_pdpds_equivalence(with_jobs(base, jobs))
+            report = verify_nps_pdpds_equivalence(replace(base, job_count=jobs))
             assert report_to_json(report) == reference
 
     def test_search_reports_identical_across_job_counts(self):
         base = SearchConfig(p=3, period=6, zeros=2, filter_mode=FILTER_ALL)
         reference = report_to_json(enumerate_and_classify(base))
         for jobs in (2, 8):
-            report = enumerate_and_classify(with_jobs(base, jobs))
+            report = enumerate_and_classify(replace(base, job_count=jobs))
             assert report_to_json(report) == reference
+
+
+class TestSingleScan:
+    SCANS = [
+        (enumerate_and_classify, SearchConfig(p=3, period=6, zeros=2, filter_mode=FILTER_ALL)),
+        (verify_ell_bounds, SearchConfig(p=3, period=6, zeros=1)),
+        (verify_nps_pdpds_equivalence, SearchConfig(p=3, period=6, zeros=2, normalize_phase=False)),
+    ]
+
+    @pytest.mark.parametrize("scan,config", SCANS)
+    def test_one_profile_per_candidate(self, monkeypatch, scan, config):
+        calls = []
+        original = search.profile
+
+        def counting_profile(seq):
+            calls.append(seq)
+            return original(seq)
+
+        # the name the scan loop calls and the one classify_nps would call
+        monkeypatch.setattr(search, "profile", counting_profile)
+        monkeypatch.setattr(sequence, "profile", counting_profile)
+        assert scan(config).total_enumerated == len(calls) == config.space_size
+
+    def test_scan_types_match_classify_nps(self):
+        for zeros in range(7):
+            config = SearchConfig(
+                p=3, period=7, zeros=zeros, normalize_phase=False, filter_mode=FILTER_ALL
+            )
+            report = enumerate_and_classify(config)
+            assert len(report.matches) == report.total_enumerated == config.space_size
+            for m in report.matches:
+                nps = classify_nps(AlmostParySequence(3, (None,) * zeros + m.exponents))
+                assert (m.gamma1, m.gamma2) == ((nps.gamma1, nps.gamma2) if nps else (None, None))
+
+    def test_violation_names_symbols(self, monkeypatch):
+        monkeypatch.setattr(search, "ell_bounds", lambda n, s, p: (0, 0))
+        report = verify_ell_bounds(SearchConfig(p=3, period=5, zeros=2))
+        assert report.violations[0] == "index 0 [Z,Z,0,0,0]: ell=2 outside [0,0]"
+        assert report.violations[5] == "index 5 [Z,Z,0,1,2]: ell=4 outside [0,0]"
+        assert len(report.violations) == 9
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        pools = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.submitted = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
+        report = enumerate_and_classify(replace(base, job_count=5000))
+        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 81)]
+        assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
 class TestSerialization:
@@ -166,3 +237,5 @@ class TestConfigValidation:
             SearchConfig(p=3, period=5, zeros=2, filter_mode=FILTER_TYPE)
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, job_count=0)
+        with pytest.raises(ValueError):
+            SearchConfig(p=3, period=5, zeros=2, budget=0)
