@@ -24,9 +24,11 @@ from .diffset import (
     PdpdsParams,
     build_ra,
     classify_dpds,
+    classify_grid,
     classify_pdpds,
     difference_multiset,
     expected_pdpds_params,
+    grid_residual,
     group_ring_residual,
 )
 
@@ -42,10 +44,12 @@ __all__ = [
     "autocorrelation",
     "build_ra",
     "classify_dpds",
+    "classify_grid",
     "classify_pdpds",
     "classify_nps",
     "difference_multiset",
     "expected_pdpds_params",
+    "grid_residual",
     "group_ring_residual",
     "parse_sequence",
     "profile",

@@ -20,8 +20,11 @@ from .diffset import (
     PdpdsParams,
     build_ra,
     class_multiplicities,
+    classify_grid,
     classify_pdpds,
+    difference_multiset,
     expected_pdpds_params,
+    grid_residual,
     group_ring_residual,
     parse_subset,
     residual_is_zero,
@@ -84,11 +87,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     checks: dict = {}
     if seq.period >= 3 and seq.zero_positions == (0, 1):
-        ra = build_ra(seq)
-        params = classify_pdpds(ra)
+        grid = prof.difference_grid
+        params = classify_grid(grid, seq.n)
         results["pdpds"] = list(params.as_tuple()) if params else None
         if params is not None:
-            s_counts = second_component_counts(ra)
+            s_counts = second_component_counts(build_ra(seq))
             checks["counting_identity"] = pdpds_counting_identity(params, seq.p)
             if nps is not None:
                 expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
@@ -97,9 +100,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     s_counts, seq.n, seq.p, nps.gamma1, nps.gamma2
                 )
                 checks["second_component_identities"] = ident.all_ok
-            checks["residual_zero"] = residual_is_zero(
-                group_ring_residual(ra, params)
-            )
+            checks["residual_zero"] = residual_is_zero(grid_residual(grid, seq.n, params))
     payload = _envelope({"p": args.p, "seq": args.seq}, results, checks)
     if args.format == "json":
         _emit_json(payload)
@@ -160,7 +161,8 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
 
 def _first_violated_class(R) -> str:
     """Name the first difference class whose multiplicities are not constant."""
-    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(R)):
+    grid = difference_multiset(R).counts
+    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(grid)):
         if len(set(values)) > 1:
             return f"not a PDPDS: {cls.name} class not constant ({sorted(set(values))})"
     return "not a PDPDS"

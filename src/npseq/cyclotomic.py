@@ -39,12 +39,26 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
+# Largest N * p accepted for the dense N x p count matrices and grids over
+# Z_N x Z_p (the count-matrix kernel also keeps a lookup table of about
+# 4 * N * p entries); checked before _require_prime, whose trial division is
+# itself slow for a huge p.
+MAX_CELLS = 10**6
+
+
+def _require_cells(N: int, p: int) -> None:
+    if N * p > MAX_CELLS:
+        raise ValueError(
+            f"N*p = {N}*{p} exceeds the limit of {MAX_CELLS} cells for dense N x p grids"
+        )
+
+
 def _canonicalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Subtract the last coefficient from every entry so coeffs[-1] == 0."""
     last = coeffs[-1]
     if last == 0:
         return coeffs
-    return tuple(c - last for c in coeffs)
+    return tuple([c - last for c in coeffs])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Difference multisets in Z_N x Z_p and their parameter classifications.
 
 The ambient group is written additively as Z_N x Z_p (isomorphic to the
-multiplicative <h> x <g> product). A sequence's nonzero positions induce the
-subset R_a = {(i, b_i)}; its multiset of nonidentity differences is stored as
-a dense N x p grid, which makes every classification and residual check
-bit-exact.
+multiplicative <h> x <g> product). The multiset of nonidentity differences of
+a subset is a dense N x p grid, grid[d_h][d_g], which makes every
+classification and residual check bit-exact. A free subset gets its grid from
+`difference_multiset`; the subset R_a = {(i, b_i)} of a sequence gets it from
+the sequence's profile (`AutocorrelationProfile.difference_grid`), whose rows
+hold the same counts, so the scans never build R_a.
 
 Two classifications are supported over the nonidentity cells:
 
@@ -17,13 +19,15 @@ Two classifications are supported over the nonidentity cells:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .cyclotomic import _require_prime
+from .cyclotomic import _require_cells, _require_prime
 from .sequence import AlmostParySequence
 
 GroupElement = tuple[int, int]  # (h_exp mod N, g_exp mod p)
+Grid = tuple[tuple[int, ...], ...]  # grid[d_h][d_g]: N rows of p counts
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,7 @@ class GroupSubset:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("group order N must be positive")
+        _require_cells(self.N, self.p)
         _require_prime(self.p)
         for h, g in self.elements:
             if not (0 <= h < self.N and 0 <= g < self.p):
@@ -82,7 +87,7 @@ class DifferenceMultiset:
 
     N: int
     p: int
-    counts: tuple[tuple[int, ...], ...]  # counts[d_h][d_g]
+    counts: Grid  # counts[d_h][d_g]
 
     @cached_property
     def total(self) -> int:
@@ -151,7 +156,7 @@ class PdpdsParams:
 def _constant(values: list[int]) -> int | None:
     """The common value of a nonempty list, or None if not constant."""
     first = values[0]
-    return first if all(v == first for v in values) else None
+    return first if values.count(first) == len(values) else None
 
 
 def classify_dpds(R: GroupSubset) -> DpdsParams | None:
@@ -204,10 +209,25 @@ def _class_cells(N: int, p: int) -> tuple[tuple[GroupElement, ...], ...]:
     )
 
 
-def class_multiplicities(R: GroupSubset) -> list[list[int]]:
-    """Difference multiplicities of R over each PDPDS_CLASSES cell set (N >= 3)."""
-    grid = difference_multiset(R).counts
-    return [[grid[h][g] for h, g in cells] for cells in _class_cells(R.N, R.p)]
+def class_multiplicities(grid: Grid) -> Iterator[list[int]]:
+    """The grid's multiplicities over each PDPDS_CLASSES cell set in turn (N >= 3)."""
+    for cells in _class_cells(len(grid), len(grid[0])):
+        yield [grid[h][g] for h, g in cells]
+
+
+def classify_grid(grid: Grid, k: int) -> PdpdsParams | None:
+    """Five-class classification of the difference grid of a k-subset;
+    None unless every class is constant (see classify_pdpds)."""
+    N, p = len(grid), len(grid[0])
+    if N < 3:
+        raise ValueError("partial classification needs N >= 3")
+    fields = {}
+    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(grid)):
+        value = _constant(values) if values else 0
+        if value is None:
+            return None
+        fields[cls.param] = value
+    return PdpdsParams(N, p, k, **fields, far_class_empty=N == 3)
 
 
 def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
@@ -217,15 +237,7 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     identity); the far class is {2, ..., N-2}. When N = 3 the far classes are
     empty: lambda1 and mu1 are then reported as zero with far_class_empty set.
     """
-    if R.N < 3:
-        raise ValueError("partial classification needs N >= 3")
-    fields = {}
-    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(R)):
-        value = _constant(values) if values else 0
-        if value is None:
-            return None
-        fields[cls.param] = value
-    return PdpdsParams(R.N, R.p, R.k, **fields, far_class_empty=R.N == 3)
+    return classify_grid(difference_multiset(R).counts, R.k)
 
 
 def expected_pdpds_params(
@@ -248,27 +260,35 @@ def expected_pdpds_params(
     return PdpdsParams(n + 2, p, n, mu1 + gamma2, 0, mu2 + gamma1, mu1, mu2)
 
 
-def group_ring_residual(
-    R: GroupSubset, params: PdpdsParams
-) -> tuple[tuple[int, ...], ...]:
+def group_ring_residual(R: GroupSubset, params: PdpdsParams) -> Grid:
     """Cellwise difference between the five-class model grid and the actual one.
 
     The model holds, at every nonidentity cell of Z_N x Z_p, the multiplicity
-    params gives that cell's class and k at the identity; the actual grid is
-    the difference multiset plus k at the identity. An all-zero grid is
-    equivalent to R matching params on every class.
+    params gives that cell's class and params.k at the identity; the actual
+    grid is the difference multiset plus |R| at the identity. An all-zero
+    grid is equivalent to R matching params on every class and in size.
+    params.n and params.m must be N and p (ValueError otherwise).
     """
-    N, p = R.N, R.p
+    return grid_residual(difference_multiset(R).counts, R.k, params)
+
+
+def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:
+    """group_ring_residual for the difference grid of a k-subset."""
+    N, p = len(grid), len(grid[0])
     if N < 3:
         raise ValueError("residual check needs N >= 3")
-    # model minus actual, starting from a zero model; the k at the identity
-    # cancels on both sides
-    residual = [[-count for count in row] for row in difference_multiset(R).counts]
+    if (params.n, params.m) != (N, p):
+        raise ValueError(
+            f"params (n, m) = ({params.n}, {params.m}) do not match Z_{N} x Z_{p}"
+        )
+    # model minus actual
+    residual = [[-count for count in row] for row in grid]
+    residual[0][0] += params.k - k
     for cls, cells in zip(PDPDS_CLASSES, _class_cells(N, p)):
         for h, g in cells:
             residual[h][g] += getattr(params, cls.param)
     return tuple(tuple(row) for row in residual)
 
 
-def residual_is_zero(residual: tuple[tuple[int, ...], ...]) -> bool:
+def residual_is_zero(residual: Grid) -> bool:
     return all(v == 0 for row in residual for v in row)

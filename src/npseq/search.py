@@ -19,8 +19,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .cyclotomic import _require_prime
-from .diffset import PdpdsParams, build_ra, classify_pdpds, expected_pdpds_params
+from .cyclotomic import _require_cells, _require_prime
+from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
 from .sequence import AlmostParySequence, NpsType, profile
 from .theory import ell_bounds
 
@@ -53,6 +53,7 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        _require_cells(self.period, self.p)
         _require_prime(self.p)
         if not 0 <= self.zeros < self.period:
             raise ValueError("need 0 <= zeros < period")
@@ -174,7 +175,7 @@ def _visit_classify(part: SearchReport, seq, prof) -> None:
         return
     pdpds = None
     if nps is not None and config.zeros == 2:
-        pdpds = classify_pdpds(build_ra(seq))
+        pdpds = classify_grid(prof.difference_grid, seq.n)
     _add_match(part, seq, nps, pdpds)
 
 
@@ -198,10 +199,11 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
 
 
 def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
-    if seq.n < 2:
+    n = seq.n
+    if n < 2:
         return None  # the equivalence is stated for n >= 2
     nps = prof.nps_type
-    actual = classify_pdpds(build_ra(seq))
+    actual = classify_grid(prof.difference_grid, n)
     if nps is None:
         # backward direction: an unclassified sequence's difference set must
         # not match the expected tuple of any type. Any expected tuple has
@@ -210,13 +212,13 @@ def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
         if actual is not None and actual.lambda2 == 0:
             g1 = actual.lambda3 - actual.mu2
             g2 = actual.lambda1 - actual.mu1
-            if actual == expected_pdpds_params(seq.n, seq.p, g1, g2):
+            if actual == expected_pdpds_params(n, seq.p, g1, g2):
                 return (
                     f"no NPS type but difference set matches "
                     f"expected params for ({g1},{g2})"
                 )
         return None
-    expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
+    expected = expected_pdpds_params(n, seq.p, nps.gamma1, nps.gamma2)
     if expected is None or actual != expected:
         return (
             f"type ({nps.gamma1},{nps.gamma2}) but difference "
@@ -229,7 +231,9 @@ def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
 def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:
     """Check, for every candidate with a two-symbol zero run, that the
     positional classification and the five-class difference-set classification
-    succeed or fail together with matching parameters."""
+    succeed or fail together with matching parameters. Both read the
+    candidate's count matrix: the type its canonical rows, the classes its
+    reflected rows (the difference multiset of R_a)."""
     if config.zeros != 2:
         raise ValueError("equivalence check requires exactly two zero-symbols")
     return _run_partitioned(config, _visit_roundtrip)

@@ -7,14 +7,22 @@ exponent b). Autocorrelation coefficients are computed exactly in Z[zeta_p]:
     C(t) = sum over i of a_i * conj(a_{i+t}),  indices cyclic mod N,
 
 where zero-symbol positions contribute nothing.
+
+One kernel computes every coefficient at once as a raw N x p count matrix:
+counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
+b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
+Reflected (row N - d as row d, zero row 0), the matrix is the difference
+multiset of R_a = {(i, b_i)} in Z_N x Z_p, so sequences get their PDPDS
+classification from the profile's rows; the dense grid of `diffset` is for
+free subsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
-from .cyclotomic import CyclotomicInt, _canonicalize, _require_prime
+from .cyclotomic import CyclotomicInt, _canonicalize, _require_cells, _require_prime
 
 Symbol = int | None  # None = zero-symbol, int = root exponent in [0, p)
 
@@ -27,6 +35,7 @@ class AlmostParySequence:
     symbols: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
+        _require_cells(len(self.symbols), self.p)
         _require_prime(self.p)
         if not self.symbols:
             raise ValueError("sequence must have at least one symbol")
@@ -73,8 +82,9 @@ def parse_sequence(p: int, text: str) -> AlmostParySequence:
 
     Example: parse_sequence(3, "Z,Z,1,1,1").
     """
-    _require_prime(p)
     tokens = [tok.strip() for tok in text.split(",")]
+    _require_cells(len(tokens), p)
+    _require_prime(p)
     if tokens == [""]:
         raise ValueError("empty sequence text")
     symbols: list[Symbol] = []
@@ -115,40 +125,98 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
     return rotate(seq, start)
 
 
-def _shift_counts(seq: AlmostParySequence, t: int) -> tuple[int, ...]:
-    """Canonical coefficient vector of C(t), computed as exponent-difference counts."""
-    p, N, symbols = seq.p, seq.period, seq.symbols
-    counts = [0] * p
-    for i in range(N):
-        bi = symbols[i]
-        if bi is None:
-            continue
-        bj = symbols[(i + t) % N]
-        if bj is None:
-            continue
-        counts[(bi - bj) % p] += 1
-    return _canonicalize(tuple(counts))
+@lru_cache(maxsize=8)
+def _pair_cells(N: int, p: int) -> tuple[int, list[int]]:
+    """Width M and lookup table of the count-matrix kernel for (N, p).
+
+    Position i with exponent b packs to i*M - b, M = 2p - 1, so the packed
+    difference of positions i and j, (j - i)*M + (b_i - b_j), determines
+    both differences. table[x_j - x_i] (a negative key indexes from the end)
+    is the flat cell t*p + d with t = j - i mod N, d = b_i - b_j mod p.
+    The cached table is shared: read it, never write it. Few tables are
+    kept, since one has about 4 * N * p entries.
+    """
+    M = 2 * p - 1
+    size = 2 * N * M
+    cells = list(range(N * p))  # the table holds references to these ints
+    table = [0] * size
+    for dt in range(1 - N, N):
+        at, base = dt * M % size, dt % N * p
+        table[at : at + p] = cells[base : base + p]  # b_i - b_j = 0 .. p-1
+        lo = (at - p + 1) % size  # b_i - b_j = 1-p .. -1, mod p = 1 .. p-1
+        table[lo : lo + p - 1] = cells[base + 1 : base + p]
+    return M, table
+
+
+def _count_matrix(seq: AlmostParySequence) -> tuple[tuple[int, ...], ...]:
+    """The raw N x p counts: row t, column d counts the positions i with
+    b_i - b_{i+t} = d (mod p), in one pass over ordered nonzero pairs."""
+    p, N = seq.p, seq.period
+    M, table = _pair_cells(N, p)
+    packed = [i * M - b for i, b in enumerate(seq.symbols) if b is not None]
+    flat = [0] * (N * p)
+    for xi in packed:
+        for xj in packed:
+            flat[table[xj - xi]] += 1
+    # rows are consecutive runs of p cells; tuple() of the zip itself would
+    # allocate, then resize, a tuple on every call, which fills the
+    # interpreter's tuple free lists and raises peak memory over a scan
+    return tuple(list(zip(*[iter(flat)] * p)))
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
     """Exact autocorrelation coefficient C(t) for 0 <= t < period."""
     if not 0 <= t < seq.period:
         raise ValueError(f"shift {t} out of range for period {seq.period}")
-    return CyclotomicInt(seq.p, _shift_counts(seq, t))
+    return CyclotomicInt(seq.p, _canonicalize(_count_matrix(seq)[t]))
 
 
 @dataclass(frozen=True)
 class AutocorrelationProfile:
-    """All out-of-phase coefficients C(1) .. C(N-1) plus summary flags."""
+    """The raw count matrix of a sequence (see the module docstring) and the
+    summary of its out-of-phase coefficients C(1) .. C(N-1).
 
-    values: tuple[CyclotomicInt, ...]
-    ell: int
-    all_integral: bool
-    integral_values: tuple[int, ...] | None
+    ell and integral_values are read from the canonical vectors of rows
+    1 .. N-1 when the profile is made; `values` (CyclotomicInt) is built on
+    first access.
+    """
+
+    counts: tuple[tuple[int, ...], ...]  # counts[t][d], t = 0 .. N-1
+    ell: int = field(init=False)
+    integral_values: tuple[int, ...] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        canonical = [_canonicalize(row) for row in self.counts[1:]]
+        tail = (0,) * (len(self.counts[0]) - 1)
+        ints = [v[0] for v in canonical if v[1:] == tail]
+        object.__setattr__(self, "ell", len(set(canonical)))
+        object.__setattr__(
+            self, "integral_values", tuple(ints) if len(ints) == len(canonical) else None
+        )
+
+    @property
+    def all_integral(self) -> bool:
+        return self.integral_values is not None
+
+    @cached_property
+    def values(self) -> tuple[CyclotomicInt, ...]:
+        """C(1) .. C(N-1)."""
+        p = len(self.counts[0])
+        return tuple([CyclotomicInt(p, _canonicalize(row)) for row in self.counts[1:]])
 
     def value(self, t: int) -> CyclotomicInt:
         """C(t) for 1 <= t <= N-1."""
         return self.values[t - 1]
+
+    @property
+    def difference_grid(self) -> tuple[tuple[int, ...], ...]:
+        """The difference multiset of R_a = {(i, b_i)}: grid[d_h][d_g].
+
+        grid[0] is zero, since R_a has one element per position, and
+        grid[d] is row N - d: the pair ((i, b_i), (i + t, b_{i+t})) has
+        difference (N - t, b_i - b_{i+t}).
+        """
+        return ((0,) * len(self.counts[0]),) + self.counts[:0:-1]
 
     @property
     def nps_type(self) -> NpsType | None:
@@ -180,21 +248,10 @@ class AutocorrelationProfile:
 
 
 def profile(seq: AlmostParySequence) -> AutocorrelationProfile:
-    """Compute C(t) for all out-of-phase shifts and the distinct-value count."""
-    N = seq.period
-    if N < 2:
+    """The count matrix of every shift and its out-of-phase summary."""
+    if seq.period < 2:
         raise ValueError("profile needs period >= 2")
-    vectors = [_shift_counts(seq, t) for t in range(1, N)]
-    values = tuple(CyclotomicInt(seq.p, v) for v in vectors)
-    ell = len(set(vectors))
-    ints = [v.as_int() for v in values]
-    all_integral = all(c is not None for c in ints)
-    return AutocorrelationProfile(
-        values=values,
-        ell=ell,
-        all_integral=all_integral,
-        integral_values=tuple(ints) if all_integral else None,  # type: ignore[arg-type]
-    )
+    return AutocorrelationProfile(_count_matrix(seq))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,56 @@ class TestVerifyPdpds:
         )
         assert code == 2
 
+    def test_params_group_mismatch_exit2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify-pdpds", "--N", "5", "--p", "3", "--set", "(2,1);(3,1);(4,1)",
+            "--params", "9,7,99,1,0,2,0,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "params (n, m) = (9, 7) do not match Z_5 x Z_3" in err
+
+    def test_wrong_k_nonzero_residual_at_identity(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify-pdpds", "--N", "5", "--p", "3", "--set", "(2,1);(3,1);(4,1)",
+            "--params", "5,3,99,1,0,2,0,0", "--format", "json",
+        )
+        assert code == 1
+        residual = json.loads(out)["results"]["residual"]
+        assert residual[0] == [96, 0, 0]
+        assert all(v == 0 for row in residual[1:] for v in row)
+
+
+class TestSizeCap:
+    """N*p above MAX_CELLS exits 2 before the primality test or any grid."""
+
+    @pytest.fixture(autouse=True)
+    def no_prime_test(self, monkeypatch):
+        from npseq import cyclotomic, diffset, search, sequence
+
+        def refuse(p):
+            raise AssertionError("primality tested before the size check")
+
+        for module in (cyclotomic, diffset, search, sequence):
+            monkeypatch.setattr(module, "_require_prime", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--p", "1000003", "--seq", "Z,Z"),
+            ("verify-pdpds", "--N", "2", "--p", "1000003", "--set", "(0,1)"),
+            ("search", "--p", "1000003", "--period", "2", "--zeros", "1"),
+            ("roundtrip", "--p", "1000003", "--period", "2", "--zeros", "1"),
+        ],
+    )
+    def test_oversized_exit2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "N*p = 2*1000003 exceeds the limit of 1000000 cells" in err
+
 
 class TestBounds:
     def test_table_row(self, capsys):
