@@ -18,19 +18,39 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017). The first 12 alone
+# pass the composite 318665857834031151167461.
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are desk-scale."""
+    """Deterministic Miller-Rabin; exact for every n < PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"{n} is at or above {PRIME_TEST_LIMIT}, the limit of the exact primality test"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -41,8 +61,8 @@ def _require_prime(p: int) -> None:
 
 # Largest N * p accepted for the dense N x p count matrices and grids over
 # Z_N x Z_p (the count-matrix kernel also keeps a lookup table of about
-# 4 * N * p entries); checked before _require_prime, whose trial division is
-# itself slow for a huge p.
+# 4 * N * p entries); checked before _require_prime, so a huge p is refused
+# before any primality work.
 MAX_CELLS = 10**6
 
 

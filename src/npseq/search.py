@@ -5,9 +5,31 @@ the consecutive-zero family, since autocorrelation is rotation-invariant) and,
 by default, the first nonzero exponent pinned to 0 (lossless for any per-shift
 statistic, since a global phase multiplies every term of C(t) by 1).
 
-The exponent space is scanned in lexicographic order. With job_count > 1 it is
-split into contiguous index ranges that are processed independently and merged
-in range order, so reports are byte-identical for any job count.
+The exponent space is indexed in lexicographic order, but only one candidate
+per orbit of the group b -> c*b + a is profiled (c in Z_p^*; a in Z_p over
+the full space, a = 0 under phase normalisation). This loses nothing:
+
+- a global phase b -> b + a leaves every difference b_i - b_{i+t}, and so the
+  whole count matrix, exactly as it is;
+- decimation b -> c*b moves count column d to column c*d, so C(t) becomes
+  sigma_c(C(t)) with sigma_c: zeta -> zeta^c, a Galois automorphism of
+  Q(zeta_p). It is injective and fixes the rational integers, so ell, the
+  integral values, the NPS type and the ell bounds (which depend on n, s, p
+  only) do not change. On the difference grid of R_a it fixes column 0 and
+  permutes the nonzero columns d_g -> c*d_g, so each of the five PDPDS
+  classes maps onto itself and the classification does not change.
+
+So a match or a violation found for the representative holds for every
+member of its orbit. The representatives are the free digits [0] + tail,
+where the tail is zero or has 1 as its first nonzero digit; in lexicographic
+order their tail values are 0 and then [p^e, 2 p^e) for e = 0, 1, ... An orbit
+has (p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
+members, and the report is expanded over them: every member is counted and
+recorded with its own exponents and index, and matches and violations are
+sorted into index order, so a report equals that of a candidate-by-candidate
+scan. With job_count > 1 the representatives are split into contiguous
+ordinal ranges, processed independently and merged, so reports are
+byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -18,10 +40,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .cyclotomic import _require_cells, _require_prime
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import AlmostParySequence, NpsType, profile
+from .sequence import AlmostParySequence, profile
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -77,6 +100,12 @@ class SearchConfig:
             free -= 1
         return self.p**free
 
+    @property
+    def orbit_count(self) -> int:
+        """Orbits of b -> c*b (+ a) on the space: one profile each."""
+        p = self.p
+        return 1 + (p ** (self.free_positions - 1) - 1) // (p - 1)
+
 
 @dataclass(frozen=True)
 class Match:
@@ -95,21 +124,38 @@ class SearchReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _candidate(config: SearchConfig, index: int) -> AlmostParySequence:
-    """Candidate at a lexicographic index: base-p digits fill the free slots."""
-    p = config.p
-    free = config.free_positions
-    digits = []
-    x = index
-    var = free - 1 if (config.normalize_phase and free > 0) else free
-    for _ in range(var):
-        digits.append(x % p)
-        x //= p
-    digits.reverse()
-    if config.normalize_phase and free > 0:
-        digits = [0] + digits
-    symbols: list[int | None] = [None] * config.zeros + digits
-    return AlmostParySequence(p, tuple(symbols))
+def _representative_tails(p: int, lo: int, hi: int):
+    """Tail values of the orbit representatives with ordinals lo .. hi-1:
+    ordinal 0 is the zero tail, and the block of p^e ordinals after
+    1 + (p^e - 1)/(p - 1) holds the tails [p^e, 2 p^e)."""
+    if lo == 0 < hi:
+        yield 0
+    first, size = 1, 1  # the block of size p^e starts at ordinal first
+    while first < hi:
+        start, stop = max(lo, first), min(hi, first + size)
+        yield from range(size + start - first, size + stop - first)
+        first += size
+        size *= p
+
+
+def _digits(value: int, p: int, length: int) -> list[int]:
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        value, out[i] = divmod(value, p)
+    return out
+
+
+def _orbit(p: int, rep: tuple[int, ...], full: bool):
+    """(index, free digits) of every member c*rep + a of rep's orbit; a
+    member's digits, leading 0 included under phase normalisation, are its
+    index in base p."""
+    for c in range(1, p) if any(rep) else (1,):
+        for a in range(p) if full else (0,):
+            member = tuple([(c * b + a) % p for b in rep])
+            index = 0
+            for b in member:
+                index = index * p + b
+            yield index, member
 
 
 def _merge(into: SearchReport, part: SearchReport) -> None:
@@ -120,63 +166,79 @@ def _merge(into: SearchReport, part: SearchReport) -> None:
     into.violations.extend(part.violations)
 
 
+def _violation_index(text: str) -> int:
+    return int(text.split(" ", 2)[1])  # "index 17 [...]: ..."
+
+
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
-    """Split [0, space) into job_count contiguous ranges and merge in order.
+    """Split the orbit ordinals into job_count contiguous ranges, merge them
+    and sort the expanded matches and violations into index order.
 
     The ranges are scanned by at most os.cpu_count() worker processes.
     """
     total = config.space_size
     if total > config.budget:
         raise BudgetExceededError(total, config.budget)
-    jobs = min(config.job_count, total)
+    orbits = config.orbit_count
+    jobs = min(config.job_count, orbits)
     if jobs == 1:
-        return _scan(config, 0, total, visit)
-    bounds = [total * j // jobs for j in range(jobs + 1)]
-    ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
-    report = SearchReport(config=config)
-    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
-        for fut in futures:
-            _merge(report, fut.result())
+        report = _scan(config, 0, orbits, visit)
+    else:
+        bounds = [orbits * j // jobs for j in range(jobs + 1)]
+        ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
+        report = SearchReport(config=config)
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
+            for fut in futures:
+                _merge(report, fut.result())
+    # exponents (all free digits, zero-padded) sort in index order
+    report.matches.sort(key=attrgetter("exponents"))
+    report.violations.sort(key=_violation_index)
     return report
 
 
 def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
-    """Profile each candidate of [lo, hi) once and pass it to `visit(part, seq,
-    prof)`, a module-level function (workers unpickle it) that records matches
-    in `part` and returns a violation text or None."""
+    """Profile the orbit representatives with ordinals [lo, hi) once each and
+    pass each to `visit(config, seq, prof)`, a module-level function (workers
+    unpickle it) that returns (record, violation): the (gamma1, gamma2, pdpds)
+    of a match or None, and a violation text or None. Both hold for every
+    member of the orbit, which is counted and recorded member by member."""
+    p, zeros = config.p, config.zeros
+    full = not config.normalize_phase
+    tail_length = config.free_positions - 1
     part = SearchReport(config=config)
-    for index in range(lo, hi):
-        seq = _candidate(config, index)
-        part.total_enumerated += 1
+    histogram = part.ell_histogram
+    for tail in _representative_tails(p, lo, hi):
+        rep = (0, *_digits(tail, p, tail_length))
+        seq = AlmostParySequence(p, (None,) * zeros + rep)
         prof = profile(seq)
-        part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + 1
-        violation = visit(part, seq, prof)
-        if violation is not None:
-            symbols = ",".join("Z" if b is None else str(b) for b in seq.symbols)
-            part.violations.append(f"index {index} [{symbols}]: {violation}")
+        weight = (p - 1 if tail else 1) * (p if full else 1)
+        part.total_enumerated += weight
+        histogram[prof.ell] = histogram.get(prof.ell, 0) + weight
+        record, violation = visit(config, seq, prof)
+        if record is None and violation is None:
+            continue
+        for index, exponents in _orbit(p, rep, full):
+            if record is not None:
+                part.matches.append(Match(exponents, *record))
+            if violation is not None:
+                symbols = ",".join(["Z"] * zeros + [str(b) for b in exponents])
+                part.violations.append(f"index {index} [{symbols}]: {violation}")
     return part
 
 
-def _add_match(part: SearchReport, seq, nps: NpsType | None, pdpds) -> None:
-    exponents = tuple(b for b in seq.symbols if b is not None)
-    gamma1, gamma2 = (nps.gamma1, nps.gamma2) if nps else (None, None)
-    part.matches.append(Match(exponents, gamma1, gamma2, pdpds))
-
-
-def _visit_classify(part: SearchReport, seq, prof) -> None:
-    config = part.config
+def _visit_classify(config: SearchConfig, seq, prof):
     nps = prof.nps_type
     if config.filter_mode == FILTER_NPS and nps is None:
-        return
+        return None, None
     if config.filter_mode == FILTER_TYPE and (
         nps is None or (nps.gamma1, nps.gamma2) != config.target
     ):
-        return
-    pdpds = None
-    if nps is not None and config.zeros == 2:
-        pdpds = classify_grid(prof.difference_grid, seq.n)
-    _add_match(part, seq, nps, pdpds)
+        return None, None
+    if nps is None:
+        return (None, None, None), None
+    pdpds = classify_grid(prof.difference_grid, seq.n) if config.zeros == 2 else None
+    return (nps.gamma1, nps.gamma2, pdpds), None
 
 
 def enumerate_and_classify(config: SearchConfig) -> SearchReport:
@@ -184,11 +246,11 @@ def enumerate_and_classify(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, _visit_classify)
 
 
-def _visit_ell(part: SearchReport, seq, prof) -> str | None:
+def _visit_ell(config: SearchConfig, seq, prof):
     low, high = ell_bounds(seq.n, seq.s, seq.p)
     if not low <= prof.ell <= high:
-        return f"ell={prof.ell} outside [{low},{high}]"
-    return None
+        return None, f"ell={prof.ell} outside [{low},{high}]"
+    return None, None
 
 
 def verify_ell_bounds(config: SearchConfig) -> SearchReport:
@@ -198,10 +260,10 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, _visit_ell)
 
 
-def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
+def _visit_roundtrip(config: SearchConfig, seq, prof):
     n = seq.n
     if n < 2:
-        return None  # the equivalence is stated for n >= 2
+        return None, None  # the equivalence is stated for n >= 2
     nps = prof.nps_type
     actual = classify_grid(prof.difference_grid, n)
     if nps is None:
@@ -213,19 +275,18 @@ def _visit_roundtrip(part: SearchReport, seq, prof) -> str | None:
             g1 = actual.lambda3 - actual.mu2
             g2 = actual.lambda1 - actual.mu1
             if actual == expected_pdpds_params(n, seq.p, g1, g2):
-                return (
+                return None, (
                     f"no NPS type but difference set matches "
                     f"expected params for ({g1},{g2})"
                 )
-        return None
+        return None, None
     expected = expected_pdpds_params(n, seq.p, nps.gamma1, nps.gamma2)
     if expected is None or actual != expected:
-        return (
+        return None, (
             f"type ({nps.gamma1},{nps.gamma2}) but difference "
             f"set classified as {actual!r}, expected {expected!r}"
         )
-    _add_match(part, seq, nps, actual)
-    return None
+    return (nps.gamma1, nps.gamma2, actual), None
 
 
 def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:

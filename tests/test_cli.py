@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output formats, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,25 @@ class TestSizeCap:
 
 
 class TestBounds:
+    def test_huge_prime_is_decided_quickly(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(
+            capsys, "bounds", "--n", "15", "--p", "1000000000000000003",
+            "--gamma1", "1", "--gamma2", "1",
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert "divisibility-fail" in out
+
+    def test_modulus_above_primality_limit_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--n", "15", "--p", "3317044064679887385961981",
+            "--gamma1", "1", "--gamma2", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "3317044064679887385961981, the limit of the exact primality test" in err
+
     def test_table_row(self, capsys):
         code, out, _ = run(
             capsys,

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from npseq.cyclotomic import CyclotomicInt, is_prime
+from npseq.cyclotomic import PRIME_TEST_LIMIT, CyclotomicInt, is_prime
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -124,6 +124,35 @@ def test_unique_canonical_form_matches_floats():
 
 def test_is_prime():
     assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [trial_division(n) for n in range(2 * 10**5)]
+    assert [is_prime(n) for n in range(2 * 10**5)] == sieve
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+        (10**9 + 7) * (10**9 + 9),
+    ],
+)
+def test_strong_pseudoprimes_rejected(n):
+    assert not is_prime(n)
+
+
+def test_large_primes_and_limit():
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    assert not is_prime(PRIME_TEST_LIMIT - 1)  # even
+    with pytest.raises(ValueError, match="limit of the exact primality test"):
+        is_prime(PRIME_TEST_LIMIT)
 
 
 def test_non_prime_modulus_rejected():

@@ -1,13 +1,14 @@
 """The count-matrix kernel behind profile(): its reflected rows are the
-difference multiset of R_a, its shifts sum to |S|^2, decimation leaves the
-profile's values alone, and every value matches the definitional sum."""
+difference multiset of R_a, its shifts sum to |S|^2, decimation and phase
+leave the profile's invariants and classes alone, and every value matches the
+definitional sum."""
 
 import itertools
 
 import pytest
 
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt
-from npseq.diffset import GroupSubset, build_ra, difference_multiset
+from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
 from npseq.sequence import AlmostParySequence, autocorrelation, profile
 
@@ -47,14 +48,23 @@ def test_shift_sum_is_squared_norm(seq):
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.data())
 def test_decimation_invariance(seq, data):
+    # the map b -> c*b + a under which the scans profile one sequence per orbit
     c = data.draw(st.integers(1, seq.p - 1))
+    a = data.draw(st.integers(0, seq.p - 1))
     decimated = AlmostParySequence(
-        seq.p, tuple(None if b is None else c * b % seq.p for b in seq.symbols)
+        seq.p, tuple(None if b is None else (c * b + a) % seq.p for b in seq.symbols)
     )
     before, after = profile(seq), profile(decimated)
     # the Galois automorphism zeta -> zeta^c is injective and fixes Z
     assert after.ell == before.ell
     assert after.integral_values == before.integral_values
+    assert after.nps_type == before.nps_type
+    assert after.two_valued == before.two_valued
+    # it permutes the nonzero columns d_g -> c*d_g, within each PDPDS class
+    if seq.period >= 3:
+        assert classify_grid(after.difference_grid, seq.n) == classify_grid(
+            before.difference_grid, seq.n
+        )
 
 
 def definitional_values(seq, terms):

@@ -22,6 +22,23 @@ from npseq.search import (
 from npseq.sequence import AlmostParySequence, classify_nps
 
 
+def free_digits(config):
+    """The free digits of every candidate, in index order."""
+    p, free = config.p, config.free_positions
+    if config.normalize_phase:
+        return [(0, *tail) for tail in itertools.product(range(p), repeat=free - 1)]
+    return list(itertools.product(range(p), repeat=free))
+
+
+def orbit_key(config, digits):
+    """The least member of the orbit of digits under b -> c*b (+ a)."""
+    p = config.p
+    shifts = (0,) if config.normalize_phase else range(p)
+    return min(
+        tuple((c * b + a) % p for b in digits) for c in range(1, p) for a in shifts
+    )
+
+
 class TestEnumeration:
     def test_type21_single_normalized_match(self):
         config = SearchConfig(
@@ -156,7 +173,12 @@ class TestSingleScan:
         # the name the scan loop calls and the one classify_nps would call
         monkeypatch.setattr(search, "profile", counting_profile)
         monkeypatch.setattr(sequence, "profile", counting_profile)
-        assert scan(config).total_enumerated == len(calls) == config.space_size
+        assert scan(config).total_enumerated == config.space_size
+        # one profile per orbit of b -> c*b (+ a), and no orbit profiled twice
+        orbits = {orbit_key(config, digits) for digits in free_digits(config)}
+        assert len(calls) == len(orbits) == config.orbit_count
+        profiled = {orbit_key(config, seq.symbols[config.zeros:]) for seq in calls}
+        assert len(profiled) == len(calls)
 
     def test_scan_types_match_classify_nps(self):
         for zeros in range(7):
@@ -202,7 +224,8 @@ class TestSingleScan:
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(replace(base, job_count=5000))
-        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 81)]
+        # one range per orbit: 41 orbits of b -> c*b among the 81 candidates
+        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 41)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
