@@ -17,11 +17,11 @@ from . import __version__, search, theory
 from .cyclotomic import CyclotomicInt
 from .diffset import (
     PDPDS_CLASSES,
+    Grid,
     PdpdsParams,
+    _class_constants,
     build_ra,
-    class_multiplicities,
     classify_grid,
-    classify_pdpds,
     difference_multiset,
     expected_pdpds_params,
     grid_residual,
@@ -36,8 +36,8 @@ from .theory import (
     pdpds_counting_identity,
     second_component_counts,
     second_component_identities,
+    _table_dicts,
     table_to_csv,
-    table_to_json,
 )
 
 EXIT_OK = 0
@@ -91,9 +91,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         params = classify_grid(grid, seq.n)
         results["pdpds"] = list(params.as_tuple()) if params else None
         if params is not None:
-            s_counts = second_component_counts(build_ra(seq))
             checks["counting_identity"] = pdpds_counting_identity(params, seq.p)
-            if nps is not None:
+            if nps is not None and seq.n >= 2:  # the equivalence is stated for n >= 2
+                s_counts = second_component_counts(build_ra(seq))
                 expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
                 checks["expected_params_match"] = params == expected
                 ident = second_component_identities(
@@ -144,7 +144,8 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
                     print(" ".join(str(v) for v in row))
         return EXIT_OK if ok else EXIT_VIOLATION
 
-    params = classify_pdpds(R)
+    grid = difference_multiset(R).counts
+    params = classify_grid(grid, R.k)
     payload = _envelope(
         {"N": args.N, "p": args.p, "set": args.set},
         {"pdpds": list(params.as_tuple()) if params else None},
@@ -155,17 +156,17 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
     elif params is not None:
         print(f"pdpds: {list(params.as_tuple())}")
     else:
-        print(_first_violated_class(R))
+        print(_first_violated_class(grid))
     return EXIT_OK if params is not None else EXIT_VIOLATION
 
 
-def _first_violated_class(R) -> str:
+def _first_violated_class(grid: Grid) -> str:
     """Name the first difference class whose multiplicities are not constant."""
-    grid = difference_multiset(R).counts
-    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(grid)):
-        if len(set(values)) > 1:
-            return f"not a PDPDS: {cls.name} class not constant ({sorted(set(values))})"
-    return "not a PDPDS"
+    _, violated = _class_constants(grid, PDPDS_CLASSES)
+    if violated is None:
+        return "not a PDPDS"
+    cls, values = violated
+    return f"not a PDPDS: {cls.name} class not constant ({sorted(set(values))})"
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -206,19 +207,15 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = generate_bound_table(
-        args.n, _parse_int_list(args.gamma1_list), _parse_int_list(args.gamma2_list)
-    )
+    gamma1_list = _parse_int_list(args.gamma1_list)
+    gamma2_list = _parse_int_list(args.gamma2_list)
+    rows = generate_bound_table(args.n, gamma1_list, gamma2_list)
     if args.format == "csv":
         sys.stdout.write(table_to_csv(rows))
     elif args.format == "json":
         payload = _envelope(
-            {
-                "n": args.n,
-                "gamma1_list": _parse_int_list(args.gamma1_list),
-                "gamma2_list": _parse_int_list(args.gamma2_list),
-            },
-            {"rows": json.loads(table_to_json(rows))},
+            {"n": args.n, "gamma1_list": gamma1_list, "gamma2_list": gamma2_list},
+            {"rows": _table_dicts(rows)},
             {},
         )
         _emit_json(payload)
@@ -268,14 +265,9 @@ def _emit_report(report: search.SearchReport, fmt: str) -> None:
             print(f"  {v}")
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    report = search.enumerate_and_classify(_search_config(args))
-    _emit_report(report, args.format)
-    return EXIT_VIOLATION if report.violations else EXIT_OK
-
-
-def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    report = search.verify_nps_pdpds_equivalence(_search_config(args))
+def _cmd_scan(args: argparse.Namespace) -> int:
+    # looked up by name on each call, so a replaced search.<scan> is the one run
+    report = getattr(search, args.scan)(_search_config(args))
     _emit_report(report, args.format)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
@@ -317,20 +309,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=["json", "csv", "text"], default="csv")
     p_table.set_defaults(func=_cmd_table)
 
-    for name, func, extra in (
-        ("search", _cmd_search, True),
-        ("roundtrip", _cmd_roundtrip, False),
+    for name, scan, help_text in (
+        ("search", "enumerate_and_classify", "exhaustive scan with a pinned leading zero run"),
+        (
+            "roundtrip",
+            "verify_nps_pdpds_equivalence",
+            "exhaustive sequence/difference-set equivalence check",
+        ),
     ):
-        p_cmd = sub.add_parser(
-            name,
-            help="exhaustive scan with a pinned leading zero run"
-            if extra
-            else "exhaustive sequence/difference-set equivalence check",
-        )
+        p_cmd = sub.add_parser(name, help=help_text)
         p_cmd.add_argument("--p", type=int, required=True)
         p_cmd.add_argument("--period", type=int, required=True)
         p_cmd.add_argument("--zeros", type=int, required=True)
-        if extra:
+        if name == "search":
             p_cmd.add_argument("--type", help="target gamma1,gamma2")
         p_cmd.add_argument("--jobs", type=int, default=1)
         p_cmd.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
@@ -340,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="disable phase normalization (scan all p^(period-zeros) candidates)",
         )
         p_cmd.add_argument("--format", choices=["json", "csv", "text"], default="text")
-        p_cmd.set_defaults(func=func)
+        p_cmd.set_defaults(func=_cmd_scan, scan=scan)
 
     return parser
 

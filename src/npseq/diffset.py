@@ -8,18 +8,19 @@ classification and residual check bit-exact. A free subset gets its grid from
 the sequence's profile (`AutocorrelationProfile.difference_grid`), whose rows
 hold the same counts, so the scans never build R_a.
 
-Two classifications are supported over the nonidentity cells:
+Both classifications read one table of classes over the nonidentity cells,
+each class a union of first-coordinate parts (identity {0}, near {1, N-1},
+far {2, ..., N-2}) that is pure (d_g = 0) or not:
 
-* direct-product classification (three classes): H-pure / P-pure / mixed,
+* direct-product classification (DPDS_CLASSES): H-pure / P-pure / mixed,
   with constant multiplicities (lambda1, lambda2, mu);
-* partial classification (five classes): the H-pure and mixed classes split
-  into a near part {1, N-1} (multiplicities lambda3 / mu2) and a far part
-  {2, ..., N-2} (lambda1 / mu1).
+* partial classification (PDPDS_CLASSES) refines it: the H-pure and mixed
+  classes split into their near part (multiplicities lambda3 / mu2) and
+  their far part (lambda1 / mu1).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -100,12 +101,10 @@ class DifferenceMultiset:
 def difference_multiset(R: GroupSubset) -> DifferenceMultiset:
     """Count r1 - r2 over all ordered pairs of distinct elements of R."""
     grid = [[0] * R.p for _ in range(R.N)]
-    elems = sorted(R.elements)
-    for h1, g1 in elems:
-        for h2, g2 in elems:
-            if (h1, g1) == (h2, g2):
-                continue
+    for h1, g1 in R.elements:
+        for h2, g2 in R.elements:
             grid[(h1 - h2) % R.N][(g1 - g2) % R.p] += 1
+    grid[0][0] -= R.k  # the pairs of an element with itself
     return DifferenceMultiset(R.N, R.p, tuple(tuple(row) for row in grid))
 
 
@@ -153,66 +152,68 @@ class PdpdsParams:
         )
 
 
-def _constant(values: list[int]) -> int | None:
-    """The common value of a nonempty list, or None if not constant."""
-    first = values[0]
-    return first if values.count(first) == len(values) else None
-
-
-def classify_dpds(R: GroupSubset) -> DpdsParams | None:
-    """Three-class classification; None unless every class is constant."""
-    N, p = R.N, R.p
-    grid = difference_multiset(R).counts
-    h_pure = [grid[d][0] for d in range(1, N)]
-    p_pure = [grid[0][e] for e in range(1, p)]
-    mixed = [grid[d][e] for d in range(1, N) for e in range(1, p)]
-    lambda1 = _constant(h_pure) if h_pure else 0
-    lambda2 = _constant(p_pure) if p_pure else 0
-    mu = _constant(mixed) if mixed else 0
-    if lambda1 is None or lambda2 is None or mu is None:
-        return None
-    return DpdsParams(N, p, R.k, lambda1, lambda2, mu)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: _class_cells maps rows to cells
 class DifferenceClass:
-    """A class of nonidentity cells (d_h, d_g) of the five-class partition."""
+    """A class of nonidentity cells (d_h, d_g) of a difference partition."""
 
     name: str
-    param: str  # the PdpdsParams field its constant multiplicity fills
-    h_part: str  # d_h in "near" = {1, N-1}, "far" = {2, ..., N-2} or "identity" = {0}
+    param: str  # the params field its constant multiplicity fills
+    # the d_h parts it covers: "identity" = {0}, "near" = {1, N-1}, "far" = {2, ..., N-2}
+    h_part: tuple[str, ...]
     pure: bool  # d_g == 0
 
 
-# In the order a failed classification names the first non-constant class.
+# Each table in the order a failed classification names the first non-constant class.
+DPDS_CLASSES = (
+    DifferenceClass("H-pure", "lambda1", ("near", "far"), True),
+    DifferenceClass("P-pure", "lambda2", ("identity",), False),
+    DifferenceClass("mixed", "mu", ("near", "far"), False),
+)
 PDPDS_CLASSES = (
-    DifferenceClass("far H-pure", "lambda1", "far", True),
-    DifferenceClass("P-pure", "lambda2", "identity", False),
-    DifferenceClass("near H-pure", "lambda3", "near", True),
-    DifferenceClass("far mixed", "mu1", "far", False),
-    DifferenceClass("near mixed", "mu2", "near", False),
+    DifferenceClass("far H-pure", "lambda1", ("far",), True),
+    DifferenceClass("P-pure", "lambda2", ("identity",), False),
+    DifferenceClass("near H-pure", "lambda3", ("near",), True),
+    DifferenceClass("far mixed", "mu1", ("far",), False),
+    DifferenceClass("near mixed", "mu2", ("near",), False),
 )
 
 
 @lru_cache(maxsize=64)
-def _class_cells(N: int, p: int) -> tuple[tuple[GroupElement, ...], ...]:
-    """The cells of each PDPDS_CLASSES entry in Z_N x Z_p (N >= 3), row-major."""
-    h_part = ("identity", "near", *["far"] * (N - 3), "near")
-    return tuple(
-        tuple(
+def _class_cells(N: int, p: int) -> dict[DifferenceClass, tuple[GroupElement, ...]]:
+    """The cells of every DPDS_CLASSES and PDPDS_CLASSES row in Z_N x Z_p, row-major."""
+    h_part = ["identity", *("near" if h in (1, N - 1) else "far" for h in range(1, N))]
+    return {
+        cls: tuple(
             (h, g)
             for h in range(N)
             for g in range(p)
-            if h_part[h] == cls.h_part and (g == 0) == cls.pure
+            if h_part[h] in cls.h_part and (g == 0) == cls.pure
         )
-        for cls in PDPDS_CLASSES
-    )
+        for cls in DPDS_CLASSES + PDPDS_CLASSES
+    }
 
 
-def class_multiplicities(grid: Grid) -> Iterator[list[int]]:
-    """The grid's multiplicities over each PDPDS_CLASSES cell set in turn (N >= 3)."""
-    for cells in _class_cells(len(grid), len(grid[0])):
-        yield [grid[h][g] for h, g in cells]
+def _class_constants(
+    grid: Grid, classes: tuple[DifferenceClass, ...]
+) -> tuple[dict[str, int] | None, tuple[DifferenceClass, list[int]] | None]:
+    """Walk the classes in order over the grid: (each class's constant
+    multiplicity by param, 0 for an empty class; None), or (None; the first
+    class that is not constant, with its values)."""
+    cells = _class_cells(len(grid), len(grid[0]))
+    fields = {}
+    for cls in classes:
+        values = [grid[h][g] for h, g in cells[cls]]
+        value = values[0] if values else 0
+        if values.count(value) != len(values):
+            return None, (cls, values)
+        fields[cls.param] = value
+    return fields, None
+
+
+def classify_dpds(R: GroupSubset) -> DpdsParams | None:
+    """Three-class classification; None unless every class is constant."""
+    fields, violated = _class_constants(difference_multiset(R).counts, DPDS_CLASSES)
+    return None if violated else DpdsParams(R.N, R.p, R.k, **fields)
 
 
 def classify_grid(grid: Grid, k: int) -> PdpdsParams | None:
@@ -221,12 +222,9 @@ def classify_grid(grid: Grid, k: int) -> PdpdsParams | None:
     N, p = len(grid), len(grid[0])
     if N < 3:
         raise ValueError("partial classification needs N >= 3")
-    fields = {}
-    for cls, values in zip(PDPDS_CLASSES, class_multiplicities(grid)):
-        value = _constant(values) if values else 0
-        if value is None:
-            return None
-        fields[cls.param] = value
+    fields, violated = _class_constants(grid, PDPDS_CLASSES)
+    if violated:
+        return None
     return PdpdsParams(N, p, k, **fields, far_class_empty=N == 3)
 
 
@@ -284,8 +282,9 @@ def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:
     # model minus actual
     residual = [[-count for count in row] for row in grid]
     residual[0][0] += params.k - k
-    for cls, cells in zip(PDPDS_CLASSES, _class_cells(N, p)):
-        for h, g in cells:
+    cells = _class_cells(N, p)
+    for cls in PDPDS_CLASSES:
+        for h, g in cells[cls]:
             residual[h][g] += getattr(params, cls.param)
     return tuple(tuple(row) for row in residual)
 

@@ -286,17 +286,17 @@ def table_to_csv(rows: list[BoundTableRow]) -> str:
     return buf.getvalue()
 
 
+def _table_dicts(rows: list[BoundTableRow]) -> list[dict]:
+    return [
+        {
+            "gamma1": row.gamma1,
+            "gamma2": row.gamma2,
+            "B": row.B,
+            "not_exist": row.not_exist,
+        }
+        for row in rows
+    ]
+
+
 def table_to_json(rows: list[BoundTableRow]) -> str:
-    return json.dumps(
-        [
-            {
-                "gamma1": row.gamma1,
-                "gamma2": row.gamma2,
-                "B": row.B,
-                "not_exist": row.not_exist,
-            }
-            for row in rows
-        ],
-        indent=None,
-        separators=(",", ":"),
-    )
+    return json.dumps(_table_dicts(rows), indent=None, separators=(",", ":"))

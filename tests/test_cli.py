@@ -1,10 +1,13 @@
 """CLI contract: exit codes, output formats, determinism."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
+from npseq import diffset
 from npseq.cli import main
 
 
@@ -56,6 +59,15 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert "pdpds" not in results
         assert results["nps_type"] is None
+
+    @pytest.mark.parametrize("seq", ["Z,Z,0", "Z,Z,1"])
+    def test_period_three_single_nonzero(self, capsys, seq):
+        # n = 1: the PDPDS block is reported, the n >= 2 checks are not
+        code, out, _ = run(capsys, "analyze", "--p", "3", "--seq", seq, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["results"]["pdpds"] == [3, 3, 1, 0, 0, 0, 0, 0]
+        assert payload["checks"] == {"counting_identity": True, "residual_zero": True}
 
     def test_envelope_keys(self, capsys):
         _, out, _ = run(
@@ -132,6 +144,30 @@ class TestVerifyPdpds:
         residual = json.loads(out)["results"]["residual"]
         assert residual[0] == [96, 0, 0]
         assert all(v == 0 for row in residual[1:] for v in row)
+
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--set", "(2,1);(3,1);(4,1)"),
+            ("--set", "(0,0);(1,0);(2,1)"),
+            ("--set", "(0,0);(1,0);(2,1)", "--format", "json"),
+            ("--set", "(2,1);(3,1);(4,1)", "--params", "5,3,3,1,0,2,0,0"),
+        ],
+        ids=["classified", "failing-text", "failing-json", "params"],
+    )
+    def test_one_difference_grid_per_call(self, capsys, monkeypatch, extra):
+        calls = []
+        build = diffset.difference_multiset
+
+        def counted(R):
+            calls.append(R)
+            return build(R)
+
+        monkeypatch.setattr(diffset, "difference_multiset", counted)
+        monkeypatch.setattr("npseq.cli.difference_multiset", counted)
+        run(capsys, "verify-pdpds", "--N", "5", "--p", "3", *extra)
+        assert len(calls) == 1
 
 
 class TestSizeCap:
@@ -292,3 +328,20 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, capsys):
         assert main(["analyze", "--p", "x", "--seq", "Z,1"]) == 2
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("npseq ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_examples()) == 6
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_example_runs(capsys, line):
+    code, out, _ = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert out

@@ -152,6 +152,37 @@ class TestClassification:
                 checked += 1
         assert checked > 0
 
+    def test_dpds_against_oracle(self):
+        # N = 1 leaves only the P-pure class, N = 2 has no far part
+        rng = random.Random(47)
+        classified = 0
+        for _ in range(600):
+            N = rng.randint(1, 8)
+            p = rng.choice([2, 3, 5])
+            R = random_subset(rng, N, p)
+            params = classify_dpds(R)
+            expected = oracle_dpds(N, p, sorted(R.elements))
+            assert (params.as_tuple() if params else None) == expected
+            classified += expected is not None
+        assert classified > 0
+
+
+def oracle_dpds(N, p, elements):
+    """Three-class classification read off oracle_differences."""
+    table = oracle_differences(N, p, elements)
+    classes = {"H-pure": [], "P-pure": [], "mixed": []}
+    for d_h in range(N):
+        for d_g in range(p):
+            if (d_h, d_g) != (0, 0):
+                name = "P-pure" if d_h == 0 else "H-pure" if d_g == 0 else "mixed"
+                classes[name].append(table[(d_h, d_g)])
+    constants = []
+    for values in classes.values():
+        if len(set(values)) > 1:
+            return None
+        constants.append(values[0] if values else 0)
+    return (N, p, len(elements), *constants)
+
 
 class TestExpectedParams:
     def test_paper_examples(self):

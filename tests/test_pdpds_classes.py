@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npseq.cli import _first_violated_class
-from npseq.diffset import GroupSubset, classify_pdpds, group_ring_residual, residual_is_zero
+from npseq.diffset import (
+    GroupSubset,
+    classify_pdpds,
+    difference_multiset,
+    group_ring_residual,
+    residual_is_zero,
+)
 
 
 @st.composite
@@ -23,7 +29,7 @@ def subsets(draw):
 @given(subsets())
 def test_class_table_consumers_agree(R):
     params = classify_pdpds(R)
-    message = _first_violated_class(R)
+    message = _first_violated_class(difference_multiset(R).counts)
     assert (params is None) == (message != "not a PDPDS")
     if params is None:
         assert message.startswith("not a PDPDS: ") and " class not constant (" in message
