@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__, search, theory
 from .cyclotomic import CyclotomicInt
@@ -272,6 +273,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+@cache  # built once per process; parse_args never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npseq",

@@ -60,9 +60,8 @@ def _require_prime(p: int) -> None:
 
 
 # Largest N * p accepted for the dense N x p count matrices and grids over
-# Z_N x Z_p (the count-matrix kernel also keeps a lookup table of about
-# 4 * N * p entries); checked before _require_prime, so a huge p is refused
-# before any primality work.
+# Z_N x Z_p; checked before _require_prime, so a huge p is refused before
+# any primality work.
 MAX_CELLS = 10**6
 
 

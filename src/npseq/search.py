@@ -21,15 +21,18 @@ the full space, a = 0 under phase normalisation). This loses nothing:
 
 So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
-where the tail is zero or has 1 as its first nonzero digit; in lexicographic
-order their tail values are 0 and then [p^e, 2 p^e) for e = 0, 1, ... An orbit
-has (p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
+where the tail is zero or has 1 as its first nonzero digit. A depth-first
+walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
+until a nonzero digit is placed, and each step places one digit on a shared
+count matrix (`sequence._place`) and takes it back on return. An orbit has
+(p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
 members, and the report is expanded over them: every member is counted and
 recorded with its own exponents and index, and matches and violations are
 sorted into index order, so a report equals that of a candidate-by-candidate
 scan. With job_count > 1 the representatives are split into contiguous
-ordinal ranges, processed independently and merged, so reports are
-byte-identical for any job count.
+ordinal ranges (the walk skips a subtree outside its range by its leaf
+count), processed independently and merged, so reports are byte-identical
+for any job count.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 from .cyclotomic import _require_cells, _require_prime
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import AlmostParySequence, profile
+from .sequence import AutocorrelationProfile, _place
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -103,8 +107,12 @@ class SearchConfig:
     @property
     def orbit_count(self) -> int:
         """Orbits of b -> c*b (+ a) on the space: one profile each."""
-        p = self.p
-        return 1 + (p ** (self.free_positions - 1) - 1) // (p - 1)
+        return _representatives(self.p, self.free_positions - 1)
+
+
+def _representatives(p: int, r: int) -> int:
+    """Tails of length r that are zero or led (after their zeros) by 1."""
+    return 1 + (p**r - 1) // (p - 1)
 
 
 @dataclass(frozen=True)
@@ -122,27 +130,6 @@ class SearchReport:
     matches: list[Match] = field(default_factory=list)
     ell_histogram: dict[int, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-
-
-def _representative_tails(p: int, lo: int, hi: int):
-    """Tail values of the orbit representatives with ordinals lo .. hi-1:
-    ordinal 0 is the zero tail, and the block of p^e ordinals after
-    1 + (p^e - 1)/(p - 1) holds the tails [p^e, 2 p^e)."""
-    if lo == 0 < hi:
-        yield 0
-    first, size = 1, 1  # the block of size p^e starts at ordinal first
-    while first < hi:
-        start, stop = max(lo, first), min(hi, first + size)
-        yield from range(size + start - first, size + stop - first)
-        first += size
-        size *= p
-
-
-def _digits(value: int, p: int, length: int) -> list[int]:
-    out = [0] * length
-    for i in range(length - 1, -1, -1):
-        value, out[i] = divmod(value, p)
-    return out
 
 
 def _orbit(p: int, rep: tuple[int, ...], full: bool):
@@ -198,36 +185,54 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
 
 
 def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
-    """Profile the orbit representatives with ordinals [lo, hi) once each and
-    pass each to `visit(config, seq, prof)`, a module-level function (workers
-    unpickle it) that returns (record, violation): the (gamma1, gamma2, pdpds)
-    of a match or None, and a violation text or None. Both hold for every
-    member of the orbit, which is counted and recorded member by member."""
-    p, zeros = config.p, config.zeros
+    """Walk the orbit representatives with ordinals [lo, hi) and pass each
+    one's profile to `visit(config, prof)`, a module-level function or a
+    partial of one (workers unpickle it), which returns (record, violation):
+    a match's (gamma1, gamma2, pdpds) or None, and a violation text or None.
+    Both hold for every member of the orbit, counted and recorded one by one."""
+    p, zeros, N = config.p, config.zeros, config.period
     full = not config.normalize_phase
-    tail_length = config.free_positions - 1
     part = SearchReport(config=config)
-    histogram = part.ell_histogram
-    for tail in _representative_tails(p, lo, hi):
-        rep = (0, *_digits(tail, p, tail_length))
-        seq = AlmostParySequence(p, (None,) * zeros + rep)
-        prof = profile(seq)
-        weight = (p - 1 if tail else 1) * (p if full else 1)
+    symbols: list[int | None] = [None] * N
+    rows = [[0] * p for _ in range(N)]
+
+    def walk(k: int, first: int, led: bool) -> None:
+        """Place positions k .. N-1; the leaves below have ordinals first, ..."""
+        if k < N:
+            r = N - 1 - k
+            for b in range(p) if led else (0, 1):
+                if first >= hi:
+                    return
+                # every tail follows a nonzero digit, else representatives only
+                size = p**r if led or b else _representatives(p, r)
+                if first + size > lo:
+                    symbols[k] = b
+                    _place(rows, symbols, k, 1)
+                    walk(k + 1, first, led or b > 0)
+                    _place(rows, symbols, k, -1)
+                first += size
+            return
+        prof = AutocorrelationProfile(tuple([tuple(row) for row in rows]))
+        weight = (p - 1 if led else 1) * (p if full else 1)
         part.total_enumerated += weight
-        histogram[prof.ell] = histogram.get(prof.ell, 0) + weight
-        record, violation = visit(config, seq, prof)
+        part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + weight
+        record, violation = visit(config, prof)
         if record is None and violation is None:
-            continue
-        for index, exponents in _orbit(p, rep, full):
+            return
+        for index, exponents in _orbit(p, tuple(symbols[zeros:]), full):
             if record is not None:
                 part.matches.append(Match(exponents, *record))
             if violation is not None:
-                symbols = ",".join(["Z"] * zeros + [str(b) for b in exponents])
-                part.violations.append(f"index {index} [{symbols}]: {violation}")
+                text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
+                part.violations.append(f"index {index} [{text}]: {violation}")
+
+    symbols[zeros] = 0  # the first free digit is pinned to 0
+    _place(rows, symbols, zeros, 1)
+    walk(zeros + 1, 0, False)
     return part
 
 
-def _visit_classify(config: SearchConfig, seq, prof):
+def _visit_classify(config: SearchConfig, prof):
     nps = prof.nps_type
     if config.filter_mode == FILTER_NPS and nps is None:
         return None, None
@@ -237,7 +242,8 @@ def _visit_classify(config: SearchConfig, seq, prof):
         return None, None
     if nps is None:
         return (None, None, None), None
-    pdpds = classify_grid(prof.difference_grid, seq.n) if config.zeros == 2 else None
+    n = config.free_positions
+    pdpds = classify_grid(prof.difference_grid, n) if config.zeros == 2 else None
     return (nps.gamma1, nps.gamma2, pdpds), None
 
 
@@ -246,8 +252,8 @@ def enumerate_and_classify(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, _visit_classify)
 
 
-def _visit_ell(config: SearchConfig, seq, prof):
-    low, high = ell_bounds(seq.n, seq.s, seq.p)
+def _visit_ell(bounds: tuple[int, int], config: SearchConfig, prof):
+    low, high = bounds
     if not low <= prof.ell <= high:
         return None, f"ell={prof.ell} outside [{low},{high}]"
     return None, None
@@ -257,11 +263,13 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
     """Histogram ell over all candidates; record any bound violation."""
     if config.zeros < 1:
         raise ValueError("ell bounds apply to sequences with at least one zero run")
-    return _run_partitioned(config, _visit_ell)
+    # n, s and p are the same for every candidate
+    bounds = ell_bounds(config.free_positions, config.zeros, config.p)
+    return _run_partitioned(config, partial(_visit_ell, bounds))
 
 
-def _visit_roundtrip(config: SearchConfig, seq, prof):
-    n = seq.n
+def _visit_roundtrip(config: SearchConfig, prof):
+    n = config.free_positions
     if n < 2:
         return None, None  # the equivalence is stated for n >= 2
     nps = prof.nps_type
@@ -274,13 +282,13 @@ def _visit_roundtrip(config: SearchConfig, seq, prof):
         if actual is not None and actual.lambda2 == 0:
             g1 = actual.lambda3 - actual.mu2
             g2 = actual.lambda1 - actual.mu1
-            if actual == expected_pdpds_params(n, seq.p, g1, g2):
+            if actual == expected_pdpds_params(n, config.p, g1, g2):
                 return None, (
                     f"no NPS type but difference set matches "
                     f"expected params for ({g1},{g2})"
                 )
         return None, None
-    expected = expected_pdpds_params(n, seq.p, nps.gamma1, nps.gamma2)
+    expected = expected_pdpds_params(n, config.p, nps.gamma1, nps.gamma2)
     if expected is None or actual != expected:
         return None, (
             f"type ({nps.gamma1},{nps.gamma2}) but difference "

@@ -11,16 +11,17 @@ where zero-symbol positions contribute nothing.
 One kernel computes every coefficient at once as a raw N x p count matrix:
 counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
 b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
-Reflected (row N - d as row d, zero row 0), the matrix is the difference
-multiset of R_a = {(i, b_i)} in Z_N x Z_p, so sequences get their PDPDS
-classification from the profile's rows; the dense grid of `diffset` is for
-free subsets.
+`_place` adds (or takes back) the pairs one position forms with the ones
+before it, so the scans change one matrix a position at a time. Reflected
+(row N - d as row d, zero row 0), the matrix is the difference multiset of
+R_a = {(i, b_i)} in Z_N x Z_p, so sequences get their PDPDS classification
+from the profile's rows; the dense grid of `diffset` is for free subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .cyclotomic import CyclotomicInt, _canonicalize, _require_cells, _require_prime
 
@@ -125,43 +126,31 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
     return rotate(seq, start)
 
 
-@lru_cache(maxsize=8)
-def _pair_cells(N: int, p: int) -> tuple[int, list[int]]:
-    """Width M and lookup table of the count-matrix kernel for (N, p).
-
-    Position i with exponent b packs to i*M - b, M = 2p - 1, so the packed
-    difference of positions i and j, (j - i)*M + (b_i - b_j), determines
-    both differences. table[x_j - x_i] (a negative key indexes from the end)
-    is the flat cell t*p + d with t = j - i mod N, d = b_i - b_j mod p.
-    The cached table is shared: read it, never write it. Few tables are
-    kept, since one has about 4 * N * p entries.
-    """
-    M = 2 * p - 1
-    size = 2 * N * M
-    cells = list(range(N * p))  # the table holds references to these ints
-    table = [0] * size
-    for dt in range(1 - N, N):
-        at, base = dt * M % size, dt % N * p
-        table[at : at + p] = cells[base : base + p]  # b_i - b_j = 0 .. p-1
-        lo = (at - p + 1) % size  # b_i - b_j = 1-p .. -1, mod p = 1 .. p-1
-        table[lo : lo + p - 1] = cells[base + 1 : base + p]
-    return M, table
+def _place(rows: list[list[int]], symbols, k: int, sign: int) -> None:
+    """Add (sign 1) or take back (sign -1) the pairs that position k forms with
+    itself and the positions before it: pair (j, k) counts b_j - b_k in row
+    k - j and b_k - b_j in row N - (k - j). A negative column indexes from the
+    end of its row, which is the column mod p."""
+    b = symbols[k]
+    if b is None:
+        return
+    N = len(symbols)
+    rows[0][0] += sign
+    for j in range(k):
+        a = symbols[j]
+        if a is not None:
+            rows[k - j][a - b] += sign
+            rows[N - k + j][b - a] += sign
 
 
 def _count_matrix(seq: AlmostParySequence) -> tuple[tuple[int, ...], ...]:
     """The raw N x p counts: row t, column d counts the positions i with
-    b_i - b_{i+t} = d (mod p), in one pass over ordered nonzero pairs."""
-    p, N = seq.p, seq.period
-    M, table = _pair_cells(N, p)
-    packed = [i * M - b for i, b in enumerate(seq.symbols) if b is not None]
-    flat = [0] * (N * p)
-    for xi in packed:
-        for xj in packed:
-            flat[table[xj - xi]] += 1
-    # rows are consecutive runs of p cells; tuple() of the zip itself would
-    # allocate, then resize, a tuple on every call, which fills the
-    # interpreter's tuple free lists and raises peak memory over a scan
-    return tuple(list(zip(*[iter(flat)] * p)))
+    b_i - b_{i+t} = d (mod p), from placing each position in turn."""
+    symbols = seq.symbols
+    rows = [[0] * seq.p for _ in symbols]
+    for k in range(len(symbols)):
+        _place(rows, symbols, k, 1)
+    return tuple([tuple(row) for row in rows])
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import shlex
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from npseq import diffset
+from npseq import cli, diffset
 from npseq.cli import main
 
 
@@ -320,6 +321,25 @@ class TestSearch:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    argv = ["bounds", "--n", "15", "--p", "5", "--gamma1", "1", "--gamma2", "1"]
+    first = run(capsys, *argv)
+    assert "npseq" in built
+    built.clear()
+    assert run(capsys, *argv) == first
+    assert run(capsys, "table", "--n", "15", "--gamma1-list=1", "--gamma2-list=1")[0] == 0
+    assert built == []
 
 
 class TestUsageErrors:

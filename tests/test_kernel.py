@@ -1,4 +1,5 @@
-"""The count-matrix kernel behind profile(): its reflected rows are the
+"""The count-matrix kernel behind profile(): placing and taking back positions
+keeps the matrix of the sequence placed, its reflected rows are the
 difference multiset of R_a, its shifts sum to |S|^2, decimation and phase
 leave the profile's invariants and classes alone, and every value matches the
 definitional sum."""
@@ -10,7 +11,13 @@ import pytest
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt
 from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
-from npseq.sequence import AlmostParySequence, autocorrelation, profile
+from npseq.sequence import (
+    AlmostParySequence,
+    _count_matrix,
+    _place,
+    autocorrelation,
+    profile,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -23,6 +30,26 @@ def sequences(draw):
     N = draw(st.integers(2, 12))
     symbol = st.one_of(st.none(), st.integers(0, p - 1))
     return AlmostParySequence(p, tuple(draw(st.lists(symbol, min_size=N, max_size=N))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.data())
+def test_take_back_and_place(seq, data):
+    # the walk's steps: take back a suffix, place other symbols there
+    p, N = seq.p, seq.period
+    symbols = list(seq.symbols)
+    rows = [list(row) for row in _count_matrix(seq)]
+    cut = data.draw(st.integers(0, N))
+    for k in reversed(range(cut, N)):
+        _place(rows, symbols, k, -1)
+    symbol = st.one_of(st.none(), st.integers(0, p - 1))
+    symbols[cut:] = data.draw(st.lists(symbol, min_size=N - cut, max_size=N - cut))
+    for k in range(cut, N):
+        _place(rows, symbols, k, 1)
+    assert tuple(map(tuple, rows)) == _count_matrix(AlmostParySequence(p, tuple(symbols)))
+    for k in reversed(range(N)):
+        _place(rows, symbols, k, -1)
+    assert rows == [[0] * p] * N
 
 
 @settings(max_examples=200, deadline=None)

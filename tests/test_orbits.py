@@ -9,6 +9,7 @@ gives byte-identical reports on every configuration of acceptance criteria
 
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from npseq.search import (
     verify_nps_pdpds_equivalence,
 )
 from npseq.sequence import AlmostParySequence, profile
+from npseq.theory import ell_bounds
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -45,13 +47,24 @@ def candidates(config):
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_orbit_members_cover_the_space_once(config):
+def test_orbit_members_cover_the_space_once(monkeypatch, config):
+    # the representatives are the ones the walk expands: under FILTER_ALL
+    # every profiled representative is passed to _orbit
     p, full = config.p, not config.normalize_phase
+    reps = []
+    expand = search._orbit
+
+    def recording_orbit(p, rep, full):
+        reps.append(rep)
+        return expand(p, rep, full)
+
+    monkeypatch.setattr(search, "_orbit", recording_orbit)
+    enumerate_and_classify(replace(config, filter_mode=FILTER_ALL))
+    assert len(reps) == config.orbit_count
     by_index = dict(candidates(config))
     seen = []
-    for tail in search._representative_tails(p, 0, config.orbit_count):
-        rep = (0, *search._digits(tail, p, config.free_positions - 1))
-        for index, digits in search._orbit(p, rep, full):
+    for rep in reps:
+        for index, digits in expand(p, rep, full):
             assert by_index[index] == digits
             seen.append(index)
     assert sorted(seen) == list(range(config.space_size))
@@ -77,7 +90,7 @@ def brute_force(config, visit):
         prof = profile(seq)
         report.total_enumerated += 1
         report.ell_histogram[prof.ell] = report.ell_histogram.get(prof.ell, 0) + 1
-        record, violation = visit(config, seq, prof)
+        record, violation = visit(config, prof)
         if record is not None:
             report.matches.append(Match(tuple(digits), *record))
         if violation is not None:
@@ -113,6 +126,9 @@ def test_reports_match_brute_force(scan, visit, p, period, zeros, normalize, mod
     config = SearchConfig(
         p=p, period=period, zeros=zeros, normalize_phase=normalize, filter_mode=mode
     )
-    reference = report_to_json(brute_force(config, getattr(search, visit)))
+    visitor = getattr(search, visit)
+    if visit == "_visit_ell":  # the scan fixes the bounds once per call
+        visitor = partial(visitor, ell_bounds(period - zeros, zeros, p))
+    reference = report_to_json(brute_force(config, visitor))
     for jobs in (1, 3):
         assert report_to_json(scan(replace(config, job_count=jobs))) == reference

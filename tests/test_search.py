@@ -163,22 +163,24 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_one_profile_per_candidate(self, monkeypatch, scan, config):
-        calls = []
-        original = search.profile
+        built = []
+        original = search.AutocorrelationProfile
 
-        def counting_profile(seq):
-            calls.append(seq)
-            return original(seq)
+        def counting_profile(counts):
+            built.append(counts)
+            return original(counts)
 
-        # the name the scan loop calls and the one classify_nps would call
-        monkeypatch.setattr(search, "profile", counting_profile)
-        monkeypatch.setattr(sequence, "profile", counting_profile)
+        # the name the walk builds each leaf's profile with
+        monkeypatch.setattr(search, "AutocorrelationProfile", counting_profile)
         assert scan(config).total_enumerated == config.space_size
-        # one profile per orbit of b -> c*b (+ a), and no orbit profiled twice
-        orbits = {orbit_key(config, digits) for digits in free_digits(config)}
-        assert len(calls) == len(orbits) == config.orbit_count
-        profiled = {orbit_key(config, seq.symbols[config.zeros:]) for seq in calls}
-        assert len(profiled) == len(calls)
+        # one profile per orbit of b -> c*b (+ a), and no orbit profiled twice:
+        # the k-th profile is that of the k-th orbit's least member
+        reps = sorted({orbit_key(config, digits) for digits in free_digits(config)})
+        assert len(built) == len(reps) == config.orbit_count
+        assert built == [
+            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).counts
+            for rep in reps
+        ]
 
     def test_scan_types_match_classify_nps(self):
         for zeros in range(7):
