@@ -125,7 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
     R = parse_subset(args.N, args.p, args.set)
     if args.params is not None:
-        values = [int(x) for x in args.params.split(",")]
+        values = _parse_int_list(args.params, "--params")
         if len(values) != 8:
             raise ValueError("--params needs 8 comma-separated integers")
         params = PdpdsParams(*values)
@@ -200,16 +200,19 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK  # verdicts are data, not errors
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",")]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    values = []
+    for tok in text.split(",") if text.strip() else []:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag} needs comma-separated integers, got {tok!r}") from None
+    return values
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    gamma1_list = _parse_int_list(args.gamma1_list)
-    gamma2_list = _parse_int_list(args.gamma2_list)
+    gamma1_list = _parse_int_list(args.gamma1_list, "--gamma1-list")
+    gamma2_list = _parse_int_list(args.gamma2_list, "--gamma2-list")
     rows = generate_bound_table(args.n, gamma1_list, gamma2_list)
     if args.format == "csv":
         sys.stdout.write(table_to_csv(rows))
@@ -231,11 +234,9 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     target = None
     mode = search.FILTER_NPS
     if getattr(args, "type", None):
-        try:
-            g1, g2 = (int(x) for x in args.type.split(","))
-        except ValueError:
-            raise ValueError(f"--type needs gamma1,gamma2, got {args.type!r}") from None
-        target = (g1, g2)
+        target = tuple(_parse_int_list(args.type, "--type"))
+        if len(target) != 2:
+            raise ValueError(f"--type needs gamma1,gamma2, got {args.type!r}")
         mode = search.FILTER_TYPE
     return search.SearchConfig(
         p=args.p,

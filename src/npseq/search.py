@@ -23,8 +23,8 @@ So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
 where the tail is zero or has 1 as its first nonzero digit. A depth-first
 walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
-until a nonzero digit is placed, and each step places one digit on a shared
-count matrix (`sequence._place`) and takes it back on return. An orbit has
+until a nonzero digit is placed, and each step places one digit into a copy
+of its parent's N packed count rows (`sequence._place`). An orbit has
 (p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
 members, and the report is expanded over them: every member is counted and
 recorded with its own exponents and index, and matches and violations are
@@ -194,10 +194,9 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
     full = not config.normalize_phase
     part = SearchReport(config=config)
     symbols: list[int | None] = [None] * N
-    rows = [[0] * p for _ in range(N)]
 
-    def walk(k: int, first: int, led: bool) -> None:
-        """Place positions k .. N-1; the leaves below have ordinals first, ..."""
+    def walk(k: int, rows: list[int], first: int, led: bool) -> None:
+        """Place positions k .. N-1 into copies of rows; leaves have ordinals first, ..."""
         if k < N:
             r = N - 1 - k
             for b in range(p) if led else (0, 1):
@@ -207,12 +206,12 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
                 size = p**r if led or b else _representatives(p, r)
                 if first + size > lo:
                     symbols[k] = b
-                    _place(rows, symbols, k, 1)
-                    walk(k + 1, first, led or b > 0)
-                    _place(rows, symbols, k, -1)
+                    child = rows[:]
+                    _place(child, symbols, k, p)
+                    walk(k + 1, child, first, led or b > 0)
                 first += size
             return
-        prof = AutocorrelationProfile(tuple([tuple(row) for row in rows]))
+        prof = AutocorrelationProfile(p, tuple(rows))
         weight = (p - 1 if led else 1) * (p if full else 1)
         part.total_enumerated += weight
         part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + weight
@@ -226,9 +225,10 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
                 text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
                 part.violations.append(f"index {index} [{text}]: {violation}")
 
+    rows = [0] * N
     symbols[zeros] = 0  # the first free digit is pinned to 0
-    _place(rows, symbols, zeros, 1)
-    walk(zeros + 1, 0, False)
+    _place(rows, symbols, zeros, p)
+    walk(zeros + 1, rows, 0, False)
     return part
 
 

@@ -11,17 +11,20 @@ where zero-symbol positions contribute nothing.
 One kernel computes every coefficient at once as a raw N x p count matrix:
 counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
 b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
-`_place` adds (or takes back) the pairs one position forms with the ones
-before it, so the scans change one matrix a position at a time. Reflected
+Row t is one int, column d in bits [w*d, w*(d+1)) for w the least multiple
+of 8 with 2^(w-1) > N. `_place` adds the pairs one position forms with the
+ones before it; the scans place each position into a copy of the parent's
+rows. Row t minus its top column in every column is C(t)'s canonical vector
+with signed columns: one int per value, which is C(t) itself when it lies in
+(-2^(w-1), 2^(w-1)), that is, when C(t) is a rational integer. Reflected
 (row N - d as row d, zero row 0), the matrix is the difference multiset of
-R_a = {(i, b_i)} in Z_N x Z_p, so sequences get their PDPDS classification
-from the profile's rows; the dense grid of `diffset` is for free subsets.
+R_a = {(i, b_i)} in Z_N x Z_p, which the PDPDS classification reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CyclotomicInt, _canonicalize, _require_cells, _require_prime
 
@@ -126,76 +129,85 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
     return rotate(seq, start)
 
 
-def _place(rows: list[list[int]], symbols, k: int, sign: int) -> None:
-    """Add (sign 1) or take back (sign -1) the pairs that position k forms with
-    itself and the positions before it: pair (j, k) counts b_j - b_k in row
-    k - j and b_k - b_j in row N - (k - j). A negative column indexes from the
-    end of its row, which is the column mod p."""
+@lru_cache(maxsize=8)
+def _layout(p: int, N: int) -> tuple[int, int, int, int]:
+    """(w, top, half, ones): the bits per column, the least multiple of 8 with
+    2^(w-1) > N; the top column's offset; 2^(w-1); 1 in every column."""
+    w = 8 * ((N.bit_length() + 8) // 8)
+    return w, w * (p - 1), 1 << (w - 1), int.from_bytes(b"\x01".ljust(w // 8, b"\0") * p, "little")
+
+
+def _place(rows: list[int], symbols, k: int, p: int) -> None:
+    """Add the pairs that position k forms with itself and the positions
+    before it: pair (j, k) counts b_j - b_k in row k - j and b_k - b_j in
+    row N - (k - j), each at its column mod p."""
     b = symbols[k]
     if b is None:
         return
     N = len(symbols)
-    rows[0][0] += sign
+    w = _layout(p, N)[0]
+    rows[0] += 1
     for j in range(k):
         a = symbols[j]
         if a is not None:
-            rows[k - j][a - b] += sign
-            rows[N - k + j][b - a] += sign
+            rows[k - j] += 1 << (a - b) % p * w
+            rows[N - k + j] += 1 << (b - a) % p * w
 
 
-def _count_matrix(seq: AlmostParySequence) -> tuple[tuple[int, ...], ...]:
-    """The raw N x p counts: row t, column d counts the positions i with
-    b_i - b_{i+t} = d (mod p), from placing each position in turn."""
-    symbols = seq.symbols
-    rows = [[0] * seq.p for _ in symbols]
-    for k in range(len(symbols)):
-        _place(rows, symbols, k, 1)
-    return tuple([tuple(row) for row in rows])
+def _count_matrix(seq: AlmostParySequence) -> tuple[int, ...]:
+    """The packed N x p counts, from placing each position in turn."""
+    rows = [0] * seq.period
+    for k in range(seq.period):
+        _place(rows, seq.symbols, k, seq.p)
+    return tuple(rows)
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
     """Exact autocorrelation coefficient C(t) for 0 <= t < period."""
     if not 0 <= t < seq.period:
         raise ValueError(f"shift {t} out of range for period {seq.period}")
-    return CyclotomicInt(seq.p, _canonicalize(_count_matrix(seq)[t]))
+    counts = AutocorrelationProfile(seq.p, _count_matrix(seq)).counts
+    return CyclotomicInt(seq.p, _canonicalize(counts[t]))
 
 
 @dataclass(frozen=True)
 class AutocorrelationProfile:
-    """The raw count matrix of a sequence (see the module docstring) and the
-    summary of its out-of-phase coefficients C(1) .. C(N-1).
+    """The packed count matrix of a sequence (see the module docstring) and
+    the summary of its out-of-phase coefficients C(1) .. C(N-1), read from
+    the rows; `counts` and `values` (CyclotomicInt) are unpacked on demand."""
 
-    ell and integral_values are read from the canonical vectors of rows
-    1 .. N-1 when the profile is made; `values` (CyclotomicInt) is built on
-    first access.
-    """
-
-    counts: tuple[tuple[int, ...], ...]  # counts[t][d], t = 0 .. N-1
+    p: int
+    rows: tuple[int, ...]  # packed row t = counts[t], t = 0 .. N-1
+    keys: tuple[int, ...] = field(init=False)  # C(t) packed canonically, t = 1 .. N-1
     ell: int = field(init=False)
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        canonical = [_canonicalize(row) for row in self.counts[1:]]
-        tail = (0,) * (len(self.counts[0]) - 1)
-        ints = [v[0] for v in canonical if v[1:] == tail]
-        object.__setattr__(self, "ell", len(set(canonical)))
-        object.__setattr__(
-            self, "integral_values", tuple(ints) if len(ints) == len(canonical) else None
-        )
+        w, top, half, ones = _layout(self.p, len(self.rows))
+        keys = tuple([u - (u >> top) * ones for u in self.rows[1:]])
+        integral = not keys or -half < min(keys) and max(keys) < half
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "ell", len(set(keys)))
+        object.__setattr__(self, "integral_values", keys if integral else None)
 
     @property
     def all_integral(self) -> bool:
         return self.integral_values is not None
 
     @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """counts[t][d], t = 0 .. N-1, d = 0 .. p-1."""
+        step = _layout(self.p, len(self.rows))[0] // 8
+        if step == 1:
+            return tuple([tuple(u.to_bytes(self.p, "little")) for u in self.rows])
+        raw = [u.to_bytes(self.p * step, "little") for u in self.rows]
+        split = range(0, self.p * step, step)
+        return tuple(tuple(int.from_bytes(r[i : i + step], "little") for i in split) for r in raw)
+
+    @cached_property
     def values(self) -> tuple[CyclotomicInt, ...]:
         """C(1) .. C(N-1)."""
-        p = len(self.counts[0])
-        return tuple([CyclotomicInt(p, _canonicalize(row)) for row in self.counts[1:]])
-
-    def value(self, t: int) -> CyclotomicInt:
-        """C(t) for 1 <= t <= N-1."""
-        return self.values[t - 1]
+        return tuple([CyclotomicInt(self.p, _canonicalize(row)) for row in self.counts[1:]])
 
     @property
     def difference_grid(self) -> tuple[tuple[int, ...], ...]:
@@ -205,7 +217,7 @@ class AutocorrelationProfile:
         grid[d] is row N - d: the pair ((i, b_i), (i + t, b_{i+t})) has
         difference (N - t, b_i - b_{i+t}).
         """
-        return ((0,) * len(self.counts[0]),) + self.counts[:0:-1]
+        return ((0,) * self.p,) + self.counts[:0:-1]
 
     @property
     def nps_type(self) -> NpsType | None:
@@ -218,29 +230,23 @@ class AutocorrelationProfile:
         for N = 2, which has no such split.
         """
         ints = self.integral_values
-        if ints is None or len(ints) < 2 or ints[-1] != ints[0]:
+        if ints is None or len(ints) < 2 or len(set(ints[1:-1])) > 1:
             return None
-        rest = ints[1:-1]
-        gamma2 = rest[0] if rest else ints[0]
-        if any(v != gamma2 for v in rest):
-            return None
-        return NpsType(ints[0], gamma2)
+        return NpsType(ints[0], ints[1])
 
     @property
     def two_valued(self) -> frozenset[int] | None:
         """The set of out-of-phase values when they are integers taking at
         most two distinct values, at any positions; None otherwise."""
-        if self.integral_values is None:
-            return None
-        distinct = frozenset(self.integral_values)
-        return distinct if len(distinct) <= 2 else None
+        ints = self.integral_values
+        return frozenset(ints) if ints is not None and self.ell <= 2 else None
 
 
 def profile(seq: AlmostParySequence) -> AutocorrelationProfile:
     """The count matrix of every shift and its out-of-phase summary."""
     if seq.period < 2:
         raise ValueError("profile needs period >= 2")
-    return AutocorrelationProfile(_count_matrix(seq))
+    return AutocorrelationProfile(seq.p, _count_matrix(seq))
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,5 @@ def classify_nps(seq: AlmostParySequence) -> NpsType | None:
 
 
 def two_valued_set(seq: AlmostParySequence) -> frozenset[int] | None:
-    """Relaxed check: at most two distinct integer out-of-phase values, any positions.
-
-    Returns the value set when it applies, None otherwise. This covers
-    sequences whose zero-symbols are not consecutive, where the positional
-    classification above may fail.
-    """
+    """Relaxed check (AutocorrelationProfile.two_valued); the zeros may be anywhere."""
     return profile(seq).two_valued

@@ -203,10 +203,6 @@ class NonexistenceVerdict:
     bound_B: int | None
     details: str
 
-    @property
-    def exists_ruled_out(self) -> bool:
-        return self.status is not VerdictStatus.UNDECIDED
-
 
 def nonexistence_verdict(
     n: int, p: int, gamma1: int, gamma2: int
@@ -262,6 +258,8 @@ def generate_bound_table(
     divisibility filter (published tables include rows where divisibility
     fails); the not_exist flag is gamma2 <= B.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     rows = []
     for g1 in sorted(set(gamma1_list)):
         for g2 in sorted(set(gamma2_list)):

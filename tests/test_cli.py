@@ -4,6 +4,7 @@ import argparse
 import json
 import shlex
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,15 @@ class TestTable:
         assert code == 0
         assert out.splitlines() == ["gamma1,gamma2,B,verdict"]
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_n_below_two_exit2(self, capsys, n):
+        # the same refusal as bounds gives
+        code, out, err = run(
+            capsys, "table", "--n", n, "--gamma1-list", "1", "--gamma2-list", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "need n >= 2" in err
+
 
 class TestSearch:
     def test_single_match(self, capsys):
@@ -348,6 +358,48 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, capsys):
         assert main(["analyze", "--p", "x", "--seq", "Z,1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("table", "--n", "15", "--gamma1-list", ",", "--gamma2-list", "1"),
+             "--gamma1-list needs comma-separated integers, got ''"),
+            (("table", "--n", "15", "--gamma1-list", "1", "--gamma2-list", "1,x"),
+             "--gamma2-list needs comma-separated integers, got 'x'"),
+            (("verify-pdpds", "--N", "5", "--p", "3", "--set", "(2,1)",
+              "--params", "1,x,3,1,0,2,0,0"),
+             "--params needs comma-separated integers, got 'x'"),
+            (("verify-pdpds", "--N", "5", "--p", "3", "--set", "(2,1)", "--params", "1,,2"),
+             "--params needs comma-separated integers, got ''"),
+            (("search", "--p", "3", "--period", "5", "--zeros", "2", "--type", "x,1"),
+             "--type needs comma-separated integers, got 'x'"),
+        ],
+    )
+    def test_bad_integer_names_flag_and_token(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--p", "49999", "--period", "4", "--zeros", "2"),
+        ("analyze", "--p", "499979", "--seq", "0,1"),
+    ],
+)
+def test_wide_p_memory(capsys, argv):
+    # a packed row takes p*8 bits; a table of the p shifted units would take
+    # p^2*8 bits, gigabytes here
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 200 * 2**20
 
 
 def readme_cli_examples():

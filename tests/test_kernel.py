@@ -1,19 +1,21 @@
-"""The count-matrix kernel behind profile(): placing and taking back positions
-keeps the matrix of the sequence placed, its reflected rows are the
-difference multiset of R_a, its shifts sum to |S|^2, decimation and phase
-leave the profile's invariants and classes alone, and every value matches the
-definitional sum."""
+"""The packed count-matrix kernel behind profile(): placing a position into a
+copy of the rows leaves the parent alone and gives the matrix of the sequence
+placed, the keys are the packed canonical vectors, the reflected rows are
+the difference multiset of R_a, its shifts sum to |S|^2, decimation and
+phase leave the profile's invariants and classes alone, and every value
+matches the definitional sum, at the edges of the column width too."""
 
 import itertools
 
 import pytest
 
-from npseq.cyclotomic import MAX_CELLS, CyclotomicInt
+from npseq.cyclotomic import MAX_CELLS, CyclotomicInt, _canonicalize
 from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
 from npseq.sequence import (
     AlmostParySequence,
     _count_matrix,
+    _layout,
     _place,
     autocorrelation,
     profile,
@@ -34,22 +36,49 @@ def sequences(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.data())
-def test_take_back_and_place(seq, data):
-    # the walk's steps: take back a suffix, place other symbols there
+def test_place_into_copy(seq, data):
+    # the walk's steps: two siblings placed into copies of one parent's rows
     p, N = seq.p, seq.period
-    symbols = list(seq.symbols)
-    rows = [list(row) for row in _count_matrix(seq)]
-    cut = data.draw(st.integers(0, N))
-    for k in reversed(range(cut, N)):
-        _place(rows, symbols, k, -1)
+    cut = data.draw(st.integers(0, N - 1))
     symbol = st.one_of(st.none(), st.integers(0, p - 1))
-    symbols[cut:] = data.draw(st.lists(symbol, min_size=N - cut, max_size=N - cut))
-    for k in range(cut, N):
-        _place(rows, symbols, k, 1)
-    assert tuple(map(tuple, rows)) == _count_matrix(AlmostParySequence(p, tuple(symbols)))
-    for k in reversed(range(N)):
-        _place(rows, symbols, k, -1)
-    assert rows == [[0] * p] * N
+    other = list(seq.symbols[:cut]) + data.draw(
+        st.lists(symbol, min_size=N - cut, max_size=N - cut)
+    )
+    rows = [0] * N
+    for k in range(cut):
+        _place(rows, seq.symbols, k, p)
+    parent = tuple(rows)
+    for symbols in (list(seq.symbols), other):
+        child = rows
+        for k in range(cut, N):
+            child = child[:]
+            _place(child, symbols, k, p)
+        assert tuple(rows) == parent
+        assert tuple(child) == _count_matrix(AlmostParySequence(p, tuple(symbols)))
+
+
+def signed_columns(key, p, w):
+    """The p columns of a key, each read as a signed w-bit number."""
+    columns = []
+    for _ in range(p):
+        column = key & ((1 << w) - 1)
+        column -= (column >> (w - 1)) << w
+        columns.append(column)
+        key = (key - column) >> w
+    assert key == 0
+    return tuple(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_keys_are_packed_canonical_vectors(seq):
+    prof = profile(seq)
+    w = _layout(seq.p, seq.period)[0]
+    canonical = [_canonicalize(row) for row in prof.counts[1:]]
+    assert [signed_columns(key, seq.p, w) for key in prof.keys] == canonical
+    # rational exactly in (-2^(w-1), 2^(w-1)), and then the key is C(t)
+    for key, vector in zip(prof.keys, canonical):
+        assert (-(1 << (w - 1)) < key < 1 << (w - 1)) == (vector[1:] == (0,) * (seq.p - 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,6 +144,45 @@ def test_values_match_definition_exhaustive(p, max_period):
         for symbols in itertools.product([None, *range(p)], repeat=N):
             seq = AlmostParySequence(p, symbols)
             assert profile(seq).values == definitional_values(seq, terms)
+
+
+def definitional_counts(seq):
+    N, p = seq.period, seq.p
+    counts = [[0] * p for _ in range(N)]
+    for t in range(N):
+        for i in range(N):
+            a, b = seq.symbols[i], seq.symbols[(i + t) % N]
+            if a is not None and b is not None:
+                counts[t][(a - b) % p] += 1
+    return tuple(map(tuple, counts))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [126, 127, 128, 129])
+def test_width_boundary(N, p):
+    # N = 127 is the last period with 8-bit columns. Constant exponents fill
+    # column 0 of every row (N with no zero run); b_i = i mod p fills column
+    # p - 1 of row 1 when p divides N, so its canonical entries reach -N.
+    assert _layout(p, N)[0] == (8 if N <= 127 else 16)
+    extremes = set()
+    for symbols in (
+        (0,) * N,
+        (None, None) + (p - 1,) * (N - 2),
+        tuple(i % p for i in range(N)),
+        (None,) + tuple(i % p for i in range(1, N)),
+    ):
+        seq = AlmostParySequence(p, symbols)
+        prof = profile(seq)
+        counts = definitional_counts(seq)
+        values = tuple(CyclotomicInt(p, _canonicalize(row)) for row in counts[1:])
+        ints = [v.as_int() for v in values]
+        assert prof.counts == counts
+        assert prof.values == values
+        assert prof.ell == len(set(values))
+        assert prof.integral_values == (None if None in ints else tuple(ints))
+        extremes.update(c for row in counts for c in row)
+        extremes.update(c for v in values for c in v.coeffs)
+    assert N in extremes and (-N in extremes) == (N % p == 0)
 
 
 def test_size_cap_checked_by_every_dense_input():

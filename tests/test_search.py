@@ -166,9 +166,9 @@ class TestSingleScan:
         built = []
         original = search.AutocorrelationProfile
 
-        def counting_profile(counts):
-            built.append(counts)
-            return original(counts)
+        def counting_profile(p, rows):
+            built.append(rows)
+            return original(p, rows)
 
         # the name the walk builds each leaf's profile with
         monkeypatch.setattr(search, "AutocorrelationProfile", counting_profile)
@@ -178,7 +178,7 @@ class TestSingleScan:
         reps = sorted({orbit_key(config, digits) for digits in free_digits(config)})
         assert len(built) == len(reps) == config.orbit_count
         assert built == [
-            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).counts
+            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).rows
             for rep in reps
         ]
 
