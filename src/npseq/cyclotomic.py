@@ -60,7 +60,7 @@ def _require_prime(p: int) -> None:
 
 
 # Largest N * p accepted for the dense N x p count matrices (N packed rows of
-# p columns, w <= 24 bits each) and grids over Z_N x Z_p; checked before
+# p columns of 8, 16 or 32 bits each) and grids over Z_N x Z_p; checked before
 # _require_prime, so a huge p is refused before any primality work.
 MAX_CELLS = 10**6
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .cyclotomic import _require_cells, _require_prime
 from .sequence import AlmostParySequence
@@ -180,17 +181,15 @@ PDPDS_CLASSES = (
 
 @lru_cache(maxsize=64)
 def _class_cells(N: int, p: int) -> dict[DifferenceClass, tuple[GroupElement, ...]]:
-    """The cells of every DPDS_CLASSES and PDPDS_CLASSES row in Z_N x Z_p, row-major."""
-    h_part = ["identity", *("near" if h in (1, N - 1) else "far" for h in range(1, N))]
-    return {
-        cls: tuple(
-            (h, g)
-            for h in range(N)
-            for g in range(p)
-            if h_part[h] in cls.h_part and (g == 0) == cls.pure
-        )
-        for cls in DPDS_CLASSES + PDPDS_CLASSES
-    }
+    """The cells of every DPDS_CLASSES and PDPDS_CLASSES row in Z_N x Z_p,
+    row-major: its rows' column 0 if pure, else their columns 1 .. p-1."""
+    rows = {"identity": [0], "near": sorted({1, N - 1} - {0, N}), "far": range(2, N - 1)}
+
+    def cells(cls: DifferenceClass) -> tuple[GroupElement, ...]:
+        h_rows = sorted(h for part in cls.h_part for h in rows[part])
+        return tuple(product(h_rows, range(1) if cls.pure else range(1, p)))
+
+    return {cls: cells(cls) for cls in DPDS_CLASSES + PDPDS_CLASSES}
 
 
 def _class_constants(

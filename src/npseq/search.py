@@ -75,7 +75,7 @@ class SearchConfig:
     zeros: int  # length of the zero run pinned at positions 0..zeros-1
     normalize_phase: bool = True
     filter_mode: str = FILTER_NPS
-    target: tuple[int, int] | None = None  # required for FILTER_TYPE
+    target: tuple[int, int] | None = None  # required for FILTER_TYPE, else None
     job_count: int = 1
     budget: int = DEFAULT_BUDGET
 
@@ -86,8 +86,8 @@ class SearchConfig:
             raise ValueError("need 0 <= zeros < period")
         if self.filter_mode not in (FILTER_ALL, FILTER_NPS, FILTER_TYPE):
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
-        if self.filter_mode == FILTER_TYPE and self.target is None:
-            raise ValueError("type filter requires a target (gamma1, gamma2)")
+        if (self.filter_mode == FILTER_TYPE) != (self.target is not None):
+            raise ValueError("the type filter, and only it, takes a target (gamma1, gamma2)")
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
         if self.budget < 1:

@@ -11,8 +11,8 @@ where zero-symbol positions contribute nothing.
 One kernel computes every coefficient at once as a raw N x p count matrix:
 counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
 b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
-Row t is one int, column d in bits [w*d, w*(d+1)) for w the least multiple
-of 8 with 2^(w-1) > N. `_place` adds the pairs one position forms with the
+Row t is one int, column d in bits [w*d, w*(d+1)) for w the least of 8, 16
+or 32 with 2^(w-1) > N. `_place` adds the pairs one position forms with the
 ones before it; the scans place each position into a copy of the parent's
 rows. Row t minus its top column in every column is C(t)'s canonical vector
 with signed columns: one int per value, which is C(t) itself when it lies in
@@ -23,6 +23,7 @@ R_a = {(i, b_i)} in Z_N x Z_p, which the PDPDS classification reads.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -130,11 +131,13 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
 
 
 @lru_cache(maxsize=8)
-def _layout(p: int, N: int) -> tuple[int, int, int, int]:
-    """(w, top, half, ones): the bits per column, the least multiple of 8 with
-    2^(w-1) > N; the top column's offset; 2^(w-1); 1 in every column."""
-    w = 8 * ((N.bit_length() + 8) // 8)
-    return w, w * (p - 1), 1 << (w - 1), int.from_bytes(b"\x01".ljust(w // 8, b"\0") * p, "little")
+def _layout(p: int, N: int) -> tuple[int, int, int, int, struct.Struct]:
+    """(w, top, half, ones, row): the bits per column, the least of 8, 16 or
+    32 with 2^(w-1) > N; the top column's offset; 2^(w-1); 1 in every column;
+    the little-endian struct of a row's p columns."""
+    w, code = (8, "B") if N < 1 << 7 else (16, "H") if N < 1 << 15 else (32, "I")
+    row = struct.Struct(f"<{p}{code}")
+    return w, w * (p - 1), 1 << (w - 1), int.from_bytes(row.pack(*[1] * p), "little"), row
 
 
 def _place(rows: list[int], symbols, k: int, p: int) -> None:
@@ -183,7 +186,7 @@ class AutocorrelationProfile:
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        w, top, half, ones = _layout(self.p, len(self.rows))
+        w, top, half, ones, _ = _layout(self.p, len(self.rows))
         keys = tuple([u - (u >> top) * ones for u in self.rows[1:]])
         integral = not keys or -half < min(keys) and max(keys) < half
         object.__setattr__(self, "keys", keys)
@@ -197,12 +200,8 @@ class AutocorrelationProfile:
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
         """counts[t][d], t = 0 .. N-1, d = 0 .. p-1."""
-        step = _layout(self.p, len(self.rows))[0] // 8
-        if step == 1:
-            return tuple([tuple(u.to_bytes(self.p, "little")) for u in self.rows])
-        raw = [u.to_bytes(self.p * step, "little") for u in self.rows]
-        split = range(0, self.p * step, step)
-        return tuple(tuple(int.from_bytes(r[i : i + step], "little") for i in split) for r in raw)
+        row = _layout(self.p, len(self.rows))[4]
+        return tuple([row.unpack(u.to_bytes(row.size, "little")) for u in self.rows])
 
     @cached_property
     def values(self) -> tuple[CyclotomicInt, ...]:

@@ -14,6 +14,7 @@ from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multi
 from npseq.search import SearchConfig
 from npseq.sequence import (
     AlmostParySequence,
+    AutocorrelationProfile,
     _count_matrix,
     _layout,
     _place,
@@ -183,6 +184,17 @@ def test_width_boundary(N, p):
         extremes.update(c for row in counts for c in row)
         extremes.update(c for v in values for c in v.coeffs)
     assert N in extremes and (-N in extremes) == (N % p == 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("N, w", [(127, 8), (128, 16), (32767, 16), (32768, 32)])
+def test_counts_read_every_width(N, w, p):
+    # rows packed by this test, column d in bits [w*d, w*(d+1)); the columns
+    # take every value 0 .. N, so each width is read up to its largest count
+    counts = tuple(tuple((t * p + d) % (N + 1) for d in range(p)) for t in range(N))
+    rows = tuple(sum(c << w * d for d, c in enumerate(row)) for row in counts)
+    assert _layout(p, N)[0] == w
+    assert AutocorrelationProfile(p, rows).counts == counts
 
 
 def test_size_cap_checked_by_every_dense_input():

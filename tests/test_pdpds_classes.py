@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from npseq.cli import _first_violated_class
 from npseq.diffset import (
+    DPDS_CLASSES,
+    PDPDS_CLASSES,
     GroupSubset,
+    _class_cells,
     classify_pdpds,
     difference_multiset,
     group_ring_residual,
@@ -35,3 +38,23 @@ def test_class_table_consumers_agree(R):
         assert message.startswith("not a PDPDS: ") and " class not constant (" in message
     else:
         assert residual_is_zero(group_ring_residual(R, params))
+
+
+def filtered_class_cells(N, p):
+    """Each class's cells by a filter over all N*p cells of Z_N x Z_p."""
+    h_part = ["identity", *("near" if h in (1, N - 1) else "far" for h in range(1, N))]
+    return {
+        cls: tuple(
+            (h, g)
+            for h in range(N)
+            for g in range(p)
+            if h_part[h] in cls.h_part and (g == 0) == cls.pure
+        )
+        for cls in DPDS_CLASSES + PDPDS_CLASSES
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_class_cells_match_the_full_filter(p):
+    for N in range(1, 11):
+        assert _class_cells(N, p) == filtered_class_cells(N, p)

@@ -261,6 +261,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, filter_mode=FILTER_TYPE)
         with pytest.raises(ValueError):
+            SearchConfig(p=3, period=5, zeros=2, target=(2, 1))
+        with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, job_count=0)
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, budget=0)
