@@ -32,7 +32,8 @@ sorted into index order, so a report equals that of a candidate-by-candidate
 scan. With job_count > 1 the representatives are split into contiguous
 ordinal ranges (the walk skips a subtree outside its range by its leaf
 count), processed independently and merged, so reports are byte-identical
-for any job count.
+for any job count. One pool of worker processes, started by the first
+parallel scan, serves every later one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -52,6 +54,7 @@ from .sequence import AutocorrelationProfile, _place
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of parallel scans
 
 # filter modes for enumerate_and_classify
 FILTER_ALL = "all"  # record every candidate
@@ -157,11 +160,30 @@ def _violation_index(text: str) -> int:
     return int(text.split(" ", 2)[1])  # "index 17 [...]: ..."
 
 
+def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
+    """Scan the ranges on the one pool, grown to min(ranges, usable CPUs)."""
+    global _pool
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    workers = min(len(ranges), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if _pool is None or _pool[0] < workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        futures = [_pool[1].submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
+        return [fut.result() for fut in futures]
+    except BrokenProcessPool:  # a worker died: the next call starts a fresh pool
+        _pool = None
+        raise
+
+
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     """Split the orbit ordinals into job_count contiguous ranges, merge them
     and sort the expanded matches and violations into index order.
 
-    The ranges are scanned by at most os.cpu_count() worker processes.
+    The ranges are scanned by at most min(job_count, usable CPUs) workers,
+    forked by the first parallel scan and reused for the rest of the process,
+    so a monkeypatch made after that scan does not reach them.
     """
     total = config.space_size
     if total > config.budget:
@@ -174,10 +196,8 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
         bounds = [orbits * j // jobs for j in range(jobs + 1)]
         ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
         report = SearchReport(config=config)
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
-            for fut in futures:
-                _merge(report, fut.result())
+        for part in _scan_in_pool(config, ranges, visit):
+            _merge(report, part)
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
     report.violations.sort(key=_violation_index)

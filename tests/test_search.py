@@ -1,7 +1,11 @@
 """Exhaustive search driver: content, completeness, and determinism."""
 
 import itertools
+import os
+import signal
+import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -200,8 +204,10 @@ class TestSingleScan:
         assert report.violations[5] == "index 5 [Z,Z,0,1,2]: ell=4 outside [0,0]"
         assert len(report.violations) == 9
 
-    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+    @pytest.mark.parametrize(
+        "affinity,cpus,workers", [(3, 64, 3), (None, 3, 3), (None, None, 1)]
+    )
+    def test_pool_capped_at_cpu_count(self, monkeypatch, affinity, cpus, workers):
         pools = []
 
         class InlineExecutor:
@@ -210,25 +216,97 @@ class TestSingleScan:
                 self.submitted = 0
                 pools.append(self)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, fn, *args):
                 self.submitted += 1
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
+        # an empty pool slot: the fake executor is dropped, and any live pool
+        # put back, on teardown
+        monkeypatch.setattr(search, "_pool", None)
         monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+        # the CPUs this process may use, else the host's CPUs, else 1
+        if affinity is None:
+            monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(replace(base, job_count=5000))
         # one range per orbit: 41 orbits of b -> c*b among the 81 candidates
         assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 41)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
+
+
+def _visit_pid(config, prof):
+    """Name the process that profiled the representative, as a violation."""
+    return None, f"pid {os.getpid()}"
+
+
+def worker_pids(job_count):
+    """The processes that served one scan."""
+    config = SearchConfig(p=3, period=7, zeros=2, job_count=job_count)
+    report = search._run_partitioned(config, _visit_pid)
+    return {int(text.rsplit(" ", 1)[1]) for text in report.violations}
+
+
+class TestWorkerPool:
+    SCANS = [
+        (verify_nps_pdpds_equivalence, SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)),
+        (enumerate_and_classify, SearchConfig(p=5, period=6, zeros=2)),
+        (verify_ell_bounds, SearchConfig(p=3, period=8, zeros=1)),
+    ]
+
+    def test_consecutive_scans_share_workers(self):
+        first = worker_pids(2)
+        pool = search._pool
+        second = worker_pids(2)
+        assert search._pool is pool
+        assert os.getpid() not in first | second
+        assert len(first | second) <= pool[0]
+        # the first scan's workers were not shut down after it
+        for pid in first | second:
+            os.kill(pid, 0)
+
+    def test_smaller_need_reuses_larger_pool(self, monkeypatch):
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        worker_pids(3)
+        pool = search._pool
+        assert pool[0] >= 3
+        worker_pids(2)
+        assert search._pool is pool
+
+    def test_interleaved_scans_match_jobs_1(self):
+        def outputs(scan, config):
+            report = scan(config)
+            return report_to_json(report), report_to_csv(report)
+
+        expected = [outputs(scan, config) for scan, config in self.SCANS]
+        for jobs in (2, 3, 8):
+            for (scan, config), want in zip(self.SCANS, expected):
+                assert outputs(scan, replace(config, job_count=jobs)) == want, (scan, jobs)
+
+    def test_killed_worker_fails_one_call(self):
+        config = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False, job_count=2)
+        expected = report_to_json(verify_nps_pdpds_equivalence(replace(config, job_count=1)))
+        victim = min(worker_pids(2))
+        os.kill(victim, signal.SIGKILL)
+        # the pool marks itself broken before it reaps the dead worker
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.kill(victim, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail("the pool did not reap the killed worker")
+        with pytest.raises(BrokenProcessPool):
+            verify_nps_pdpds_equivalence(config)
+        assert search._pool is None
+        assert report_to_json(verify_nps_pdpds_equivalence(config)) == expected
+        assert victim not in worker_pids(2)
 
 
 class TestSerialization:
