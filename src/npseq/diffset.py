@@ -9,8 +9,8 @@ the sequence's profile (`AutocorrelationProfile.difference_grid`), whose rows
 hold the same counts, so the scans never build R_a.
 
 Both classifications read one table of classes over the nonidentity cells,
-each class a union of first-coordinate parts (identity {0}, near {1, N-1},
-far {2, ..., N-2}) that is pure (d_g = 0) or not:
+each a slice of the grid's rows (identity {0}, near {1, N-1}, far {2, ...,
+N-2} or nonidentity {1, ..., N-1}) times column 0 if pure, else 1 .. p-1:
 
 * direct-product classification (DPDS_CLASSES): H-pure / P-pure / mixed,
   with constant multiplicities (lambda1, lambda2, mu);
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .cyclotomic import _require_cells, _require_prime
 from .sequence import AlmostParySequence
@@ -153,43 +152,37 @@ class PdpdsParams:
         )
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: _class_cells maps rows to cells
+@dataclass(frozen=True)
 class DifferenceClass:
-    """A class of nonidentity cells (d_h, d_g) of a difference partition."""
+    """A class of nonidentity cells (d_h, d_g) of a difference partition: one d_h
+    part's rows times column 0 (pure) or columns 1 .. p-1 (mixed), read as slices."""
 
     name: str
     param: str  # the params field its constant multiplicity fills
-    # the d_h parts it covers: "identity" = {0}, "near" = {1, N-1}, "far" = {2, ..., N-2}
-    h_part: tuple[str, ...]
+    h_part: str  # "identity", "near", "far" or "nonidentity" (_part_rows)
     pure: bool  # d_g == 0
 
 
 # Each table in the order a failed classification names the first non-constant class.
 DPDS_CLASSES = (
-    DifferenceClass("H-pure", "lambda1", ("near", "far"), True),
-    DifferenceClass("P-pure", "lambda2", ("identity",), False),
-    DifferenceClass("mixed", "mu", ("near", "far"), False),
+    DifferenceClass("H-pure", "lambda1", "nonidentity", True),
+    DifferenceClass("P-pure", "lambda2", "identity", False),
+    DifferenceClass("mixed", "mu", "nonidentity", False),
 )
 PDPDS_CLASSES = (
-    DifferenceClass("far H-pure", "lambda1", ("far",), True),
-    DifferenceClass("P-pure", "lambda2", ("identity",), False),
-    DifferenceClass("near H-pure", "lambda3", ("near",), True),
-    DifferenceClass("far mixed", "mu1", ("far",), False),
-    DifferenceClass("near mixed", "mu2", ("near",), False),
+    DifferenceClass("far H-pure", "lambda1", "far", True),
+    DifferenceClass("P-pure", "lambda2", "identity", False),
+    DifferenceClass("near H-pure", "lambda3", "near", True),
+    DifferenceClass("far mixed", "mu1", "far", False),
+    DifferenceClass("near mixed", "mu2", "near", False),
 )
 
 
-@lru_cache(maxsize=64)
-def _class_cells(N: int, p: int) -> dict[DifferenceClass, tuple[GroupElement, ...]]:
-    """The cells of every DPDS_CLASSES and PDPDS_CLASSES row in Z_N x Z_p,
-    row-major: its rows' column 0 if pure, else their columns 1 .. p-1."""
-    rows = {"identity": [0], "near": sorted({1, N - 1} - {0, N}), "far": range(2, N - 1)}
-
-    def cells(cls: DifferenceClass) -> tuple[GroupElement, ...]:
-        h_rows = sorted(h for part in cls.h_part for h in rows[part])
-        return tuple(product(h_rows, range(1) if cls.pure else range(1, p)))
-
-    return {cls: cells(cls) for cls in DPDS_CLASSES + PDPDS_CLASSES}
+@lru_cache(maxsize=64)  # a dict built per call costs as much as a small grid's walk
+def _part_rows(N: int) -> dict[str, slice]:
+    """Each d_h part as a slice of a grid's N rows; near is rows 1 and N-1."""
+    near = slice(1, N, max(N - 2, 1))
+    return {"identity": slice(1), "near": near, "far": slice(2, N - 1), "nonidentity": slice(1, N)}
 
 
 def _class_constants(
@@ -198,10 +191,11 @@ def _class_constants(
     """Walk the classes in order over the grid: (each class's constant
     multiplicity by param, 0 for an empty class; None), or (None; the first
     class that is not constant, with its values)."""
-    cells = _class_cells(len(grid), len(grid[0]))
+    part_rows = _part_rows(len(grid))
     fields = {}
     for cls in classes:
-        values = [grid[h][g] for h, g in cells[cls]]
+        rows = grid[part_rows[cls.h_part]]
+        values = [row[0] for row in rows] if cls.pure else [v for row in rows for v in row[1:]]
         value = values[0] if values else 0
         if values.count(value) != len(values):
             return None, (cls, values)
@@ -281,10 +275,12 @@ def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:
     # model minus actual
     residual = [[-count for count in row] for row in grid]
     residual[0][0] += params.k - k
-    cells = _class_cells(N, p)
+    part_rows = _part_rows(N)
     for cls in PDPDS_CLASSES:
-        for h, g in cells[cls]:
-            residual[h][g] += getattr(params, cls.param)
+        value = getattr(params, cls.param)
+        columns = slice(1) if cls.pure else slice(1, None)
+        for row in residual[part_rows[cls.h_part]]:
+            row[columns] = [v + value for v in row[columns]]
     return tuple(tuple(row) for row in residual)
 
 

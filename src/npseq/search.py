@@ -54,6 +54,7 @@ from .sequence import AutocorrelationProfile, _place
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
+MAX_JOBS = 1024  # one range and one future per job
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of parallel scans
 
 # filter modes for enumerate_and_classify
@@ -93,6 +94,8 @@ class SearchConfig:
             raise ValueError("the type filter, and only it, takes a target (gamma1, gamma2)")
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
+        if self.job_count > MAX_JOBS:
+            raise ValueError(f"job_count {self.job_count} exceeds the limit of {MAX_JOBS}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 

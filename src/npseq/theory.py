@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import _require_prime
+from .cyclotomic import MAX_CELLS, _require_prime
 from .diffset import GroupSubset, PdpdsParams
 
 
@@ -260,9 +260,15 @@ def generate_bound_table(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    gamma1s, gamma2s = sorted(set(gamma1_list)), sorted(set(gamma2_list))
+    if len(gamma1s) * len(gamma2s) > MAX_CELLS:
+        raise ValueError(
+            f"{len(gamma1s)}*{len(gamma2s)} (gamma1, gamma2) pairs exceed the limit of "
+            f"{MAX_CELLS} table rows"
+        )
     rows = []
-    for g1 in sorted(set(gamma1_list)):
-        for g2 in sorted(set(gamma2_list)):
+    for g1 in gamma1s:
+        for g2 in gamma2s:
             b = gamma2_upper_bound(n, g1, g2)
             rows.append(BoundTableRow(g1, g2, b, b is not None and g2 <= b))
     return rows

@@ -373,12 +373,25 @@ class TestUsageErrors:
              "--params needs comma-separated integers, got ''"),
             (("search", "--p", "3", "--period", "5", "--zeros", "2", "--type", "x,1"),
              "--type needs comma-separated integers, got 'x'"),
+            (("search", "--p", "3", "--period", "5", "--zeros", "2", "--jobs", "1025"),
+             "job_count 1025 exceeds the limit of 1024"),
         ],
     )
     def test_bad_integer_names_flag_and_token(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_oversized_table_exit2(capsys, monkeypatch):
+    # the row cap is MAX_CELLS; a small one keeps the test from building 10^6 rows
+    monkeypatch.setattr("npseq.theory.MAX_CELLS", 6)
+    argv = ("table", "--n", "15", "--gamma2-list", "1,2")
+    code, out, _ = run(capsys, *argv, "--gamma1-list", "1,2,3,1")
+    assert (code, out.count("\n")) == (0, 1 + 6)  # CSV header and 3*2 rows
+    code, out, err = run(capsys, *argv, "--gamma1-list", "1,2,3,4")
+    assert (code, out) == (2, "")
+    assert "4*2 (gamma1, gamma2) pairs exceed the limit of 6 table rows" in err
 
 
 @pytest.mark.parametrize(

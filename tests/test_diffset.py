@@ -6,6 +6,7 @@ independently of the package's dense-grid implementation.
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,9 +17,11 @@ from npseq.diffset import (
     PdpdsParams,
     build_ra,
     classify_dpds,
+    classify_grid,
     classify_pdpds,
     difference_multiset,
     expected_pdpds_params,
+    grid_residual,
     group_ring_residual,
     parse_subset,
     residual_is_zero,
@@ -246,6 +249,24 @@ class TestGroupRingResidual:
             )
             if residual_is_zero(group_ring_residual(R, params)):
                 assert classify_pdpds(R) == params
+
+
+def test_wide_grid_leaves_nothing_behind():
+    # a shape no other test reads, so nothing of it is held from before;
+    # listing each class's cells would keep about 2*N*p tuples alive
+    N, p = 1009, 991
+    grid = (tuple([0] * p),) * N
+    tracemalloc.start()
+    try:
+        params = classify_grid(grid, 0)
+        residual = grid_residual(grid, 0, params)
+        assert params == PdpdsParams(N, p, 0, 0, 0, 0, 0, 0)
+        assert residual_is_zero(residual)
+        del params, residual
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10 * 2**20
 
 
 class TestParseSubset:

@@ -12,7 +12,7 @@ from npseq.diffset import (
     DPDS_CLASSES,
     PDPDS_CLASSES,
     GroupSubset,
-    _class_cells,
+    _class_constants,
     classify_pdpds,
     difference_multiset,
     group_ring_residual,
@@ -42,13 +42,16 @@ def test_class_table_consumers_agree(R):
 
 def filtered_class_cells(N, p):
     """Each class's cells by a filter over all N*p cells of Z_N x Z_p."""
-    h_part = ["identity", *("near" if h in (1, N - 1) else "far" for h in range(1, N))]
+    h_parts = [
+        {"identity"},
+        *({"near" if h in (1, N - 1) else "far", "nonidentity"} for h in range(1, N)),
+    ]
     return {
         cls: tuple(
             (h, g)
             for h in range(N)
             for g in range(p)
-            if h_part[h] in cls.h_part and (g == 0) == cls.pure
+            if cls.h_part in h_parts[h] and (g == 0) == cls.pure
         )
         for cls in DPDS_CLASSES + PDPDS_CLASSES
     }
@@ -57,4 +60,13 @@ def filtered_class_cells(N, p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_class_cells_match_the_full_filter(p):
     for N in range(1, 11):
-        assert _class_cells(N, p) == filtered_class_cells(N, p)
+        # every cell holds its own label, so a class's values name its cells
+        grid = tuple(tuple(h * p + g + 1 for g in range(p)) for h in range(N))
+        for cls, cells in filtered_class_cells(N, p).items():
+            fields, violated = _class_constants(grid, (cls,))
+            if violated:
+                assert violated[0] is cls
+                values = violated[1]
+            else:  # one cell, or none (constant 0)
+                values = [fields[cls.param]] if fields[cls.param] else []
+            assert values == [h * p + g + 1 for h, g in cells], (N, cls.name)

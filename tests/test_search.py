@@ -233,7 +233,7 @@ class TestSingleScan:
             monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
-        report = enumerate_and_classify(replace(base, job_count=5000))
+        report = enumerate_and_classify(replace(base, job_count=1024))
         # one range per orbit: 41 orbits of b -> c*b among the 81 candidates
         assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 41)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
@@ -342,5 +342,7 @@ class TestConfigValidation:
             SearchConfig(p=3, period=5, zeros=2, target=(2, 1))
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, job_count=0)
+        with pytest.raises(ValueError):
+            SearchConfig(p=3, period=5, zeros=2, job_count=1025)
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, budget=0)
