@@ -18,7 +18,6 @@ from .sequence import (
     profile,
 )
 from .diffset import (
-    DifferenceMultiset,
     DpdsParams,
     GroupSubset,
     PdpdsParams,
@@ -36,7 +35,6 @@ __all__ = [
     "AlmostParySequence",
     "AutocorrelationProfile",
     "CyclotomicInt",
-    "DifferenceMultiset",
     "DpdsParams",
     "GroupSubset",
     "NpsType",

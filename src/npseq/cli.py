@@ -145,7 +145,7 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
                     print(" ".join(str(v) for v in row))
         return EXIT_OK if ok else EXIT_VIOLATION
 
-    grid = difference_multiset(R).counts
+    grid = difference_multiset(R)
     params = classify_grid(grid, R.k)
     payload = _envelope(
         {"N": args.N, "p": args.p, "set": args.set},
@@ -172,14 +172,7 @@ def _first_violated_class(grid: Grid) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     verdict = nonexistence_verdict(args.n, args.p, args.gamma1, args.gamma2)
-    a = args.n - args.gamma2 - 2
-    c = args.n - args.gamma1 - 1
-    checks = {
-        "divides_n_gamma2": a % args.p == 0,
-        "divides_n_gamma1": c % args.p == 0,
-        "above_bound": verdict.bound_B is None or args.gamma2 > verdict.bound_B,
-        "above_global_floor": args.gamma2 > -3,
-    }
+    checks = dict(verdict.checks)
     payload = _envelope(
         {"n": args.n, "p": args.p, "gamma1": args.gamma1, "gamma2": args.gamma2},
         {

@@ -22,7 +22,7 @@ N-2} or nonidentity {1, ..., N-1}) times column 0 if pure, else 1 .. p-1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cyclotomic import _require_cells, _require_prime
 from .sequence import AlmostParySequence
@@ -82,30 +82,15 @@ def build_ra(seq: AlmostParySequence) -> GroupSubset:
     )
 
 
-@dataclass(frozen=True)
-class DifferenceMultiset:
-    """Multiplicity grid of all nonidentity ordered differences of a subset."""
-
-    N: int
-    p: int
-    counts: Grid  # counts[d_h][d_g]
-
-    @cached_property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def count(self, d_h: int, d_g: int) -> int:
-        return self.counts[d_h % self.N][d_g % self.p]
-
-
-def difference_multiset(R: GroupSubset) -> DifferenceMultiset:
-    """Count r1 - r2 over all ordered pairs of distinct elements of R."""
+def difference_multiset(R: GroupSubset) -> Grid:
+    """Count r1 - r2 over all ordered pairs of distinct elements of R:
+    grid[d_h][d_g], an N x p grid whose cell (0, 0) is 0."""
     grid = [[0] * R.p for _ in range(R.N)]
     for h1, g1 in R.elements:
         for h2, g2 in R.elements:
             grid[(h1 - h2) % R.N][(g1 - g2) % R.p] += 1
     grid[0][0] -= R.k  # the pairs of an element with itself
-    return DifferenceMultiset(R.N, R.p, tuple(tuple(row) for row in grid))
+    return tuple(tuple(row) for row in grid)
 
 
 @dataclass(frozen=True)
@@ -205,7 +190,7 @@ def _class_constants(
 
 def classify_dpds(R: GroupSubset) -> DpdsParams | None:
     """Three-class classification; None unless every class is constant."""
-    fields, violated = _class_constants(difference_multiset(R).counts, DPDS_CLASSES)
+    fields, violated = _class_constants(difference_multiset(R), DPDS_CLASSES)
     return None if violated else DpdsParams(R.N, R.p, R.k, **fields)
 
 
@@ -228,7 +213,7 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     identity); the far class is {2, ..., N-2}. When N = 3 the far classes are
     empty: lambda1 and mu1 are then reported as zero with far_class_empty set.
     """
-    return classify_grid(difference_multiset(R).counts, R.k)
+    return classify_grid(difference_multiset(R), R.k)
 
 
 def expected_pdpds_params(
@@ -260,7 +245,7 @@ def group_ring_residual(R: GroupSubset, params: PdpdsParams) -> Grid:
     grid is equivalent to R matching params on every class and in size.
     params.n and params.m must be N and p (ValueError otherwise).
     """
-    return grid_residual(difference_multiset(R).counts, R.k, params)
+    return grid_residual(difference_multiset(R), R.k, params)
 
 
 def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import MAX_CELLS, _require_prime
-from .diffset import GroupSubset, PdpdsParams
+from .diffset import GroupSubset, PdpdsParams, expected_pdpds_params
 
 
 def dpds_counting_identity(N: int, p: int, n: int, lambda1: int, mu: int) -> bool:
@@ -94,36 +94,28 @@ def second_component_identities(
 ) -> SecondComponentReport:
     """Check the quadratic constraints the s_j counts of a type-(g1,g2) set obey.
 
-    With mu1 = (n - gamma2 - 2)/p and mu2 = (n - gamma1 - 1)/p:
+    With lambda1, lambda3, mu1 and mu2 from expected_pdpds_params:
 
-        sum s_j^2             == (mu1 + gamma2)*(n-1) + (mu2 + gamma1)*2 + n
+        sum s_j^2             == lambda1*(n-1) + lambda3*2 + n
         sum s_j * s_{j-i}     == mu1*(n-1) + mu2*2          for each i
         (cross)*(p-1) + (sq)  == n^2                        for each i
 
     subscripts mod p, i = 1 .. ceil((p-1)/2). Inapplicable (all False except
-    the flag) when the divisibility preconditions fail.
+    the flag) when expected_pdpds_params returns None; ValueError for n < 2.
     """
-    _require_prime(p)
+    params = expected_pdpds_params(n, p, gamma1, gamma2)
     s_counts = tuple(s_counts)
     if len(s_counts) != p:
         raise ValueError(f"expected {p} counts, got {len(s_counts)}")
-    a = n - gamma2 - 2
-    c = n - gamma1 - 1
-    if n > 0 and (a % p != 0 or c % p != 0):
+    if params is None:
         return SecondComponentReport(False, False, {}, {})
-    mu1 = a // p if n > 0 else 0
-    mu2 = c // p if n > 0 else 0
-    lambda1 = mu1 + gamma2
-    lambda3 = mu2 + gamma1
     square_sum = sum(s * s for s in s_counts)
-    square_ok = square_sum == lambda1 * (n - 1) + lambda3 * 2 + n if n > 0 else (
-        square_sum == 0
-    )
+    square_ok = square_sum == params.lambda1 * (n - 1) + params.lambda3 * 2 + n
+    expected_cross = params.mu1 * (n - 1) + params.mu2 * 2
     cross_ok: dict[int, bool] = {}
     combined_ok: dict[int, bool] = {}
     for i in range(1, p // 2 + 1):  # p // 2 == ceil((p-1)/2)
         cross = sum(s_counts[j] * s_counts[(j - i) % p] for j in range(p))
-        expected_cross = mu1 * (n - 1) + mu2 * 2 if n > 0 else 0
         cross_ok[i] = cross == expected_cross
         combined_ok[i] = cross * (p - 1) + square_sum == n * n
     return SecondComponentReport(True, square_ok, cross_ok, combined_ok)
@@ -202,6 +194,7 @@ class NonexistenceVerdict:
     status: VerdictStatus
     bound_B: int | None
     details: str
+    checks: tuple[tuple[str, bool], ...]  # (rule name, holds), in rule order
 
 
 def nonexistence_verdict(
@@ -212,8 +205,12 @@ def nonexistence_verdict(
 
     1. p must divide both n - gamma2 - 2 and n - gamma1 - 1;
     2. gamma2 must exceed the floor bound B;
-    3. gamma2 must exceed -3 (B is never below -3, so this is the residual
-       catch-all when divisibility and the bound both pass).
+    3. gamma2 must exceed -3. After divisibility this floor decides only when
+       B is undefined (D < 0) or B < gamma2 <= -3: B can be below -3, e.g.
+       n = 3, (gamma1, gamma2) = (2, -3) has B = -4.
+
+    Every rule is evaluated and reported in checks. The status is the first
+    violated rule's; details names every violated rule with that status.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -221,24 +218,21 @@ def nonexistence_verdict(
     a = n - gamma2 - 2
     c = n - gamma1 - 1
     bound = gamma2_upper_bound(n, gamma1, gamma2)
-    if a % p != 0 or c % p != 0:
-        bad = []
-        if a % p != 0:
-            bad.append(f"{p} does not divide n-gamma2-2 = {a}")
-        if c % p != 0:
-            bad.append(f"{p} does not divide n-gamma1-1 = {c}")
-        return NonexistenceVerdict(
-            VerdictStatus.DIVISIBILITY_FAIL, bound, "; ".join(bad)
-        )
-    if bound is not None and gamma2 <= bound:
-        return NonexistenceVerdict(
-            VerdictStatus.BOUND_FAIL, bound, f"gamma2 = {gamma2} <= B = {bound}"
-        )
-    if gamma2 <= -3:
-        return NonexistenceVerdict(
-            VerdictStatus.GLOBAL_BOUND_FAIL, bound, f"gamma2 = {gamma2} <= -3"
-        )
-    return NonexistenceVerdict(VerdictStatus.UNDECIDED, bound, "no condition violated")
+    rules = (
+        ("divides_n_gamma2", a % p == 0, VerdictStatus.DIVISIBILITY_FAIL,
+         f"{p} does not divide n-gamma2-2 = {a}"),
+        ("divides_n_gamma1", c % p == 0, VerdictStatus.DIVISIBILITY_FAIL,
+         f"{p} does not divide n-gamma1-1 = {c}"),
+        ("above_bound", bound is None or gamma2 > bound, VerdictStatus.BOUND_FAIL,
+         f"gamma2 = {gamma2} <= B = {bound}"),
+        ("above_global_floor", gamma2 > -3, VerdictStatus.GLOBAL_BOUND_FAIL,
+         f"gamma2 = {gamma2} <= -3"),
+    )
+    violated = [(status, detail) for _, holds, status, detail in rules if not holds]
+    status = violated[0][0] if violated else VerdictStatus.UNDECIDED
+    details = "; ".join(d for s, d in violated if s is status) or "no condition violated"
+    checks = tuple((name, holds) for name, holds, _, _ in rules)
+    return NonexistenceVerdict(status, bound, details, checks)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_keys_are_packed_canonical_vectors(seq):
 @settings(max_examples=200, deadline=None)
 @given(sequences())
 def test_reflected_rows_are_the_difference_multiset(seq):
-    assert profile(seq).difference_grid == difference_multiset(build_ra(seq)).counts
+    assert profile(seq).difference_grid == difference_multiset(build_ra(seq))
 
 
 @settings(max_examples=200, deadline=None)

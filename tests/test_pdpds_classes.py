@@ -32,7 +32,7 @@ def subsets(draw):
 @given(subsets())
 def test_class_table_consumers_agree(R):
     params = classify_pdpds(R)
-    message = _first_violated_class(difference_multiset(R).counts)
+    message = _first_violated_class(difference_multiset(R))
     assert (params is None) == (message != "not a PDPDS")
     if params is None:
         assert message.startswith("not a PDPDS: ") and " class not constant (" in message

@@ -1,7 +1,10 @@
 """Counting identities, bounds, verdicts, and the golden bound table."""
 
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -14,6 +17,7 @@ from golden_table import (
     GRID_STEP5_G2,
     N_GOLDEN,
 )
+from npseq import cli
 from npseq.diffset import build_ra, classify_pdpds
 from npseq.sequence import parse_sequence
 from npseq.theory import (
@@ -74,8 +78,9 @@ class TestSecondComponentIdentities:
         assert set(report.cross_ok) == {1}
 
     def test_empty_counts(self):
-        report = second_component_identities((0, 0, 0), 0, 3, 0, 0)
-        assert report.all_ok
+        # the equivalence is stated only for n >= 2, as in expected_pdpds_params
+        with pytest.raises(ValueError):
+            second_component_identities((0, 0, 0), 0, 3, 0, 0)
 
     def test_inapplicable_when_divisibility_fails(self):
         report = second_component_identities((1, 1, 1), 3, 3, 0, 1)
@@ -193,6 +198,81 @@ class TestVerdicts:
                         assert v.status is VerdictStatus.GLOBAL_BOUND_FAIL
                         found = True
         assert found
+
+    def test_global_floor_below_bound(self):
+        # B can be below -3: here only the floor rules the type out
+        v = nonexistence_verdict(3, 2, 2, -3)
+        assert v.bound_B == -4
+        assert v.status is VerdictStatus.GLOBAL_BOUND_FAIL
+        assert v.details == "gamma2 = -3 <= -3"
+
+    def test_checks_agree_with_status_and_cli(self):
+        names = ("divides_n_gamma2", "divides_n_gamma1", "above_bound", "above_global_floor")
+        statuses = (
+            VerdictStatus.DIVISIBILITY_FAIL,
+            VerdictStatus.DIVISIBILITY_FAIL,
+            VerdictStatus.BOUND_FAIL,
+            VerdictStatus.GLOBAL_BOUND_FAIL,
+        )
+        for n in range(2, 31):
+            for p in (2, 3, 5, 7):
+                for g1 in range(-n - 3, n + 4):
+                    for g2 in range(-n - 3, n + 4):
+                        v = nonexistence_verdict(n, p, g1, g2)
+                        b = gamma2_upper_bound(n, g1, g2)
+                        holds = (
+                            (n - g2 - 2) % p == 0,
+                            (n - g1 - 1) % p == 0,
+                            b is None or g2 > b,
+                            g2 > -3,
+                        )
+                        assert v.checks == tuple(zip(names, holds))
+                        failing = [s for s, ok in zip(statuses, holds) if not ok]
+                        assert v.status is (failing[0] if failing else VerdictStatus.UNDECIDED)
+                        # a CLI call takes about 0.2 ms, so the CLI is compared on n <= 8
+                        if n <= 8:
+                            out = io.StringIO()
+                            with redirect_stdout(out):
+                                cli.main([
+                                    "bounds", "--n", str(n), "--p", str(p), "--gamma1", str(g1),
+                                    "--gamma2", str(g2), "--format", "json",
+                                ])
+                            assert json.loads(out.getvalue())["checks"] == dict(v.checks)
+
+
+# Sequences of a type whose gamma2 <= B: gamma2 = -2 and n + 2*gamma1 + (n-1)*gamma2 = 0.
+BOUND_WITNESSES = [
+    (3, "Z,Z,0,0,1,1,2,2,2,2,1,1,0,0", 12, (5, -2)),
+    (2, "Z,Z,0,0,1,1", 4, (1, -2)),
+    (2, "Z,Z,0,0,1,1,1,1,0,0", 8, (3, -2)),
+    (2, "Z,Z,0,0,0,0,1,1,0,0,1,1,1,1", 12, (5, -2)),
+    (2, "Z,Z,0,0,1,1,0,0,0,0,0,0,1,1,1,1,1,1,0,0,1,1", 20, (9, -2)),
+]
+
+
+class TestBoundRulesOutExistingTypes:
+    @pytest.mark.parametrize("p, seq, n, nps_type", BOUND_WITNESSES)
+    def test_witness_passes_every_check(self, capsys, p, seq, n, nps_type):
+        assert cli.main(["analyze", "--p", str(p), "--seq", seq, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["n"] == n
+        assert tuple(payload["results"]["nps_type"]) == nps_type
+        assert payload["checks"] == {
+            "counting_identity": True,
+            "expected_params_match": True,
+            "residual_zero": True,
+            "second_component_identities": True,
+        }
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="gamma2 <= B also rules out Q = n + 2*gamma1 + (n-1)*gamma2 = 0, "
+        "which a vanishing sum of roots of unity attains (ROADMAP item 1)",
+    )
+    @pytest.mark.parametrize("p, seq, n, nps_type", BOUND_WITNESSES)
+    def test_witness_type_not_bound_fail(self, p, seq, n, nps_type):
+        assert nonexistence_verdict(n, p, *nps_type).status is not VerdictStatus.BOUND_FAIL
 
 
 class TestGoldenTable:
