@@ -21,7 +21,7 @@ N-2} or nonidentity {1, ..., N-1}) times column 0 if pure, else 1 .. p-1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import _require_cells, _require_prime
@@ -120,9 +120,11 @@ class PdpdsParams:
     lambda3: int
     mu1: int
     mu2: int
-    # True when N = 3 leaves the far classes empty, so lambda1/mu1 are
-    # reported as unconstrained zeros.
-    far_class_empty: bool = field(default=False, compare=False)
+
+    @property
+    def far_class_empty(self) -> bool:
+        """N = 3 leaves the far classes empty: lambda1, mu1 are unconstrained zeros."""
+        return self.n == 3
 
     def as_tuple(self) -> tuple[int, ...]:
         return (
@@ -203,7 +205,7 @@ def classify_grid(grid: Grid, k: int) -> PdpdsParams | None:
     fields, violated = _class_constants(grid, PDPDS_CLASSES)
     if violated:
         return None
-    return PdpdsParams(N, p, k, **fields, far_class_empty=N == 3)
+    return PdpdsParams(N, p, k, **fields)
 
 
 def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
@@ -211,7 +213,7 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
 
     The near class is {1, N-1} in the first coordinate (adjacent to the
     identity); the far class is {2, ..., N-2}. When N = 3 the far classes are
-    empty: lambda1 and mu1 are then reported as zero with far_class_empty set.
+    empty: lambda1 and mu1 are then reported as zero, and far_class_empty is true.
     """
     return classify_grid(difference_multiset(R), R.k)
 

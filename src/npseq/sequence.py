@@ -12,13 +12,13 @@ One kernel computes every coefficient at once as a raw N x p count matrix:
 counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
 b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
 Row t is one int, column d in bits [w*d, w*(d+1)) for w the least of 8, 16
-or 32 with 2^(w-1) > N. `_place` adds the pairs one position forms with the
-ones before it; the scans place each position into a copy of the parent's
-rows. Row t minus its top column in every column is C(t)'s canonical vector
-with signed columns: one int per value, which is C(t) itself when it lies in
-(-2^(w-1), 2^(w-1)), that is, when C(t) is a rational integer. Reflected
-(row N - d as row d, zero row 0), the matrix is the difference multiset of
-R_a = {(i, b_i)} in Z_N x Z_p, which the PDPDS classification reads.
+or 32 with 2^(w-1) > N. The scans add each position's pairs with the ones
+before it into a copy of the parent's rows (`_place`). Row t minus its top
+column in every column is C(t)'s canonical vector with signed columns: one
+int per value, which is C(t) itself when it lies in (-2^(w-1), 2^(w-1)),
+that is, when C(t) is a rational integer. Reflected (row N - d as row d,
+zero row 0), the matrix is the difference multiset of R_a = {(i, b_i)} in
+Z_N x Z_p, which the PDPDS classification reads.
 """
 
 from __future__ import annotations
@@ -158,11 +158,15 @@ def _place(rows: list[int], symbols, k: int, p: int) -> None:
 
 
 def _count_matrix(seq: AlmostParySequence) -> tuple[int, ...]:
-    """The packed N x p counts, from placing each position in turn."""
-    rows = [0] * seq.period
-    for k in range(seq.period):
-        _place(rows, seq.symbols, k, seq.p)
-    return tuple(rows)
+    """Count each ordered pair (i, j) of nonzero positions at row j - i,
+    column b_i - b_j (a negative index wraps), then pack each row once."""
+    pack = _layout(seq.p, seq.period)[4].pack
+    counts = [[0] * seq.p for _ in range(seq.period)]
+    nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
+    for i, a in nonzero:
+        for j, b in nonzero:
+            counts[j - i][a - b] += 1
+    return tuple([int.from_bytes(pack(*row), "little") for row in counts])
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:

@@ -132,6 +132,9 @@ class TestClassification:
         params = classify_pdpds(R)
         assert params.far_class_empty
         assert params.as_tuple() == (3, 3, 1, 0, 0, 0, 0, 0)
+        # read off N, so a tuple built by hand (verify-pdpds --params) agrees
+        assert PdpdsParams(3, 3, 1, 0, 0, 0, 0, 0).far_class_empty
+        assert not PdpdsParams(4, 3, 1, 0, 0, 0, 0, 0).far_class_empty
 
     def test_uniform_pdpds_is_dpds(self):
         # a five-class classification with lambda3 == lambda1 and mu2 == mu1
@@ -198,6 +201,24 @@ class TestExpectedParams:
         assert expected_pdpds_params(4, 3, 0, 1) is None  # 3 does not divide 1
         with pytest.raises(ValueError):
             expected_pdpds_params(1, 3, 0, 0)
+
+    def test_equivalence_through_free_subsets(self):
+        # the sequence <=> PDPDS equivalence over every zero-run-led sequence,
+        # with R_a's classes from difference_multiset, not from the count
+        # matrix the type is read from: classified exactly when typed, and
+        # then as the type's expected tuple
+        spaces = {2: range(4, 13, 2), 3: range(5, 10), 5: range(5, 8), 7: range(5, 7)}
+        checked = typed = 0
+        for p, periods in spaces.items():
+            for N in periods:
+                for digits in itertools.product(range(p), repeat=N - 2):
+                    seq = AlmostParySequence(p, (None, None) + digits)
+                    nps = classify_nps(seq)
+                    expected = nps and expected_pdpds_params(N - 2, p, nps.gamma1, nps.gamma2)
+                    assert classify_pdpds(build_ra(seq)) == expected, seq
+                    checked += 1
+                    typed += nps is not None
+        assert (checked, typed) == (11250, 96)
 
 
 class TestGroupRingResidual:

@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from npseq import search, sequence
+from npseq import cli, search, sequence
+from npseq.diffset import PdpdsParams, expected_pdpds_params
 from npseq.search import (
     FILTER_ALL,
     FILTER_NPS,
@@ -140,6 +141,51 @@ class TestEquivalence:
     def test_requires_two_zeros(self):
         with pytest.raises(ValueError):
             verify_nps_pdpds_equivalence(SearchConfig(p=3, period=5, zeros=1))
+
+    # the violation paths, reached by replacing the classification the
+    # roundtrip compares with each candidate's expected tuple
+    BROKEN = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)
+    FIXED = PdpdsParams(7, 3, 5, 9, 9, 9, 9, 9)  # lambda2 = 9: no type's tuple
+
+    def expected_violations(self, actual):
+        """The roundtrip's violations on BROKEN when every candidate's
+        classification is actual: one per candidate whose type (or none)
+        expects another tuple."""
+        lines = []
+        for index, digits in enumerate(free_digits(self.BROKEN)):
+            nps = classify_nps(AlmostParySequence(3, (None, None) + digits))
+            expected = nps and expected_pdpds_params(5, 3, nps.gamma1, nps.gamma2)
+            if expected == actual:
+                continue
+            name = "none" if nps is None else f"({nps.gamma1},{nps.gamma2})"
+            text = ",".join(["Z", "Z", *map(str, digits)])
+            lines.append(
+                f"index {index} [{text}]: type {name} but difference set "
+                f"classified as {actual!r}, expected {expected!r}"
+            )
+        return lines
+
+    # None flags the 15 typed candidates of the 243; FIXED flags all of them
+    @pytest.mark.parametrize("actual,flagged", [(None, 15), (FIXED, 243)], ids=["none", "fixed"])
+    def test_mismatch_is_a_violation(self, monkeypatch, actual, flagged):
+        # job_count 1 runs in this process, so the patch reaches the visit
+        monkeypatch.setattr(search, "classify_grid", lambda grid, k: actual)
+        report = verify_nps_pdpds_equivalence(self.BROKEN)
+        expected = self.expected_violations(actual)
+        assert report.violations == expected
+        assert len(expected) == flagged
+        assert report.matches == []
+
+    @pytest.mark.parametrize("actual", [None, FIXED], ids=["none", "fixed"])
+    def test_cli_exits_1_on_mismatch(self, monkeypatch, capsys, actual):
+        monkeypatch.setattr(search, "classify_grid", lambda grid, k: actual)
+        argv = ["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--full-space"]
+        assert cli.main([*argv, "--jobs", "1"]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        violations = self.expected_violations(actual)
+        assert printed[-len(violations) - 1:] == [
+            f"violations: {len(violations)}", *(f"  {v}" for v in violations)
+        ]
 
 
 class TestDeterminism:
