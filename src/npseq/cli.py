@@ -88,11 +88,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     checks: dict = {}
     if seq.period >= 3 and seq.zero_positions == (0, 1):
-        grid = prof.difference_grid
-        params = classify_grid(grid, seq.n)
+        params = classify_grid(prof.counts)
         results["pdpds"] = list(params.as_tuple()) if params else None
         if params is not None:
-            checks["counting_identity"] = pdpds_counting_identity(params, seq.p)
+            checks["counting_identity"] = pdpds_counting_identity(params)
             if nps is not None and seq.n >= 2:  # the equivalence is stated for n >= 2
                 s_counts = second_component_counts(build_ra(seq))
                 expected = expected_pdpds_params(seq.n, seq.p, nps.gamma1, nps.gamma2)
@@ -101,7 +100,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     s_counts, seq.n, seq.p, nps.gamma1, nps.gamma2
                 )
                 checks["second_component_identities"] = ident.all_ok
-            checks["residual_zero"] = residual_is_zero(grid_residual(grid, seq.n, params))
+            checks["residual_zero"] = residual_is_zero(grid_residual(prof.counts, params))
     payload = _envelope({"p": args.p, "seq": args.seq}, results, checks)
     if args.format == "json":
         _emit_json(payload)
@@ -146,7 +145,7 @@ def _cmd_verify_pdpds(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
 
     grid = difference_multiset(R)
-    params = classify_grid(grid, R.k)
+    params = classify_grid(grid)
     payload = _envelope(
         {"N": args.N, "p": args.p, "set": args.set},
         {"pdpds": list(params.as_tuple()) if params else None},

@@ -1,12 +1,14 @@
 """Difference multisets in Z_N x Z_p and their parameter classifications.
 
 The ambient group is written additively as Z_N x Z_p (isomorphic to the
-multiplicative <h> x <g> product). The multiset of nonidentity differences of
-a subset is a dense N x p grid, grid[d_h][d_g], which makes every
+multiplicative <h> x <g> product). The group ring product R R^(-1) of a
+subset R, the multiset of all its differences r1 - r2, is a dense N x p grid,
+grid[d_h][d_g] with |R| at the identity (0, 0), which makes every
 classification and residual check bit-exact. A free subset gets its grid from
 `difference_multiset`; the subset R_a = {(i, b_i)} of a sequence gets it from
-the sequence's profile (`AutocorrelationProfile.difference_grid`), whose rows
-hold the same counts, so the scans never build R_a.
+the sequence's profile, whose count matrix holds at row t the grid's row -t,
+so the scans never build R_a. Every class below is closed under inversion
+(d_h -> -d_h and d_g -> -d_g), so both tables classify either.
 
 Both classifications read one table of classes over the nonidentity cells,
 each a slice of the grid's rows (identity {0}, near {1, N-1}, far {2, ...,
@@ -83,13 +85,12 @@ def build_ra(seq: AlmostParySequence) -> GroupSubset:
 
 
 def difference_multiset(R: GroupSubset) -> Grid:
-    """Count r1 - r2 over all ordered pairs of distinct elements of R:
-    grid[d_h][d_g], an N x p grid whose cell (0, 0) is 0."""
+    """Count r1 - r2 over all ordered pairs of elements of R: R R^(-1) as
+    grid[d_h][d_g], an N x p grid whose cell (0, 0) is |R|."""
     grid = [[0] * R.p for _ in range(R.N)]
     for h1, g1 in R.elements:
         for h2, g2 in R.elements:
             grid[(h1 - h2) % R.N][(g1 - g2) % R.p] += 1
-    grid[0][0] -= R.k  # the pairs of an element with itself
     return tuple(tuple(row) for row in grid)
 
 
@@ -196,16 +197,16 @@ def classify_dpds(R: GroupSubset) -> DpdsParams | None:
     return None if violated else DpdsParams(R.N, R.p, R.k, **fields)
 
 
-def classify_grid(grid: Grid, k: int) -> PdpdsParams | None:
-    """Five-class classification of the difference grid of a k-subset;
-    None unless every class is constant (see classify_pdpds)."""
+def classify_grid(grid: Grid) -> PdpdsParams | None:
+    """Five-class classification of a subset's grid, k from its identity
+    cell; None unless every class is constant (see classify_pdpds)."""
     N, p = len(grid), len(grid[0])
     if N < 3:
         raise ValueError("partial classification needs N >= 3")
     fields, violated = _class_constants(grid, PDPDS_CLASSES)
     if violated:
         return None
-    return PdpdsParams(N, p, k, **fields)
+    return PdpdsParams(N, p, grid[0][0], **fields)
 
 
 def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
@@ -215,7 +216,7 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     identity); the far class is {2, ..., N-2}. When N = 3 the far classes are
     empty: lambda1 and mu1 are then reported as zero, and far_class_empty is true.
     """
-    return classify_grid(difference_multiset(R), R.k)
+    return classify_grid(difference_multiset(R))
 
 
 def expected_pdpds_params(
@@ -243,15 +244,15 @@ def group_ring_residual(R: GroupSubset, params: PdpdsParams) -> Grid:
 
     The model holds, at every nonidentity cell of Z_N x Z_p, the multiplicity
     params gives that cell's class and params.k at the identity; the actual
-    grid is the difference multiset plus |R| at the identity. An all-zero
+    grid is difference_multiset(R), with |R| at the identity. An all-zero
     grid is equivalent to R matching params on every class and in size.
     params.n and params.m must be N and p (ValueError otherwise).
     """
-    return grid_residual(difference_multiset(R), R.k, params)
+    return grid_residual(difference_multiset(R), params)
 
 
-def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:
-    """group_ring_residual for the difference grid of a k-subset."""
+def grid_residual(grid: Grid, params: PdpdsParams) -> Grid:
+    """group_ring_residual for a subset's grid."""
     N, p = len(grid), len(grid[0])
     if N < 3:
         raise ValueError("residual check needs N >= 3")
@@ -261,7 +262,7 @@ def grid_residual(grid: Grid, k: int, params: PdpdsParams) -> Grid:
         )
     # model minus actual
     residual = [[-count for count in row] for row in grid]
-    residual[0][0] += params.k - k
+    residual[0][0] += params.k
     part_rows = _part_rows(N)
     for cls in PDPDS_CLASSES:
         value = getattr(params, cls.param)

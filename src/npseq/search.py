@@ -275,8 +275,7 @@ def _visit_classify(config: SearchConfig, prof):
         return None, None
     if nps is None:
         return (None, None, None), None
-    n = config.free_positions
-    pdpds = classify_grid(prof.difference_grid, n) if config.zeros == 2 else None
+    pdpds = classify_grid(prof.counts) if config.zeros == 2 else None
     return (nps.gamma1, nps.gamma2, pdpds), None
 
 
@@ -306,7 +305,7 @@ def _visit_roundtrip(config: SearchConfig, prof):
     if n < 2:
         return None, None  # the equivalence is stated for n >= 2
     nps = prof.nps_type
-    actual = classify_grid(prof.difference_grid, n)
+    actual = classify_grid(prof.counts)
     typed = nps is not None
     expected = expected_pdpds_params(n, config.p, nps.gamma1, nps.gamma2) if typed else None
     if actual == expected:

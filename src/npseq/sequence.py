@@ -16,9 +16,10 @@ or 32 with 2^(w-1) > N. The scans add each position's pairs with the ones
 before it into a copy of the parent's rows (`_place`). Row t minus its top
 column in every column is C(t)'s canonical vector with signed columns: one
 int per value, which is C(t) itself when it lies in (-2^(w-1), 2^(w-1)),
-that is, when C(t) is a rational integer. Reflected (row N - d as row d,
-zero row 0), the matrix is the difference multiset of R_a = {(i, b_i)} in
-Z_N x Z_p, which the PDPDS classification reads.
+that is, when C(t) is a rational integer. counts[t][d] is also the
+coefficient of (-t, d) in the group ring product R_a R_a^(-1), R_a = {(i, b_i)}
+in Z_N x Z_p; every PDPDS class is closed under that inversion, so the
+classification reads the matrix as it is.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
     """Exact autocorrelation coefficient C(t) for 0 <= t < period."""
     if not 0 <= t < seq.period:
         raise ValueError(f"shift {t} out of range for period {seq.period}")
-    counts = AutocorrelationProfile(seq.p, _count_matrix(seq)).counts
-    return CyclotomicInt(seq.p, _canonicalize(counts[t]))
+    return CyclotomicInt(seq.p, _canonicalize(profile(seq).counts[t]))
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,6 @@ class AutocorrelationProfile:
         return tuple([CyclotomicInt(self.p, _canonicalize(row)) for row in self.counts[1:]])
 
     @property
-    def difference_grid(self) -> tuple[tuple[int, ...], ...]:
-        """The difference multiset of R_a = {(i, b_i)}: grid[d_h][d_g].
-
-        grid[0] is zero, since R_a has one element per position, and
-        grid[d] is row N - d: the pair ((i, b_i), (i + t, b_{i+t})) has
-        difference (N - t, b_i - b_{i+t}).
-        """
-        return ((0,) * self.p,) + self.counts[:0:-1]
-
-    @property
     def nps_type(self) -> NpsType | None:
         """Positional nearly-perfect type, or None.
 
@@ -247,8 +237,6 @@ class AutocorrelationProfile:
 
 def profile(seq: AlmostParySequence) -> AutocorrelationProfile:
     """The count matrix of every shift and its out-of-phase summary."""
-    if seq.period < 2:
-        raise ValueError("profile needs period >= 2")
     return AutocorrelationProfile(seq.p, _count_matrix(seq))
 
 

@@ -46,12 +46,13 @@ def consecutive_constraint(s: int, n: int, lambda1: int, mu: int, p: int) -> boo
     return False
 
 
-def pdpds_counting_identity(params: PdpdsParams, p: int) -> bool:
-    """Global count over the five-class partition with k nonzero symbols:
+def pdpds_counting_identity(params: PdpdsParams) -> bool:
+    """Global count over the five-class partition with k nonzero symbols and
+    p = params.m:
 
     (k - 1) * (lambda1 + (p-1)*mu1) + 2 * (lambda3 + (p-1)*mu2) == k^2 - k.
     """
-    k = params.k
+    k, p = params.k, params.m
     lhs = (k - 1) * (params.lambda1 + (p - 1) * params.mu1) + 2 * (
         params.lambda3 + (p - 1) * params.mu2
     )

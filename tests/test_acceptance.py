@@ -190,7 +190,7 @@ def test_criterion_8_identity_suite(capsys):
             if match.pdpds is None:
                 continue
             params = match.pdpds
-            ok &= pdpds_counting_identity(params, p)
+            ok &= pdpds_counting_identity(params)
             n = params.k
             s_counts = [0] * p
             for b in match.exponents:

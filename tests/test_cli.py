@@ -62,6 +62,19 @@ class TestAnalyze:
         assert "pdpds" not in results
         assert results["nps_type"] is None
 
+    def test_period_one_profiles_like_the_scans(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--p", "2", "--seq", "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        results = payload["results"]
+        assert (results["profile"], results["ell"], results["all_integral"]) == ([], 0, True)
+        assert results["nps_type"] is None and results["two_valued_set"] == []
+        assert "pdpds" not in results and payload["checks"] == {}
+        # the scan over the same one-row space reports the same ell
+        code, out, _ = run(capsys, "search", "--p", "2", "--period", "1", "--zeros", "0",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["ell_histogram"] == {"0": 1}
+
     @pytest.mark.parametrize("seq", ["Z,Z,0", "Z,Z,1"])
     def test_period_three_single_nonzero(self, capsys, seq):
         # n = 1: the PDPDS block is reported, the n >= 2 checks are not

@@ -61,14 +61,15 @@ class TestDifferenceMultiset:
     def test_paper_subset(self):
         R = GroupSubset(5, 3, frozenset({(2, 1), (3, 1), (4, 1)}))
         grid = difference_multiset(R)
-        expected = {(1, 0): 2, (4, 0): 2, (2, 0): 1, (3, 0): 1}
+        expected = {(0, 0): 3, (1, 0): 2, (4, 0): 2, (2, 0): 1, (3, 0): 1}
         for d_h in range(5):
             for d_g in range(3):
                 assert grid[d_h % 5][d_g % 3] == expected.get((d_h, d_g), 0)
-        assert sum(map(sum, grid)) == R.k * (R.k - 1)
+        assert sum(map(sum, grid)) == R.k * R.k
 
     def test_singleton_and_empty(self):
-        assert sum(map(sum, difference_multiset(GroupSubset(4, 3, frozenset({(1, 2)}))))) == 0
+        singleton = difference_multiset(GroupSubset(4, 3, frozenset({(1, 2)})))
+        assert singleton[0][0] == sum(map(sum, singleton)) == 1
         assert sum(map(sum, difference_multiset(GroupSubset(4, 3, frozenset())))) == 0
 
     def test_full_group_uniform(self):
@@ -76,11 +77,9 @@ class TestDifferenceMultiset:
         R = GroupSubset(N, p, frozenset((h, g) for h in range(N) for g in range(p)))
         grid = difference_multiset(R)
         # every element has a unique partner realizing each difference: count N*p
-        assert grid[0][0] == 0
         for d_h in range(N):
             for d_g in range(p):
-                if (d_h, d_g) != (0, 0):
-                    assert grid[d_h % N][d_g % p] == N * p
+                assert grid[d_h % N][d_g % p] == N * p
 
     def test_against_oracle_fuzz(self):
         rng = random.Random(41)
@@ -90,11 +89,11 @@ class TestDifferenceMultiset:
             R = random_subset(rng, N, p)
             grid = difference_multiset(R)
             table = oracle_differences(N, p, sorted(R.elements))
+            table[(0, 0)] += R.k  # each element minus itself
             for d_h in range(N):
                 for d_g in range(p):
                     assert grid[d_h % N][d_g % p] == table.get((d_h, d_g), 0)
-            assert sum(map(sum, grid)) == R.k * (R.k - 1)
-            assert grid[0][0] == 0
+            assert sum(map(sum, grid)) == R.k * R.k
 
 
 class TestClassification:
@@ -279,8 +278,8 @@ def test_wide_grid_leaves_nothing_behind():
     grid = (tuple([0] * p),) * N
     tracemalloc.start()
     try:
-        params = classify_grid(grid, 0)
-        residual = grid_residual(grid, 0, params)
+        params = classify_grid(grid)
+        residual = grid_residual(grid, params)
         assert params == PdpdsParams(N, p, 0, 0, 0, 0, 0, 0)
         assert residual_is_zero(residual)
         del params, residual

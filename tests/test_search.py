@@ -169,7 +169,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("actual,flagged", [(None, 15), (FIXED, 243)], ids=["none", "fixed"])
     def test_mismatch_is_a_violation(self, monkeypatch, actual, flagged):
         # job_count 1 runs in this process, so the patch reaches the visit
-        monkeypatch.setattr(search, "classify_grid", lambda grid, k: actual)
+        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
         report = verify_nps_pdpds_equivalence(self.BROKEN)
         expected = self.expected_violations(actual)
         assert report.violations == expected
@@ -178,7 +178,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("actual", [None, FIXED], ids=["none", "fixed"])
     def test_cli_exits_1_on_mismatch(self, monkeypatch, capsys, actual):
-        monkeypatch.setattr(search, "classify_grid", lambda grid, k: actual)
+        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
         argv = ["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--full-space"]
         assert cli.main([*argv, "--jobs", "1"]) == 1
         printed = capsys.readouterr().out.splitlines()

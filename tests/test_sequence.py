@@ -113,6 +113,18 @@ class TestProfile:
         assert prof.ell == 1
         assert prof.integral_values == (5, 5, 5, 5)
 
+    @pytest.mark.parametrize("text,n", [("0", 1), ("Z", 0)])
+    def test_period_one(self, text, n):
+        # one row, no out-of-phase coefficient: as the scans profile it
+        seq = parse_sequence(2, text)
+        prof = profile(seq)
+        assert prof.counts == ((n, 0),)
+        assert (prof.keys, prof.ell, prof.integral_values) == ((), 0, ())
+        assert prof.nps_type is None and prof.two_valued == frozenset()
+        assert autocorrelation(seq, 0).as_int() == n
+        with pytest.raises(ValueError):
+            classify_nps(seq)
+
     def test_conjugate_symmetry_exhaustive(self):
         for seq in all_sequences(3, 5):
             N = seq.period

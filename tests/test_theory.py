@@ -54,11 +54,11 @@ class TestCountingIdentities:
     def test_pdpds_identity_examples(self):
         first = classify_pdpds(build_ra(parse_sequence(3, "Z,Z,1,1,1")))
         second = classify_pdpds(build_ra(parse_sequence(3, "Z,Z,2,1,0,1,2")))
-        assert pdpds_counting_identity(first, 3)
-        assert pdpds_counting_identity(second, 3)
+        assert pdpds_counting_identity(first)
+        assert pdpds_counting_identity(second)
         from dataclasses import replace
 
-        assert not pdpds_counting_identity(replace(first, lambda1=2), 3)
+        assert not pdpds_counting_identity(replace(first, lambda1=2))
 
 
 class TestSecondComponentIdentities:
