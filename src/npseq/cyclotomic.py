@@ -59,8 +59,8 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
-# Largest N * p accepted for the dense N x p count matrices (N packed rows of
-# p columns of 8, 16 or 32 bits each) and grids over Z_N x Z_p; checked before
+# Largest N * p accepted for the dense N x p count matrices (one int of N rows
+# of 2p slots of 8, 16 or 32 bits each) and grids over Z_N x Z_p; checked before
 # _require_prime, so a huge p is refused before any primality work.
 MAX_CELLS = 10**6
 

@@ -23,8 +23,8 @@ So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
 where the tail is zero or has 1 as its first nonzero digit. A depth-first
 walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
-until a nonzero digit is placed, and each step places one digit into a copy
-of its parent's N packed count rows (`sequence._place`). An orbit has
+until a nonzero digit is placed, and each step places one digit with three
+big-int updates of its parent's node (`sequence._stepper`). An orbit has
 (p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
 members, and the report is expanded over them: every member is counted and
 recorded with its own exponents and index, and matches and violations are
@@ -60,7 +60,7 @@ from operator import attrgetter
 
 from .cyclotomic import _require_cells, _require_prime
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import AutocorrelationProfile, _place
+from .sequence import AutocorrelationProfile, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -228,8 +228,8 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
     part = SearchReport(config=config)
     symbols: list[int | None] = [None] * N
 
-    def walk(k: int, rows: list[int], first: int, led: bool) -> None:
-        """Place positions k .. N-1 into copies of rows; leaves have ordinals first, ..."""
+    def walk(k: int, node: tuple[int, int, int], first: int, led: bool) -> None:
+        """Place positions k .. N-1 after node; leaves have ordinals first, ..."""
         if k < N:
             r = N - 1 - k
             for b in range(p) if led else (0, 1):
@@ -239,12 +239,10 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
                 size = p**r if led or b else _representatives(p, r)
                 if first + size > lo:
                     symbols[k] = b
-                    child = rows[:]
-                    _place(child, symbols, k, p)
-                    walk(k + 1, child, first, led or b > 0)
+                    walk(k + 1, step(node, b), first, led or b > 0)
                 first += size
             return
-        prof = AutocorrelationProfile(p, tuple(rows))
+        prof = AutocorrelationProfile(p, N, fold(node[0]))
         weight = (p - 1 if led else 1) * (p if full else 1)
         part.total_enumerated += weight
         part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + weight
@@ -258,10 +256,9 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
                 text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
                 part.violations.append(f"index {index} [{text}]: {violation}")
 
-    rows = [0] * N
+    step, fold = _stepper(p, N)
     symbols[zeros] = 0  # the first free digit is pinned to 0
-    _place(rows, symbols, zeros, p)
-    walk(zeros + 1, rows, 0, False)
+    walk(zeros + 1, step((0, 0, 0), 0), 0, False)
     return part
 
 

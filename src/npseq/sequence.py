@@ -11,15 +11,19 @@ where zero-symbol positions contribute nothing.
 One kernel computes every coefficient at once as a raw N x p count matrix:
 counts[t][d] is the number of positions i with a_i, a_{i+t} nonzero and
 b_i - b_{i+t} = d (mod p), so C(t) = sum over d of counts[t][d] * zeta^d.
-Row t is one int, column d in bits [w*d, w*(d+1)) for w the least of 8, 16
-or 32 with 2^(w-1) > N. The scans add each position's pairs with the ones
-before it into a copy of the parent's rows (`_place`). Row t minus its top
-column in every column is C(t)'s canonical vector with signed columns: one
-int per value, which is C(t) itself when it lies in (-2^(w-1), 2^(w-1)),
-that is, when C(t) is a rational integer. counts[t][d] is also the
-coefficient of (-t, d) in the group ring product R_a R_a^(-1), R_a = {(i, b_i)}
-in Z_N x Z_p; every PDPDS class is closed under that inversion, so the
-classification reads the matrix as it is.
+The matrix is one int: row t is 2p slots of w bits at bit t*R, R = 2*p*w,
+w the least of 8, 16 or 32 with 2^(w-1) > N; column d is slot d + slot d+p.
+The scans place digit b at position k of a node (M, H, G), with histories
+H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
+2^((N-k+j)*R + (p-b_j)*w), in three big-int updates: M += (H << (p-b)*w) +
+(G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w).
+f = (M & LOW) + ((M >> p*w) & LOW) folds the slots, leaving slots p .. 2p-1
+zero, and row t of K = f + HALFS - ((f >> (p-1)*w) & LOW) * ONES is C(t)'s
+canonical vector plus 2^(w-1) in every column: C(t) is a rational integer,
+column 0 less 2^(w-1), when the other columns hold just 2^(w-1).
+counts[t][d] is also the coefficient of (-t, d) in R_a R_a^(-1), R_a =
+{(i, b_i)} in Z_N x Z_p; every PDPDS class is closed under that inversion,
+so the classification reads the matrix as it is.
 """
 
 from __future__ import annotations
@@ -132,70 +136,86 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
 
 
 @lru_cache(maxsize=8)
-def _layout(p: int, N: int) -> tuple[int, int, int, int, struct.Struct]:
-    """(w, top, half, ones, row): the bits per column, the least of 8, 16 or
-    32 with 2^(w-1) > N; the top column's offset; 2^(w-1); 1 in every column;
-    the little-endian struct of a row's p columns."""
+def _layout(p: int, N: int) -> tuple[int, int, int, int, int, struct.Struct, struct.Struct]:
+    """(w, LOW, HALFS, NZ, ONES, columns, keys): LOW covers slots 0 .. p-1 of
+    every row, HALFS holds 2^(w-1) in each of them, NZ covers slots 1 .. p-1
+    of rows 1 .. N-1 and ONES is 1 in slots 0 .. p-1 of row 0; the structs
+    read slots 0 .. p-1 of every row as ints and of rows 1 .. N-1 as bytes."""
     w, code = (8, "B") if N < 1 << 7 else (16, "H") if N < 1 << 15 else (32, "I")
-    row = struct.Struct(f"<{p}{code}")
-    return w, w * (p - 1), 1 << (w - 1), int.from_bytes(row.pack(*[1] * p), "little"), row
+    size, full, R = w // 8, (1 << w) - 1, 2 * p * w
+
+    def rows(*slots: int, count: int = N) -> int:  # one row's first slots, in count rows
+        row = b"".join([c.to_bytes(size, "little") for c in slots]).ljust(R // 8, b"\0")
+        return int.from_bytes(row * count, "little")
+
+    low, halfs = rows(*[full] * p), rows(*[1 << w - 1] * p)
+    nz = rows(0, *[full] * (p - 1)) >> R << R
+    columns = struct.Struct("<" + f"{p}{code}{p * size}x" * N)
+    keys = struct.Struct(f"<{R // 8}x" + f"{p * size}s{p * size}x" * (N - 1))
+    return w, low, halfs, nz, rows(*[1] * p, count=1), columns, keys
 
 
-def _place(rows: list[int], symbols, k: int, p: int) -> None:
-    """Add the pairs that position k forms with itself and the positions
-    before it: pair (j, k) counts b_j - b_k in row k - j and b_k - b_j in
-    row N - (k - j), each at its column mod p."""
-    b = symbols[k]
-    if b is None:
-        return
-    N = len(symbols)
-    w = _layout(p, N)[0]
-    rows[0] += 1
-    for j in range(k):
-        a = symbols[j]
-        if a is not None:
-            rows[k - j] += 1 << (a - b) % p * w
-            rows[N - k + j] += 1 << (b - a) % p * w
+def _stepper(p: int, N: int):
+    """(step, fold): step(node, b) places digit b at the next position of
+    node (M, H, G), (0, 0, 0) before the first digit, and fold(M) is f."""
+    w, low = _layout(p, N)[:2]
+    R, top = 2 * p * w, (N - 1) * 2 * p * w
+
+    def step(node: tuple[int, int, int], b: int) -> tuple[int, int, int]:
+        M, H, G = node
+        g, h = b * w, (p - b) * w
+        return M + (H << h) + (G << g) + 1, (H + (1 << g)) << R, (G >> R) + (1 << top + h)
+
+    def fold(M: int) -> int:
+        return (M & low) + (M >> p * w & low)
+
+    return step, fold
 
 
-def _count_matrix(seq: AlmostParySequence) -> tuple[int, ...]:
+def _count_matrix(seq: AlmostParySequence) -> int:
     """Count each ordered pair (i, j) of nonzero positions at row j - i,
-    column b_i - b_j (a negative index wraps), then pack each row once."""
-    pack = _layout(seq.p, seq.period)[4].pack
+    column b_i - b_j (a negative index wraps), then pack the matrix once."""
+    pack = _layout(seq.p, seq.period)[5].pack
     counts = [[0] * seq.p for _ in range(seq.period)]
     nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
     for i, a in nonzero:
         for j, b in nonzero:
             counts[j - i][a - b] += 1
-    return tuple([int.from_bytes(pack(*row), "little") for row in counts])
+    return int.from_bytes(pack(*[c for row in counts for c in row]), "little")
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
     """Exact autocorrelation coefficient C(t) for 0 <= t < period."""
     if not 0 <= t < seq.period:
         raise ValueError(f"shift {t} out of range for period {seq.period}")
-    return CyclotomicInt(seq.p, _canonicalize(profile(seq).counts[t]))
+    counts = [0] * seq.p
+    for a, b in zip(seq.symbols, seq.symbols[t:] + seq.symbols[:t]):
+        if a is not None and b is not None:
+            counts[a - b] += 1
+    return CyclotomicInt(seq.p, _canonicalize(tuple(counts)))
 
 
 @dataclass(frozen=True)
 class AutocorrelationProfile:
-    """The packed count matrix of a sequence (see the module docstring) and
-    the summary of its out-of-phase coefficients C(1) .. C(N-1), read from
-    the rows; `counts` and `values` (CyclotomicInt) are unpacked on demand."""
+    """The folded count matrix f of a sequence (see the module docstring) and
+    the summary of its out-of-phase coefficients C(1) .. C(N-1), read from K;
+    `counts` and `values` (CyclotomicInt) are unpacked on demand."""
 
     p: int
-    rows: tuple[int, ...]  # packed row t = counts[t], t = 0 .. N-1
-    keys: tuple[int, ...] = field(init=False)  # C(t) packed canonically, t = 1 .. N-1
+    period: int
+    matrix: int
     ell: int = field(init=False)
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        w, top, half, ones, _ = _layout(self.p, len(self.rows))
-        keys = tuple([u - (u >> top) * ones for u in self.rows[1:]])
-        integral = not keys or -half < min(keys) and max(keys) < half
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "ell", len(set(keys)))
-        object.__setattr__(self, "integral_values", keys if integral else None)
+        p, f = self.p, self.matrix
+        w, low, halfs, nz, ones, columns, keys = _layout(p, self.period)
+        K = f + halfs - (f >> (p - 1) * w & low) * ones
+        data = K.to_bytes(columns.size, "little")
+        integral = not (K ^ halfs) & nz  # then C(t) is column 0 of K's row t, less the bias
+        ints = tuple([c - (1 << w - 1) for c in columns.unpack(data)[p::p]]) if integral else None
+        object.__setattr__(self, "ell", len(set(keys.unpack(data))))
+        object.__setattr__(self, "integral_values", ints)
 
     @property
     def all_integral(self) -> bool:
@@ -204,8 +224,9 @@ class AutocorrelationProfile:
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
         """counts[t][d], t = 0 .. N-1, d = 0 .. p-1."""
-        row = _layout(self.p, len(self.rows))[4]
-        return tuple([row.unpack(u.to_bytes(row.size, "little")) for u in self.rows])
+        columns = _layout(self.p, self.period)[5]
+        flat = iter(columns.unpack(self.matrix.to_bytes(columns.size, "little")))
+        return tuple(zip(*[flat] * self.p))
 
     @cached_property
     def values(self) -> tuple[CyclotomicInt, ...]:
@@ -237,7 +258,7 @@ class AutocorrelationProfile:
 
 def profile(seq: AlmostParySequence) -> AutocorrelationProfile:
     """The count matrix of every shift and its out-of-phase summary."""
-    return AutocorrelationProfile(seq.p, _count_matrix(seq))
+    return AutocorrelationProfile(seq.p, seq.period, _count_matrix(seq))
 
 
 @dataclass(frozen=True)

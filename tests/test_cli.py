@@ -415,8 +415,8 @@ def test_oversized_table_exit2(capsys, monkeypatch):
     ],
 )
 def test_wide_p_memory(capsys, argv):
-    # a packed row takes p*8 bits; a table of the p shifted units would take
-    # p^2*8 bits, gigabytes here
+    # a row of the count matrix takes 2p*8 bits; a table of the p shifted
+    # units would take p^2*8 bits, gigabytes here
     tracemalloc.start()
     try:
         code = main(list(argv))

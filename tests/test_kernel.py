@@ -1,9 +1,10 @@
-"""The packed count-matrix kernel behind profile(): placing a position into a
-copy of the rows leaves the parent alone and gives the matrix of the sequence
-placed, the keys are the packed canonical vectors, the reflected rows are
-the difference multiset of R_a, its shifts sum to |S|^2, decimation and
-phase leave the profile's invariants and classes alone, and every value
-matches the definitional sum, at the edges of the column width too."""
+"""The packed count-matrix kernel behind profile(): two siblings stepped from
+one node of the walk leave it alone and fold to the matrices of the
+sequences placed, the row slices of K are the biased canonical vectors, the
+reflected rows are the difference multiset of R_a, its shifts sum to
+|S|^2, decimation and phase leave the profile's invariants and classes
+alone, and every value matches the definitional sum, at the edges of the
+column width too."""
 
 import itertools
 
@@ -17,7 +18,7 @@ from npseq.sequence import (
     AutocorrelationProfile,
     _count_matrix,
     _layout,
-    _place,
+    _stepper,
     autocorrelation,
     profile,
 )
@@ -37,49 +38,52 @@ def sequences(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.data())
-def test_place_into_copy(seq, data):
-    # the walk's steps: two siblings placed into copies of one parent's rows
+def test_siblings_step_from_one_parent(seq, data):
+    # the walk's steps: two sibling digit tails stepped from one parent node
+    # (M, H, G), after a zero run that adds nothing
     p, N = seq.p, seq.period
-    cut = data.draw(st.integers(0, N - 1))
-    symbol = st.one_of(st.none(), st.integers(0, p - 1))
-    other = list(seq.symbols[:cut]) + data.draw(
-        st.lists(symbol, min_size=N - cut, max_size=N - cut)
-    )
-    rows = [0] * N
-    for k in range(cut):
-        _place(rows, seq.symbols, k, p)
-    parent = tuple(rows)
-    for symbols in (list(seq.symbols), other):
-        child = rows
-        for k in range(cut, N):
-            child = child[:]
-            _place(child, symbols, k, p)
-        assert tuple(rows) == parent
-        assert tuple(child) == _count_matrix(AlmostParySequence(p, tuple(symbols)))
+    zeros = data.draw(st.integers(0, N - 1))
+    digit = st.integers(0, p - 1)
+    head = data.draw(st.lists(digit, max_size=N - zeros))
+    rest = N - zeros - len(head)
+    step, fold = _stepper(p, N)
 
+    def matrix(digits):
+        return _count_matrix(AlmostParySequence(p, (None,) * zeros + tuple(digits)))
 
-def signed_columns(key, p, w):
-    """The p columns of a key, each read as a signed w-bit number."""
-    columns = []
-    for _ in range(p):
-        column = key & ((1 << w) - 1)
-        column -= (column >> (w - 1)) << w
-        columns.append(column)
-        key = (key - column) >> w
-    assert key == 0
-    return tuple(columns)
+    parent = (0, 0, 0)
+    for b in head:
+        parent = step(parent, b)
+    before = parent
+    for tail in (data.draw(st.lists(digit, min_size=rest, max_size=rest)) for _ in range(2)):
+        node = parent
+        for b in tail:
+            node = step(node, b)
+        assert parent == before
+        # the parent holds the pairs of the digits placed, the rest zero-symbols
+        assert fold(parent[0]) == matrix(head + [None] * rest)
+        assert fold(node[0]) == matrix(head + tail)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sequences())
-def test_keys_are_packed_canonical_vectors(seq):
+def test_keys_are_biased_canonical_vectors(seq):
+    p, N = seq.p, seq.period
     prof = profile(seq)
-    w = _layout(seq.p, seq.period)[0]
+    w, low, halfs, nz, ones, columns, keys = _layout(p, N)
+    f = prof.matrix
+    K = f + halfs - (f >> (p - 1) * w & low) * ones
+    half = 1 << (w - 1)
     canonical = [_canonicalize(row) for row in prof.counts[1:]]
-    assert [signed_columns(key, seq.p, w) for key in prof.keys] == canonical
-    # rational exactly in (-2^(w-1), 2^(w-1)), and then the key is C(t)
-    for key, vector in zip(prof.keys, canonical):
-        assert (-(1 << (w - 1)) < key < 1 << (w - 1)) == (vector[1:] == (0,) * (seq.p - 1))
+    assert [
+        tuple((int.from_bytes(key, "little") >> w * d & (1 << w) - 1) - half for d in range(p))
+        for key in keys.unpack(K.to_bytes(columns.size, "little"))
+    ] == canonical
+    assert prof.ell == len(set(canonical))
+    # rational exactly when the nonzero columns hold the bias, and then C(t) is column 0
+    integral = all(vector[1:] == (0,) * (p - 1) for vector in canonical)
+    assert ((K ^ halfs) & nz == 0) == integral
+    assert prof.integral_values == (tuple(v[0] for v in canonical) if integral else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,12 +192,14 @@ def test_width_boundary(N, p):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("N, w", [(127, 8), (128, 16), (32767, 16), (32768, 32)])
 def test_counts_read_every_width(N, w, p):
-    # rows packed by this test, column d in bits [w*d, w*(d+1)); the columns
-    # take every value 0 .. N, so each width is read up to its largest count
+    # a matrix packed by this test, column d of row t in bits [t*R + w*d,
+    # t*R + w*(d+1)), R = 2*p*w; the columns take every value 0 .. N, so each
+    # width is read up to its largest count
     counts = tuple(tuple((t * p + d) % (N + 1) for d in range(p)) for t in range(N))
-    rows = tuple(sum(c << w * d for d, c in enumerate(row)) for row in counts)
+    rows = (sum(c << w * d for d, c in enumerate(row)) for row in counts)
+    matrix = int.from_bytes(b"".join(u.to_bytes(2 * p * w // 8, "little") for u in rows), "little")
     assert _layout(p, N)[0] == w
-    assert AutocorrelationProfile(p, rows).counts == counts
+    assert AutocorrelationProfile(p, N, matrix).counts == counts
 
 
 def test_size_cap_checked_by_every_dense_input():

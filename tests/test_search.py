@@ -17,6 +17,7 @@ from npseq.search import (
     FILTER_NPS,
     FILTER_TYPE,
     BudgetExceededError,
+    Match,
     SearchConfig,
     enumerate_and_classify,
     report_to_csv,
@@ -216,9 +217,9 @@ class TestSingleScan:
         built = []
         original = search.AutocorrelationProfile
 
-        def counting_profile(p, rows):
-            built.append(rows)
-            return original(p, rows)
+        def counting_profile(p, N, matrix):
+            built.append(matrix)
+            return original(p, N, matrix)
 
         # the name the walk builds each leaf's profile with
         monkeypatch.setattr(search, "AutocorrelationProfile", counting_profile)
@@ -228,9 +229,25 @@ class TestSingleScan:
         reps = sorted({orbit_key(config, digits) for digits in free_digits(config)})
         assert len(built) == len(reps) == config.orbit_count
         assert built == [
-            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).rows
+            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).matrix
             for rep in reps
         ]
+
+    @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
+    def test_walk_at_wide_columns(self, p, period, zeros):
+        # 16- and 32-bit columns: every candidate against its own profile
+        config = SearchConfig(p=p, period=period, zeros=zeros, filter_mode=FILTER_ALL)
+        report = enumerate_and_classify(config)
+        histogram, matches = {}, []
+        for digits in free_digits(config):
+            prof = sequence.profile(AlmostParySequence(p, (None,) * zeros + digits))
+            histogram[prof.ell] = histogram.get(prof.ell, 0) + 1
+            nps = prof.nps_type
+            types = (nps.gamma1, nps.gamma2) if nps else (None, None)
+            matches.append(Match(digits, *types, None))
+        assert report.total_enumerated == len(matches) == config.space_size
+        assert report.ell_histogram == histogram
+        assert report.matches == matches
 
     def test_scan_types_match_classify_nps(self):
         for zeros in range(7):

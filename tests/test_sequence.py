@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from npseq.cyclotomic import CyclotomicInt, _canonicalize
 from npseq.sequence import (
     AlmostParySequence,
     autocorrelation,
@@ -95,6 +96,16 @@ class TestAutocorrelation:
         with pytest.raises(ValueError):
             autocorrelation(seq, 5)
 
+    @pytest.mark.parametrize("N", [1, 2, 7, 130])
+    def test_every_shift_is_one_profile_row(self, N):
+        rng = random.Random(N)
+        for p in (2, 3, 5, 7):
+            for _ in range(5):
+                seq = AlmostParySequence(p, tuple(rng.choice([None, *range(p)]) for _ in range(N)))
+                prof = profile(seq)
+                assert autocorrelation(seq, 0) == CyclotomicInt(p, _canonicalize(prof.counts[0]))
+                assert tuple(autocorrelation(seq, t) for t in range(1, N)) == prof.values
+
 
 class TestProfile:
     def test_distinct_value_counts(self):
@@ -119,7 +130,7 @@ class TestProfile:
         seq = parse_sequence(2, text)
         prof = profile(seq)
         assert prof.counts == ((n, 0),)
-        assert (prof.keys, prof.ell, prof.integral_values) == ((), 0, ())
+        assert (prof.matrix, prof.ell, prof.integral_values) == (n, 0, ())
         assert prof.nps_type is None and prof.two_valued == frozenset()
         assert autocorrelation(seq, 0).as_int() == n
         with pytest.raises(ValueError):
