@@ -223,19 +223,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
-    target = None
-    mode = search.FILTER_NPS
-    if getattr(args, "type", None):
-        target = tuple(_parse_int_list(args.type, "--type"))
-        if len(target) != 2:
-            raise ValueError(f"--type needs gamma1,gamma2, got {args.type!r}")
-        mode = search.FILTER_TYPE
+    text = getattr(args, "type", None)  # roundtrip has no --type
+    target = None if text is None else _parse_int_list(text, "--type")
     return search.SearchConfig(
         p=args.p,
         period=args.period,
         zeros=args.zeros,
         normalize_phase=not args.full_space,
-        filter_mode=mode,
+        filter_mode=search.FILTER_NPS if target is None else search.FILTER_TYPE,
         target=target,
         job_count=args.jobs,
         budget=args.budget,

@@ -60,16 +60,18 @@ def _require_prime(p: int) -> None:
 
 
 # Largest N * p accepted for the dense N x p count matrices (one int of N rows
-# of 2p slots of 8, 16 or 32 bits each) and grids over Z_N x Z_p; checked before
-# _require_prime, so a huge p is refused before any primality work.
+# of 2p slots of 8, 16 or 32 bits each) and grids over Z_N x Z_p.
 MAX_CELLS = 10**6
 
 
-def _require_cells(N: int, p: int) -> None:
+def _require_grid(N: int, p: int) -> None:
+    """Refuse an N x p grid above MAX_CELLS, then a composite p: the cap comes
+    first, so a huge p is refused before any primality work."""
     if N * p > MAX_CELLS:
         raise ValueError(
             f"N*p = {N}*{p} exceeds the limit of {MAX_CELLS} cells for dense N x p grids"
         )
+    _require_prime(p)
 
 
 def _canonicalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import _require_cells, _require_prime
+from .cyclotomic import _require_grid, _require_prime
 from .sequence import AlmostParySequence
 
 GroupElement = tuple[int, int]  # (h_exp mod N, g_exp mod p)
@@ -44,8 +44,7 @@ class GroupSubset:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("group order N must be positive")
-        _require_cells(self.N, self.p)
-        _require_prime(self.p)
+        _require_grid(self.N, self.p)
         for h, g in self.elements:
             if not (0 <= h < self.N and 0 <= g < self.p):
                 raise ValueError(f"element ({h},{g}) out of range for Z_{self.N} x Z_{self.p}")

@@ -52,13 +52,14 @@ import csv
 import io
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
-from .cyclotomic import _require_cells, _require_prime
+from .cyclotomic import _require_grid
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
 from .sequence import AutocorrelationProfile, _stepper
 from .theory import ell_bounds
@@ -94,14 +95,18 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        _require_cells(self.period, self.p)
-        _require_prime(self.p)
+        _require_grid(self.period, self.p)
         if not 0 <= self.zeros < self.period:
             raise ValueError("need 0 <= zeros < period")
         if self.filter_mode not in (FILTER_ALL, FILTER_NPS, FILTER_TYPE):
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
         if (self.filter_mode == FILTER_TYPE) != (self.target is not None):
             raise ValueError("the type filter, and only it, takes a target (gamma1, gamma2)")
+        if self.target is not None:
+            target = tuple(self.target)
+            if len(target) != 2 or not all(isinstance(g, int) for g in target):
+                raise ValueError(f"the type target needs two integers gamma1,gamma2, got {target}")
+            object.__setattr__(self, "target", target)
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
         if self.job_count > MAX_JOBS:
@@ -203,14 +208,20 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
         raise BudgetExceededError(total, config.budget)
     orbits = config.orbit_count
     jobs = min(config.job_count, orbits)
-    if jobs == 1:
-        report = _scan(config, 0, orbits, visit)
-    else:
-        bounds = [orbits * j // jobs for j in range(jobs + 1)]
-        ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
-        report = SearchReport(config=config)
-        for part in _scan_in_pool(config, ranges, visit):
-            _merge(report, part)
+    try:
+        if jobs == 1:
+            report = _scan(config, 0, orbits, visit)
+        else:
+            bounds = [orbits * j // jobs for j in range(jobs + 1)]
+            ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
+            report = SearchReport(config=config)
+            for part in _scan_in_pool(config, ranges, visit):
+                _merge(report, part)
+    except RecursionError:  # every leaf is N - zeros calls deep: none was profiled
+        raise ValueError(
+            f"the walk over {config.free_positions} free positions and its callers "
+            f"exceed the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
     report.violations.sort(key=_violation_index)

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .cyclotomic import CyclotomicInt, _canonicalize, _require_cells, _require_prime
+from .cyclotomic import CyclotomicInt, _canonicalize, _require_grid
 
 Symbol = int | None  # None = zero-symbol, int = root exponent in [0, p)
 
@@ -45,8 +45,7 @@ class AlmostParySequence:
     symbols: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
-        _require_cells(len(self.symbols), self.p)
-        _require_prime(self.p)
+        _require_grid(len(self.symbols), self.p)
         if not self.symbols:
             raise ValueError("sequence must have at least one symbol")
         for sym in self.symbols:
@@ -93,8 +92,7 @@ def parse_sequence(p: int, text: str) -> AlmostParySequence:
     Example: parse_sequence(3, "Z,Z,1,1,1").
     """
     tokens = [tok.strip() for tok in text.split(",")]
-    _require_cells(len(tokens), p)
-    _require_prime(p)
+    _require_grid(len(tokens), p)
     if tokens == [""]:
         raise ValueError("empty sequence text")
     symbols: list[Symbol] = []
@@ -106,8 +104,6 @@ def parse_sequence(p: int, text: str) -> AlmostParySequence:
             b = int(tok)
         except ValueError:
             raise ValueError(f"bad sequence token {tok!r}") from None
-        if not 0 <= b < p:
-            raise ValueError(f"exponent {b} out of range for p={p}")
         symbols.append(b)
     return AlmostParySequence(p, tuple(symbols))
 

@@ -134,33 +134,12 @@ def ell_bounds(n: int, s: int, p: int) -> tuple[int, int]:
 
 
 def lam_leung_feasible(m: int, v: int) -> bool:
-    """Can v m-th roots of unity sum to zero? Necessary condition:
-
-    v must be a nonnegative integer combination of the distinct primes
-    dividing m.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    """Can v m-th roots of unity sum to zero, for prime m? Exactly when m | v
+    (Lam and Leung, J. Algebra 2000); ValueError for a composite m."""
+    _require_prime(m)
     if v < 0:
         raise ValueError("v must be nonnegative")
-    primes = []
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            primes.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        primes.append(rest)
-    reachable = [False] * (v + 1)
-    reachable[0] = True
-    for q in primes:
-        for x in range(q, v + 1):
-            if reachable[x - q]:
-                reachable[x] = True
-    return reachable[v]
+    return v % m == 0
 
 
 def gamma2_upper_bound(n: int, gamma1: int, gamma2: int) -> int | None:

@@ -190,13 +190,12 @@ class TestSizeCap:
 
     @pytest.fixture(autouse=True)
     def no_prime_test(self, monkeypatch):
-        from npseq import cyclotomic, diffset, search, sequence
+        from npseq import cyclotomic
 
         def refuse(p):
             raise AssertionError("primality tested before the size check")
 
-        for module in (cyclotomic, diffset, search, sequence):
-            monkeypatch.setattr(module, "_require_prime", refuse)
+        monkeypatch.setattr(cyclotomic, "_require_prime", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,12 +316,22 @@ class TestSearch:
         assert code == 2
         assert "budget must be positive" in err
 
-    def test_type_needs_two_values_exit2(self, capsys):
-        code, _, err = run(
-            capsys, "search", "--p", "3", "--period", "5", "--zeros", "2", "--type", "1"
+    @pytest.mark.parametrize("text", ["1", "", "2,1,0"])
+    def test_type_needs_two_values_exit2(self, capsys, text):
+        code, out, err = run(
+            capsys, "search", "--p", "3", "--period", "5", "--zeros", "2", "--type", text
         )
-        assert code == 2
-        assert "--type needs gamma1,gamma2" in err
+        assert (code, out) == (2, "")
+        assert "the type target needs two integers gamma1,gamma2" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_walk_deeper_than_recursion_limit_exit2(self, capsys, jobs):
+        code, out, err = run(
+            capsys, "search", "--p", "2", "--period", "1100", "--zeros", "2",
+            "--jobs", jobs, "--budget", "1" + "0" * 400,
+        )
+        assert (code, out) == (2, "")
+        assert "the walk over 1098 free positions and its callers exceed" in err
 
     def test_roundtrip_clean(self, capsys):
         code, out, _ = run(

@@ -46,10 +46,12 @@ def orbit_key(config, digits):
 
 
 class TestEnumeration:
-    def test_type21_single_normalized_match(self):
+    @pytest.mark.parametrize("target", [(2, 1), [2, 1]])
+    def test_type21_single_normalized_match(self, target):
         config = SearchConfig(
-            p=3, period=5, zeros=2, filter_mode=FILTER_TYPE, target=(2, 1)
+            p=3, period=5, zeros=2, filter_mode=FILTER_TYPE, target=target
         )
+        assert config.target == (2, 1)
         report = enumerate_and_classify(config)
         assert report.total_enumerated == 9
         assert len(report.matches) == 1
@@ -403,6 +405,10 @@ class TestConfigValidation:
             SearchConfig(p=3, period=5, zeros=2, filter_mode=FILTER_TYPE)
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, target=(2, 1))
+        with pytest.raises(ValueError, match="needs two integers"):
+            SearchConfig(p=3, period=5, zeros=2, filter_mode=FILTER_TYPE, target=(2, 1, 0))
+        with pytest.raises(ValueError, match="needs two integers"):
+            SearchConfig(p=3, period=5, zeros=2, filter_mode=FILTER_TYPE, target=())
         with pytest.raises(ValueError):
             SearchConfig(p=3, period=5, zeros=2, job_count=0)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -107,21 +108,32 @@ class TestEllBounds:
 
 class TestLamLeung:
     def test_examples(self):
-        assert lam_leung_feasible(6, 5)  # 5 = 2 + 3
         assert not lam_leung_feasible(3, 4)
-        assert lam_leung_feasible(12, 0)
+        assert lam_leung_feasible(2, 0)
         assert lam_leung_feasible(7, 21)
         assert not lam_leung_feasible(7, 1)
 
-    def test_prime_power_multiples_only(self):
-        for v in range(30):
-            assert lam_leung_feasible(9, v) == (v % 3 == 0)
+    def test_prime_multiples_only(self):
+        for m in (2, 3, 5, 7):
+            for v in range(30):
+                assert lam_leung_feasible(m, v) == (v % m == 0)
+
+    def test_composite_modulus_refused(self):
+        for m, v in [(6, 5), (12, 0)] + [(9, v) for v in range(30)]:
+            with pytest.raises(ValueError, match="modulus must be prime"):
+                lam_leung_feasible(m, v)
+
+    @pytest.mark.parametrize("m, v", [(1000000000000000003, 10**18), (3, 2 * 10**8)])
+    def test_large_arguments_in_constant_time(self, m, v):
+        start = time.perf_counter()
+        assert lam_leung_feasible(m, v) is False
+        assert time.perf_counter() - start < 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
             lam_leung_feasible(1, 3)
-        with pytest.raises(ValueError):
-            lam_leung_feasible(6, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            lam_leung_feasible(7, -1)
 
 
 class TestGamma2Bound:
