@@ -24,15 +24,17 @@ member of its orbit. The representatives are the free digits [0] + tail,
 where the tail is zero or has 1 as its first nonzero digit. A depth-first
 walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
 until a nonzero digit is placed, and each step places one digit with three
-big-int updates of its parent's node (`sequence._stepper`). An orbit has
-(p - 1 if the tail is nonzero, else 1) * (p over the full space, else 1)
-members, and the report is expanded over them: every member is counted and
-recorded with its own exponents and index, and matches and violations are
-sorted into index order, so a report equals that of a candidate-by-candidate
-scan. With job_count > 1 the representatives are split into contiguous
-ordinal ranges (the walk skips a subtree outside its range by its leaf
-count), processed independently and merged, so reports are byte-identical
-for any job count. One pool of worker processes, started by the first
+big-int updates of its parent's node (`sequence._stepper`). The last digit
+takes one: a loop over the siblings makes each leaf's matrix in that one
+update and reads it in place (`sequence._reader`), with no recursive call
+and no profile object. An orbit has (p - 1 if the tail is nonzero, else 1)
+times (p over the full space, else 1) members, and the report is expanded
+over them: every member is counted and recorded with its own exponents and
+index, and matches and violations are sorted into index order, so a report
+equals that of a candidate-by-candidate scan. With job_count > 1 the
+representatives are split into contiguous ordinal ranges (the walk skips a
+subtree, or a leaf, outside its range by its leaf count), processed
+independently and merged, so reports are byte-identical for any job count. One pool of worker processes, started by the first
 parallel scan, serves every later one.
 
 The roundtrip compares each representative's five-class classification with
@@ -61,7 +63,7 @@ from operator import attrgetter
 
 from .cyclotomic import _require_grid
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import AutocorrelationProfile, _stepper
+from .sequence import _counts, _nps_type, _reader, _stepper, _width
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -217,7 +219,7 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
             report = SearchReport(config=config)
             for part in _scan_in_pool(config, ranges, visit):
                 _merge(report, part)
-    except RecursionError:  # every leaf is N - zeros calls deep: none was profiled
+    except RecursionError:  # the walk nests one call per free position: no leaf was read
         raise ValueError(
             f"the walk over {config.free_positions} free positions and its callers "
             f"exceed the recursion limit of {sys.getrecursionlimit()}"
@@ -230,51 +232,65 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
 
 def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
     """Walk the orbit representatives with ordinals [lo, hi) and pass each
-    one's profile to `visit(config, prof)`, a module-level function or a
-    partial of one (workers unpickle it), which returns (record, violation):
-    a match's (gamma1, gamma2, pdpds) or None, and a violation text or None.
-    Both hold for every member of the orbit, counted and recorded one by one."""
+    one's folded matrix f and its summary to `visit(config, f, ell, ints)`
+    (`sequence._reader`), a module-level function or a partial of one
+    (workers unpickle it), which returns (record, violation): a match's
+    (gamma1, gamma2, pdpds) or None, and a violation text or None. Both hold
+    for every member of the orbit, counted and recorded one by one."""
     p, zeros, N = config.p, config.zeros, config.period
     full = not config.normalize_phase
     part = SearchReport(config=config)
+    histogram = part.ell_histogram
     symbols: list[int | None] = [None] * N
+    # an orbit's members, by whether its tail is nonzero
+    weights = (p if full else 1, (p - 1) * (p if full else 1))
 
-    def walk(k: int, node: tuple[int, int, int], first: int, led: bool) -> None:
-        """Place positions k .. N-1 after node; leaves have ordinals first, ..."""
-        if k < N:
+    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits) -> None:
+        """Try each of digits, (b, (p-b)*w, b*w), at position k after node,
+        then positions k+1 .. N-1; the leaves have ordinals first, ..."""
+        if k < N - 1:
             r = N - 1 - k
-            for b in range(p) if led else (0, 1):
+            for b, _, _ in digits:
                 if first >= hi:
                     return
                 # every tail follows a nonzero digit, else representatives only
                 size = p**r if led or b else _representatives(p, r)
                 if first + size > lo:
                     symbols[k] = b
-                    walk(k + 1, step(node, b), first, led or b > 0)
+                    nested = led or b > 0
+                    walk(k + 1, step(node, b), first, nested, every if nested else unled)
                 first += size
             return
-        prof = AutocorrelationProfile(p, N, fold(node[0]))
-        weight = (p - 1 if led else 1) * (p if full else 1)
-        part.total_enumerated += weight
-        part.ell_histogram[prof.ell] = part.ell_histogram.get(prof.ell, 0) + weight
-        record, violation = visit(config, prof)
-        if record is None and violation is None:
-            return
-        for index, exponents in _orbit(p, tuple(symbols[zeros:]), full):
-            if record is not None:
-                part.matches.append(Match(exponents, *record))
-            if violation is not None:
-                text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
-                part.violations.append(f"index {index} [{text}]: {violation}")
+        # the last digit: the leaves in [lo, hi) (first <= hi here, so no
+        # slice bound is negative), each made in one update of node and read
+        M, H, G = node
+        for b, h, g in digits[max(lo - first, 0) : hi - first]:
+            f = fold(M + (H << h) + (G << g) + 1)
+            ell, ints = read(f)
+            weight = weights[led or b > 0]
+            histogram[ell] = histogram.get(ell, 0) + weight
+            record, violation = visit(config, f, ell, ints)
+            if record is None and violation is None:
+                continue
+            symbols[k] = b
+            for index, exponents in _orbit(p, tuple(symbols[zeros:]), full):
+                if record is not None:
+                    part.matches.append(Match(exponents, *record))
+                if violation is not None:
+                    text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
+                    part.violations.append(f"index {index} [{text}]: {violation}")
 
     step, fold = _stepper(p, N)
-    symbols[zeros] = 0  # the first free digit is pinned to 0
-    walk(zeros + 1, step((0, 0, 0), 0), 0, False)
+    read, w = _reader(p, N), _width(N)[0]
+    every = tuple([(b, (p - b) * w, b * w) for b in range(p)])
+    unled = every[:2]  # until a nonzero digit is placed
+    walk(zeros, (0, 0, 0), 0, False, every[:1])  # the first free digit is pinned to 0
+    part.total_enumerated = sum(histogram.values())
     return part
 
 
-def _visit_classify(config: SearchConfig, prof):
-    nps = prof.nps_type
+def _visit_classify(config: SearchConfig, f: int, ell: int, ints):
+    nps = _nps_type(ints)
     if config.filter_mode == FILTER_NPS and nps is None:
         return None, None
     if config.filter_mode == FILTER_TYPE and (
@@ -283,7 +299,7 @@ def _visit_classify(config: SearchConfig, prof):
         return None, None
     if nps is None:
         return (None, None, None), None
-    pdpds = classify_grid(prof.counts) if config.zeros == 2 else None
+    pdpds = classify_grid(_counts(config.p, config.period, f)) if config.zeros == 2 else None
     return (nps.gamma1, nps.gamma2, pdpds), None
 
 
@@ -292,10 +308,10 @@ def enumerate_and_classify(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, _visit_classify)
 
 
-def _visit_ell(bounds: tuple[int, int], config: SearchConfig, prof):
+def _visit_ell(bounds: tuple[int, int], config: SearchConfig, f: int, ell: int, ints):
     low, high = bounds
-    if not low <= prof.ell <= high:
-        return None, f"ell={prof.ell} outside [{low},{high}]"
+    if not low <= ell <= high:
+        return None, f"ell={ell} outside [{low},{high}]"
     return None, None
 
 
@@ -308,12 +324,12 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, partial(_visit_ell, bounds))
 
 
-def _visit_roundtrip(config: SearchConfig, prof):
+def _visit_roundtrip(config: SearchConfig, f: int, ell: int, ints):
     n = config.free_positions
     if n < 2:
         return None, None  # the equivalence is stated for n >= 2
-    nps = prof.nps_type
-    actual = classify_grid(prof.counts)
+    nps = _nps_type(ints)
+    actual = classify_grid(_counts(config.p, config.period, f))
     typed = nps is not None
     expected = expected_pdpds_params(n, config.p, nps.gamma1, nps.gamma2) if typed else None
     if actual == expected:

@@ -16,11 +16,13 @@ w the least of 8, 16 or 32 with 2^(w-1) > N; column d is slot d + slot d+p.
 The scans place digit b at position k of a node (M, H, G), with histories
 H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
 2^((N-k+j)*R + (p-b_j)*w), in three big-int updates: M += (H << (p-b)*w) +
-(G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w).
-f = (M & LOW) + ((M >> p*w) & LOW) folds the slots, leaving slots p .. 2p-1
-zero, and row t of K = f + HALFS - ((f >> (p-1)*w) & LOW) * ONES is C(t)'s
-canonical vector plus 2^(w-1) in every column: C(t) is a rational integer,
-column 0 less 2^(w-1), when the other columns hold just 2^(w-1).
+(G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w);
+the last digit needs only the first. f = (M & LOW) + ((M >> p*w) & LOW)
+folds the slots, leaving slots p .. 2p-1 zero. `_reader(p, N)` owns K =
+f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, whose row t is C(t)'s canonical
+vector plus 2^(w-1) in every column: ell counts its distinct rows 1 .. N-1,
+and C(t) is a rational integer, column 0 less 2^(w-1), when the other
+columns hold just 2^(w-1).
 counts[t][d] is also the coefficient of (-t, d) in R_a R_a^(-1), R_a =
 {(i, b_i)} in Z_N x Z_p; every PDPDS class is closed under that inversion,
 so the classification reads the matrix as it is.
@@ -131,30 +133,85 @@ def normalize_leading_zeros(seq: AlmostParySequence) -> AlmostParySequence:
     return rotate(seq, start)
 
 
+def _width(N: int) -> tuple[int, str]:
+    """(w, code): the column width, the least of 8, 16 or 32 with 2^(w-1) > N,
+    and the struct code of one column."""
+    return (8, "B") if N < 1 << 7 else (16, "H") if N < 1 << 15 else (32, "I")
+
+
 @lru_cache(maxsize=8)
-def _layout(p: int, N: int) -> tuple[int, int, int, int, int, struct.Struct, struct.Struct]:
-    """(w, LOW, HALFS, NZ, ONES, columns, keys): LOW covers slots 0 .. p-1 of
+def _row(p: int, N: int) -> struct.Struct:
+    """The struct that reads slots 0 .. p-1 of one row as ints."""
+    w, code = _width(N)
+    return struct.Struct(f"<{p}{code}{p * w // 8}x")
+
+
+def _masks(p: int, N: int) -> tuple[int, int, int, int]:
+    """(LOW, HALFS, NZ, ONES), built afresh: LOW covers slots 0 .. p-1 of
     every row, HALFS holds 2^(w-1) in each of them, NZ covers slots 1 .. p-1
-    of rows 1 .. N-1 and ONES is 1 in slots 0 .. p-1 of row 0; the structs
-    read slots 0 .. p-1 of every row as ints and of rows 1 .. N-1 as bytes."""
-    w, code = (8, "B") if N < 1 << 7 else (16, "H") if N < 1 << 15 else (32, "I")
+    of rows 1 .. N-1 and ONES is 1 in slots 0 .. p-1 of row 0."""
+    w = _width(N)[0]
     size, full, R = w // 8, (1 << w) - 1, 2 * p * w
 
     def rows(*slots: int, count: int = N) -> int:  # one row's first slots, in count rows
         row = b"".join([c.to_bytes(size, "little") for c in slots]).ljust(R // 8, b"\0")
         return int.from_bytes(row * count, "little")
 
-    low, halfs = rows(*[full] * p), rows(*[1 << w - 1] * p)
     nz = rows(0, *[full] * (p - 1)) >> R << R
-    columns = struct.Struct("<" + f"{p}{code}{p * size}x" * N)
-    keys = struct.Struct(f"<{R // 8}x" + f"{p * size}s{p * size}x" * (N - 1))
-    return w, low, halfs, nz, rows(*[1] * p, count=1), columns, keys
+    return rows(*[full] * p), rows(*[1 << w - 1] * p), nz, rows(*[1] * p, count=1)
+
+
+_CACHED_CELLS = 1 << 16  # the widest N * p whose reader is cached, masks and all
+
+
+def _new_reader(p: int, N: int):
+    """read(f) -> (ell, integral values or None) of a folded matrix f, read
+    from K (see the module docstring); the one place K is formed."""
+    w, code = _width(N)
+    low, halfs, nz, ones = _masks(p, N)
+    top, bias, span, size = (p - 1) * w, 1 << w - 1, 2 * p * w // 8, w // 8
+    length = N * span
+    # slots 0 .. p-1 of rows 1 .. N-1 as bytes, and their slot 0 as ints
+    keys = struct.Struct(f"<{span}x" + f"{p * size}s{p * size}x" * (N - 1)).unpack
+    firsts = struct.Struct(f"<{span}x" + f"{code}{span - size}x" * (N - 1)).unpack
+
+    def read(f: int) -> tuple[int, tuple[int, ...] | None]:
+        K = f + halfs - (f >> top & low) * ones
+        data = K.to_bytes(length, "little")
+        # rational exactly when the nonzero columns hold just the bias
+        ints = tuple([c - bias for c in firsts(data)]) if not (K ^ halfs) & nz else None
+        return len(set(keys(data))), ints
+
+    return read
+
+
+_cached_reader = lru_cache(maxsize=8)(_new_reader)
+
+
+def _reader(p: int, N: int):
+    """The reader of (p, N)'s matrices, cached up to _CACHED_CELLS cells; a
+    wider one is built per call, so no cache holds masks as wide as a matrix."""
+    return (_cached_reader if N * p <= _CACHED_CELLS else _new_reader)(p, N)
+
+
+def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
+    """counts[t][d], t = 0 .. N-1, d = 0 .. p-1, of a folded matrix f."""
+    row = _row(p, N)
+    return tuple(row.iter_unpack(f.to_bytes(N * row.size, "little")))
+
+
+def _nps_type(ints: tuple[int, ...] | None) -> NpsType | None:
+    """The positional type of integral out-of-phase values C(1) .. C(N-1)
+    (see AutocorrelationProfile.nps_type), or None."""
+    if ints is None or len(ints) < 2 or len(set(ints[1:-1])) > 1:
+        return None
+    return NpsType(ints[0], ints[1])
 
 
 def _stepper(p: int, N: int):
     """(step, fold): step(node, b) places digit b at the next position of
     node (M, H, G), (0, 0, 0) before the first digit, and fold(M) is f."""
-    w, low = _layout(p, N)[:2]
+    w, low = _width(N)[0], _masks(p, N)[0]
     R, top = 2 * p * w, (N - 1) * 2 * p * w
 
     def step(node: tuple[int, int, int], b: int) -> tuple[int, int, int]:
@@ -170,14 +227,14 @@ def _stepper(p: int, N: int):
 
 def _count_matrix(seq: AlmostParySequence) -> int:
     """Count each ordered pair (i, j) of nonzero positions at row j - i,
-    column b_i - b_j (a negative index wraps), then pack the matrix once."""
-    pack = _layout(seq.p, seq.period)[5].pack
+    column b_i - b_j (a negative index wraps), then pack each row."""
+    pack = _row(seq.p, seq.period).pack
     counts = [[0] * seq.p for _ in range(seq.period)]
     nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
     for i, a in nonzero:
         for j, b in nonzero:
             counts[j - i][a - b] += 1
-    return int.from_bytes(pack(*[c for row in counts for c in row]), "little")
+    return int.from_bytes(b"".join([pack(*row) for row in counts]), "little")
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
@@ -204,13 +261,8 @@ class AutocorrelationProfile:
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        p, f = self.p, self.matrix
-        w, low, halfs, nz, ones, columns, keys = _layout(p, self.period)
-        K = f + halfs - (f >> (p - 1) * w & low) * ones
-        data = K.to_bytes(columns.size, "little")
-        integral = not (K ^ halfs) & nz  # then C(t) is column 0 of K's row t, less the bias
-        ints = tuple([c - (1 << w - 1) for c in columns.unpack(data)[p::p]]) if integral else None
-        object.__setattr__(self, "ell", len(set(keys.unpack(data))))
+        ell, ints = _reader(self.p, self.period)(self.matrix)
+        object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "integral_values", ints)
 
     @property
@@ -220,9 +272,7 @@ class AutocorrelationProfile:
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
         """counts[t][d], t = 0 .. N-1, d = 0 .. p-1."""
-        columns = _layout(self.p, self.period)[5]
-        flat = iter(columns.unpack(self.matrix.to_bytes(columns.size, "little")))
-        return tuple(zip(*[flat] * self.p))
+        return _counts(self.p, self.period, self.matrix)
 
     @cached_property
     def values(self) -> tuple[CyclotomicInt, ...]:
@@ -239,10 +289,7 @@ class AutocorrelationProfile:
         remaining shifts and the type degenerates to (gamma1, gamma1). None
         for N = 2, which has no such split.
         """
-        ints = self.integral_values
-        if ints is None or len(ints) < 2 or len(set(ints[1:-1])) > 1:
-            return None
-        return NpsType(ints[0], ints[1])
+        return _nps_type(self.integral_values)
 
     @property
     def two_valued(self) -> frozenset[int] | None:

@@ -17,8 +17,11 @@ from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
     _count_matrix,
-    _layout,
+    _masks,
+    _reader,
+    _row,
     _stepper,
+    _width,
     autocorrelation,
     profile,
 )
@@ -70,20 +73,36 @@ def test_siblings_step_from_one_parent(seq, data):
 def test_keys_are_biased_canonical_vectors(seq):
     p, N = seq.p, seq.period
     prof = profile(seq)
-    w, low, halfs, nz, ones, columns, keys = _layout(p, N)
+    w, (low, halfs, nz, ones) = _width(N)[0], _masks(p, N)
     f = prof.matrix
     K = f + halfs - (f >> (p - 1) * w & low) * ones
     half = 1 << (w - 1)
     canonical = [_canonicalize(row) for row in prof.counts[1:]]
-    assert [
-        tuple((int.from_bytes(key, "little") >> w * d & (1 << w) - 1) - half for d in range(p))
-        for key in keys.unpack(K.to_bytes(columns.size, "little"))
-    ] == canonical
+    rows = list(_row(p, N).iter_unpack(K.to_bytes(N * 2 * p * w // 8, "little")))
+    assert [tuple(c - half for c in row) for row in rows[1:]] == canonical
     assert prof.ell == len(set(canonical))
     # rational exactly when the nonzero columns hold the bias, and then C(t) is column 0
     integral = all(vector[1:] == (0,) * (p - 1) for vector in canonical)
     assert ((K ^ halfs) & nz == 0) == integral
     assert prof.integral_values == (tuple(v[0] for v in canonical) if integral else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_reader_reads_the_profile_summary(seq):
+    p, N = seq.p, seq.period
+    prof = profile(seq)
+    values = [autocorrelation(seq, t) for t in range(1, N)]
+    ints = [v.as_int() for v in values]
+    summary = (len(set(values)), None if None in ints else tuple(ints))
+    assert _reader(p, N)(prof.matrix) == (prof.ell, prof.integral_values) == summary
+
+
+def test_only_narrow_readers_are_cached():
+    # a reader holds masks as wide as the matrix: past 2^16 cells it is built per call
+    assert _reader(3, 12) is _reader(3, 12)
+    assert _reader(2, 1 << 15) is _reader(2, 1 << 15)
+    assert _reader(2, (1 << 15) + 1) is not _reader(2, (1 << 15) + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,7 +186,7 @@ def test_width_boundary(N, p):
     # N = 127 is the last period with 8-bit columns. Constant exponents fill
     # column 0 of every row (N with no zero run); b_i = i mod p fills column
     # p - 1 of row 1 when p divides N, so its canonical entries reach -N.
-    assert _layout(p, N)[0] == (8 if N <= 127 else 16)
+    assert _width(N)[0] == (8 if N <= 127 else 16)
     extremes = set()
     for symbols in (
         (0,) * N,
@@ -198,7 +217,7 @@ def test_counts_read_every_width(N, w, p):
     counts = tuple(tuple((t * p + d) % (N + 1) for d in range(p)) for t in range(N))
     rows = (sum(c << w * d for d, c in enumerate(row)) for row in counts)
     matrix = int.from_bytes(b"".join(u.to_bytes(2 * p * w // 8, "little") for u in rows), "little")
-    assert _layout(p, N)[0] == w
+    assert _width(N)[0] == w
     assert AutocorrelationProfile(p, N, matrix).counts == counts
 
 

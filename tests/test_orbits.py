@@ -90,7 +90,7 @@ def brute_force(config, visit):
         prof = profile(seq)
         report.total_enumerated += 1
         report.ell_histogram[prof.ell] = report.ell_histogram.get(prof.ell, 0) + 1
-        record, violation = visit(config, prof)
+        record, violation = visit(config, prof.matrix, prof.ell, prof.integral_values)
         if record is not None:
             report.matches.append(Match(tuple(digits), *record))
         if violation is not None:

@@ -7,6 +7,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,7 @@ from npseq.search import (
     BudgetExceededError,
     Match,
     SearchConfig,
+    SearchReport,
     enumerate_and_classify,
     report_to_csv,
     report_to_json,
@@ -217,23 +219,50 @@ class TestSingleScan:
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_one_profile_per_candidate(self, monkeypatch, scan, config):
         built = []
-        original = search.AutocorrelationProfile
+        original = search._reader
 
-        def counting_profile(p, N, matrix):
-            built.append(matrix)
-            return original(p, N, matrix)
+        def counting_reader(p, N):
+            read = original(p, N)
 
-        # the name the walk builds each leaf's profile with
-        monkeypatch.setattr(search, "AutocorrelationProfile", counting_profile)
+            def counted(f):
+                built.append(f)
+                return read(f)
+
+            return counted
+
+        # the name the scan takes its per-leaf summary reader from
+        monkeypatch.setattr(search, "_reader", counting_reader)
         assert scan(config).total_enumerated == config.space_size
-        # one profile per orbit of b -> c*b (+ a), and no orbit profiled twice:
-        # the k-th profile is that of the k-th orbit's least member
+        # one summary per orbit of b -> c*b (+ a), and no orbit read twice:
+        # the k-th matrix read is that of the k-th orbit's least member
         reps = sorted({orbit_key(config, digits) for digits in free_digits(config)})
         assert len(built) == len(reps) == config.orbit_count
         assert built == [
             sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).matrix
             for rep in reps
         ]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("free", [1, 2, 4])
+    def test_single_ordinal_ranges_merge_to_the_whole_scan(self, p, normalize, free):
+        # a range of one ordinal cuts every sibling group of the last digit
+        config = SearchConfig(
+            p=p, period=free + 2, zeros=2, normalize_phase=normalize, filter_mode=FILTER_ALL
+        )
+        orbits = config.orbit_count
+        for visit in (
+            search._visit_classify,
+            partial(search._visit_ell, (0, 0)),  # every candidate is a violation
+            search._visit_roundtrip,
+        ):
+            whole = search._scan(config, 0, orbits, visit)
+            assert whole.total_enumerated == config.space_size
+            merged = SearchReport(config=config)
+            for i in range(orbits):
+                assert search._scan(config, i, i, visit).total_enumerated == 0
+                search._merge(merged, search._scan(config, i, i + 1, visit))
+            assert merged == whole
 
     @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
     def test_walk_at_wide_columns(self, p, period, zeros):
@@ -304,7 +333,7 @@ class TestSingleScan:
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
-def _visit_pid(config, prof):
+def _visit_pid(config, f, ell, ints):
     """Name the process that profiled the representative, as a violation."""
     return None, f"pid {os.getpid()}"
 
