@@ -5,9 +5,10 @@ the consecutive-zero family, since autocorrelation is rotation-invariant) and,
 by default, the first nonzero exponent pinned to 0 (lossless for any per-shift
 statistic, since a global phase multiplies every term of C(t) by 1).
 
-The exponent space is indexed in lexicographic order, but only one candidate
-per orbit of the group b -> c*b + a is profiled (c in Z_p^*; a in Z_p over
-the full space, a = 0 under phase normalisation). This loses nothing:
+The exponent space is indexed in lexicographic order, but at most one
+candidate per orbit of the group b -> c*b + a is profiled (c in Z_p^*; a in
+Z_p over the full space, a = 0 under phase normalisation), and one per pair
+of orbits under reversal (below). This loses nothing:
 
 - a global phase b -> b + a leaves every difference b_i - b_{i+t}, and so the
   whole count matrix, exactly as it is;
@@ -27,15 +28,31 @@ until a nonzero digit is placed, and each step places one digit with three
 big-int updates of its parent's node (`sequence._stepper`). The last digit
 takes one: a loop over the siblings makes each leaf's matrix in that one
 update and reads it in place (`sequence._reader`), with no recursive call
-and no profile object. An orbit has (p - 1 if the tail is nonzero, else 1)
-times (p over the full space, else 1) members, and the report is expanded
-over them: every member is counted and recorded with its own exponents and
-index, and matches and violations are sorted into index order, so a report
-equals that of a candidate-by-candidate scan. With job_count > 1 the
-representatives are split into contiguous ordinal ranges (the walk skips a
-subtree, or a leaf, outside its range by its leaf count), processed
-independently and merged, so reports are byte-identical for any job count. One pool of worker processes, started by the first
-parallel scan, serves every later one.
+and no profile object.
+
+Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
+the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
+sum of a_i conj(a_{i+t}) to the sum of a_{s-1-i} conj(a_{s-1-i-t}), that is
+conj(C(t)): count column d moves to -d, and decimation by -1 moves it back.
+So rho(-x) has the count matrix of x, cell for cell. Every visitor is a
+function of (f, ell, ints), so the orbit of x and that of y = canon(rho x),
+the representative of rho(-x)'s orbit (reverse x, subtract its last digit,
+scale the first nonzero one to 1), share one result. The walk reads a leaf
+only when x <= y; y < x is read at y's own ordinal, in whatever range holds
+it. rho is an involution that commutes with b -> c*b + a, so canon(rho y) =
+x and each pair is read once.
+
+An orbit has (p - 1 if the tail is nonzero, else 1) times (p over the full
+space, else 1) members, as does its twin, and the report is expanded over
+the orbits of x and, when y != x, y: every member is counted and recorded
+with its own exponents and index, and matches and violations are sorted
+into index order, so a report equals that of a candidate-by-candidate scan.
+With job_count > 1 the orbit ordinals are split into contiguous ranges (the
+walk skips a subtree, or a leaf, outside its range by its leaf count),
+processed independently and merged, so reports are byte-identical for any
+job count; the leaves read bunch at low ordinals, so the first range reads
+the most. One pool of worker processes, started by the first parallel scan,
+serves every later one.
 
 The roundtrip compares each representative's five-class classification with
 `expected_pdpds_params` of its type (None without one); for n >= 2 that is
@@ -58,7 +75,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
@@ -129,7 +146,8 @@ class SearchConfig:
 
     @property
     def orbit_count(self) -> int:
-        """Orbits of b -> c*b (+ a) on the space: one profile each."""
+        """Orbits of b -> c*b (+ a) on the space: the ordinals the ranges
+        split. A scan reads about half of them, one per reversal pair."""
         return _representatives(self.p, self.free_positions - 1)
 
 
@@ -230,61 +248,101 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     return report
 
 
+class _Lazy(dict):
+    """A dict that makes a missing key's value as make(key), once."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+@lru_cache(maxsize=8)
+def _canon(p: int) -> _Lazy:
+    """canon[b][v]: str.translate's table of z -> (z - b) / (v - b) mod p, the
+    phase and decimation that take digits led by b's and then v to digits led
+    by 0's and then 1. Scans of one p share it; its entries, made as scans ask
+    for them, number at most p^3."""
+
+    def affine(b: int, v: str) -> _Lazy:
+        c = pow(ord(v) - b, -1, p)
+        return _Lazy(lambda z: (z - b) * c % p)
+
+    return _Lazy(lambda b: _Lazy(partial(affine, b)))
+
+
 def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
-    """Walk the orbit representatives with ordinals [lo, hi) and pass each
-    one's folded matrix f and its summary to `visit(config, f, ell, ints)`
-    (`sequence._reader`), a module-level function or a partial of one
-    (workers unpickle it), which returns (record, violation): a match's
-    (gamma1, gamma2, pdpds) or None, and a violation text or None. Both hold
-    for every member of the orbit, counted and recorded one by one."""
+    """Walk the orbit representatives with ordinals [lo, hi) and pass the
+    folded matrix f and the summary of each one read, the least of its
+    reversal pair, to `visit(config, f, ell, ints)` (`sequence._reader`), a
+    module-level function or a partial of one (workers unpickle it), which
+    returns (record, violation): a match's (gamma1, gamma2, pdpds) or None,
+    and a violation text or None. Both hold for every member of the pair's
+    orbits, counted and recorded one by one."""
     p, zeros, N = config.p, config.zeros, config.period
     full = not config.normalize_phase
     part = SearchReport(config=config)
     histogram = part.ell_histogram
-    symbols: list[int | None] = [None] * N
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
+    # the leaves of a subtree r positions deep, (before, after) a nonzero digit
+    sizes = tuple([(_representatives(p, r), p**r) for r in range(N - zeros)])
 
-    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits) -> None:
-        """Try each of digits, (b, (p-b)*w, b*w), at position k after node,
-        then positions k+1 .. N-1; the leaves have ordinals first, ..."""
+    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits, prefix) -> None:
+        """Try each of digits, (b, chr(b), (p-b)*w, b*w), at position k after
+        node and the free digits prefix (a str of chr(b)), then positions
+        k+1 .. N-1; the leaves have ordinals first, ..."""
         if k < N - 1:
             r = N - 1 - k
-            for b, _, _ in digits:
+            for b, char, _, _ in digits:
                 if first >= hi:
                     return
                 # every tail follows a nonzero digit, else representatives only
-                size = p**r if led or b else _representatives(p, r)
+                nested = led or b > 0
+                size = sizes[r][nested]
                 if first + size > lo:
-                    symbols[k] = b
-                    nested = led or b > 0
-                    walk(k + 1, step(node, b), first, nested, every if nested else unled)
+                    tried = every if nested else unled
+                    walk(k + 1, step(node, b), first, nested, tried, prefix + char)
                 first += size
             return
         # the last digit: the leaves in [lo, hi) (first <= hi here, so no
         # slice bound is negative), each made in one update of node and read
+        # when it is not above y = canon(rho x). x and y are digits 1 .. n-1
+        # (digit 0 of both is 0); rho, the prefix reversed, is rho x less b
         M, H, G = node
-        for b, h, g in digits[max(lo - first, 0) : hi - first]:
-            f = fold(M + (H << h) + (G << g) + 1)
+        tail, rho = prefix[1:], prefix[::-1]
+        for b, char, h, g in digits[max(lo - first, 0) : hi - first]:
+            x = tail + char  # at n = 1 the leaf is the pinned 0, its own twin
+            rest = rho.lstrip(char)  # led by v, the first digit not b
+            y = rho.translate(canon[b][rest[0]]) if rest else x
+            if y < x:
+                continue  # read at y's ordinal, for both orbits
+            X = M + (H << h) + (G << g) + 1
+            f = (X & low) + (X >> pw & low)
             ell, ints = read(f)
-            weight = weights[led or b > 0]
-            histogram[ell] = histogram.get(ell, 0) + weight
+            twin = y != x
+            histogram[ell] = histogram.get(ell, 0) + (weights[led or b > 0] << twin)
             record, violation = visit(config, f, ell, ints)
             if record is None and violation is None:
                 continue
-            symbols[k] = b
-            for index, exponents in _orbit(p, tuple(symbols[zeros:]), full):
-                if record is not None:
-                    part.matches.append(Match(exponents, *record))
-                if violation is not None:
-                    text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
-                    part.violations.append(f"index {index} [{text}]: {violation}")
+            for rep in (prefix + char, "\0" + y) if twin else (prefix + char,):
+                for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
+                    if record is not None:
+                        part.matches.append(Match(exponents, *record))
+                    if violation is not None:
+                        text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
+                        part.violations.append(f"index {index} [{text}]: {violation}")
 
-    step, fold = _stepper(p, N)
-    read, w = _reader(p, N), _width(N)[0]
-    every = tuple([(b, (p - b) * w, b * w) for b in range(p)])
+    step, low = _stepper(p, N)
+    read, w, canon = _reader(p, N), _width(N)[0], _canon(p)
+    pw = p * w
+    every = tuple([(b, chr(b), (p - b) * w, b * w) for b in range(p)])
     unled = every[:2]  # until a nonzero digit is placed
-    walk(zeros, (0, 0, 0), 0, False, every[:1])  # the first free digit is pinned to 0
+    walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
     part.total_enumerated = sum(histogram.values())
     return part
 

@@ -209,8 +209,9 @@ def _nps_type(ints: tuple[int, ...] | None) -> NpsType | None:
 
 
 def _stepper(p: int, N: int):
-    """(step, fold): step(node, b) places digit b at the next position of
-    node (M, H, G), (0, 0, 0) before the first digit, and fold(M) is f."""
+    """(step, LOW): step(node, b) places digit b at the next position of
+    node (M, H, G), (0, 0, 0) before the first digit, and f is
+    (M & LOW) + (M >> p*w & LOW)."""
     w, low = _width(N)[0], _masks(p, N)[0]
     R, top = 2 * p * w, (N - 1) * 2 * p * w
 
@@ -219,10 +220,7 @@ def _stepper(p: int, N: int):
         g, h = b * w, (p - b) * w
         return M + (H << h) + (G << g) + 1, (H + (1 << g)) << R, (G >> R) + (1 << top + h)
 
-    def fold(M: int) -> int:
-        return (M & low) + (M >> p * w & low)
-
-    return step, fold
+    return step, low
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:

@@ -3,7 +3,8 @@ one node of the walk leave it alone and fold to the matrices of the
 sequences placed, the row slices of K are the biased canonical vectors, the
 reflected rows are the difference multiset of R_a, its shifts sum to
 |S|^2, decimation and phase leave the profile's invariants and classes
-alone, and every value matches the definitional sum, at the edges of the
+alone, reversal negates the count columns and reversal with negation keeps
+the matrix, and every value matches the definitional sum, at the edges of the
 column width too."""
 
 import itertools
@@ -49,7 +50,11 @@ def test_siblings_step_from_one_parent(seq, data):
     digit = st.integers(0, p - 1)
     head = data.draw(st.lists(digit, max_size=N - zeros))
     rest = N - zeros - len(head)
-    step, fold = _stepper(p, N)
+    step, low = _stepper(p, N)
+    w = _width(N)[0]
+
+    def fold(M):
+        return (M & low) + (M >> p * w & low)
 
     def matrix(digits):
         return _count_matrix(AlmostParySequence(p, (None,) * zeros + tuple(digits)))
@@ -144,6 +149,28 @@ def test_decimation_invariance(seq, data):
     # it permutes the nonzero columns d_g -> c*d_g, within each PDPDS class
     if seq.period >= 3:
         assert classify_grid(after.counts) == classify_grid(before.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reversal_conjugates_and_negation_restores(data):
+    # the scans read one orbit of each pair {x, canon(rho x)}: rho: i -> s-1-i
+    # keeps the zero run 0..s-1 and conjugates every C(t), so -rho(x) has the
+    # matrix of x, cell for cell
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    N = data.draw(st.integers(1, 16))
+    zeros = data.draw(st.integers(0, N))
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=N - zeros, max_size=N - zeros))
+    symbols = (None,) * zeros + tuple(digits)
+    mirrored = [symbols[(zeros - 1 - i) % N] for i in range(N)]
+    assert mirrored[:zeros] == [None] * zeros
+    reversed_ = AlmostParySequence(p, tuple(mirrored))
+    negated = AlmostParySequence(p, tuple(None if b is None else -b % p for b in mirrored))
+    before = profile(AlmostParySequence(p, symbols))
+    assert profile(negated).matrix == before.matrix
+    assert profile(reversed_).counts == tuple(
+        tuple(row[-d % p] for d in range(p)) for row in before.counts
+    )
 
 
 def definitional_values(seq, terms):

@@ -1,10 +1,11 @@
 """The orbit reduction of the scans loses nothing.
 
-The scans profile one representative per orbit of b -> c*b (+ a) and expand
-what they find over the orbit. Here the expanded members cover the space
-exactly once, and a candidate-by-candidate scan that calls the same visitors
-gives byte-identical reports on every configuration of acceptance criteria
-5-8 and 10.
+The scans walk one representative per orbit of b -> c*b (+ a), read one per
+pair of orbits under reversal and expand what they find over both orbits.
+Here the expanded members cover the space exactly once, the reads number the
+classes under both maps, and a candidate-by-candidate scan that calls the
+same visitors gives byte-identical reports on every configuration of
+acceptance criteria 5-8 and 10.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from npseq.search import (
 )
 from npseq.sequence import AlmostParySequence, profile
 from npseq.theory import ell_bounds
+from test_search import class_key
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -49,7 +51,7 @@ def candidates(config):
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
 def test_orbit_members_cover_the_space_once(monkeypatch, config):
     # the representatives are the ones the walk expands: under FILTER_ALL
-    # every profiled representative is passed to _orbit
+    # every representative read, and its reversal twin, is passed to _orbit
     p, full = config.p, not config.normalize_phase
     reps = []
     expand = search._orbit
@@ -68,6 +70,25 @@ def test_orbit_members_cover_the_space_once(monkeypatch, config):
             assert by_index[index] == digits
             seen.append(index)
     assert sorted(seen) == list(range(config.space_size))
+
+
+@pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
+def test_one_read_per_reversal_class(monkeypatch, config):
+    reads = []
+    reader = search._reader
+
+    def counting_reader(p, N):
+        read = reader(p, N)
+
+        def counted(f):
+            reads.append(f)
+            return read(f)
+
+        return counted
+
+    monkeypatch.setattr(search, "_reader", counting_reader)
+    enumerate_and_classify(config)
+    assert len(reads) == len({class_key(config, digits) for _, digits in candidates(config)})
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES[::3], ids=str)

@@ -47,6 +47,20 @@ def orbit_key(config, digits):
     )
 
 
+def class_key(config, digits):
+    """The least member of the space in the class of digits under b -> c*b + a
+    and the reversal of the free digits (positions i -> s-1-i mod N); under
+    phase normalisation the space holds the members that start with 0."""
+    p = config.p
+    members = (
+        tuple((c * b + a) % p for b in z)
+        for z in (digits, digits[::-1])
+        for c in range(1, p)
+        for a in range(p)
+    )
+    return min(m for m in members if not config.normalize_phase or m[0] == 0)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("target", [(2, 1), [2, 1]])
     def test_type21_single_normalized_match(self, target):
@@ -233,10 +247,12 @@ class TestSingleScan:
         # the name the scan takes its per-leaf summary reader from
         monkeypatch.setattr(search, "_reader", counting_reader)
         assert scan(config).total_enumerated == config.space_size
-        # one summary per orbit of b -> c*b (+ a), and no orbit read twice:
-        # the k-th matrix read is that of the k-th orbit's least member
-        reps = sorted({orbit_key(config, digits) for digits in free_digits(config)})
-        assert len(built) == len(reps) == config.orbit_count
+        # one summary per class of b -> c*b (+ a) and reversal, and no class
+        # read twice: the k-th matrix read is that of the k-th class's least member
+        reps = sorted({class_key(config, digits) for digits in free_digits(config)})
+        assert len(built) == len(reps) < config.orbit_count
+        orbits = {orbit_key(config, digits) for digits in free_digits(config)}
+        assert len(orbits) == config.orbit_count
         assert built == [
             sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).matrix
             for rep in reps
