@@ -5,6 +5,11 @@ All results go to stdout (JSON, CSV, or text); diagnostics go to stderr.
 
 Exit codes: 0 success, 1 verification failure or recorded violations,
 2 input/parse error, 3 search-budget refusal.
+
+An argv led by a subcommand name is parsed by that subcommand's parser alone,
+so its usage errors, an unrecognized argument included, are reported as
+`usage: npseq <command> ...` / `npseq <command>: error: ...`; any other argv
+(empty, `--version`, `-h`, an unknown command) goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -262,21 +267,27 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 @cache  # built once per process; parse_args never changes it
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="npseq",
         description="Exact autocorrelation and difference-set analysis of almost p-ary sequences",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p_analyze = sub.add_parser("analyze", help="profile and classify a sequence")
+    p_analyze = commands["analyze"] = sub.add_parser(
+        "analyze", help="profile and classify a sequence"
+    )
     p_analyze.add_argument("--p", type=int, required=True)
     p_analyze.add_argument("--seq", required=True, help='tokens like "Z,Z,1,1,1"')
     p_analyze.add_argument("--format", choices=["json", "text"], default="text")
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_verify = sub.add_parser("verify-pdpds", help="classify a subset of Z_N x Z_p")
+    p_verify = commands["verify-pdpds"] = sub.add_parser(
+        "verify-pdpds", help="classify a subset of Z_N x Z_p"
+    )
     p_verify.add_argument("--N", type=int, required=True)
     p_verify.add_argument("--p", type=int, required=True)
     p_verify.add_argument("--set", required=True, help='pairs like "(2,1);(3,1)"')
@@ -284,7 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.set_defaults(func=_cmd_verify_pdpds)
 
-    p_bounds = sub.add_parser("bounds", help="nonexistence verdict for one (gamma1, gamma2)")
+    p_bounds = commands["bounds"] = sub.add_parser(
+        "bounds", help="nonexistence verdict for one (gamma1, gamma2)"
+    )
     p_bounds.add_argument("--n", type=int, required=True)
     p_bounds.add_argument("--p", type=int, required=True)
     p_bounds.add_argument("--gamma1", type=int, required=True)
@@ -292,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", choices=["json", "text"], default="text")
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_table = sub.add_parser("table", help="bound table over gamma grids")
+    p_table = commands["table"] = sub.add_parser("table", help="bound table over gamma grids")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--gamma1-list", required=True, help="comma-separated integers")
     p_table.add_argument("--gamma2-list", required=True, help="comma-separated integers")
@@ -307,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "exhaustive sequence/difference-set equivalence check",
         ),
     ):
-        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd = commands[name] = sub.add_parser(name, help=help_text)
         p_cmd.add_argument("--p", type=int, required=True)
         p_cmd.add_argument("--period", type=int, required=True)
         p_cmd.add_argument("--zeros", type=int, required=True)
@@ -323,13 +336,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--format", choices=["json", "csv", "text"], default="text")
         p_cmd.set_defaults(func=_cmd_scan, scan=scan)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    # the subcommand's parser reads its own arguments: the top-level one would
+    # classify each of them first and then hand them all to it
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error contract
         return int(exc.code or 0)

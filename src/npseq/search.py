@@ -342,7 +342,10 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
     pw = p * w
     every = tuple([(b, chr(b), (p - b) * w, b * w) for b in range(p)])
     unled = every[:2]  # until a nonzero digit is placed
-    walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
+    try:
+        walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
+    finally:
+        del walk  # it holds itself in its closure: drop the cycle, a RecursionError too
     part.total_enumerated = sum(histogram.values())
     return part
 

@@ -31,6 +31,8 @@ so the classification reads the matrix as it is.
 from __future__ import annotations
 
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -139,11 +141,17 @@ def _width(N: int) -> tuple[int, str]:
     return (8, "B") if N < 1 << 7 else (16, "H") if N < 1 << 15 else (32, "I")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)  # a struct of a few codes per (p, N)
 def _row(p: int, N: int) -> struct.Struct:
     """The struct that reads slots 0 .. p-1 of one row as ints."""
     w, code = _width(N)
     return struct.Struct(f"<{p}{code}{p * w // 8}x")
+
+
+def _low(p: int, N: int) -> int:
+    """LOW: every bit of slots 0 .. p-1 of every row, built afresh."""
+    half = p * _width(N)[0] // 8  # bytes of p slots, half a row
+    return int.from_bytes((b"\xff" * half + bytes(half)) * N, "little")
 
 
 def _masks(p: int, N: int) -> tuple[int, int, int, int]:
@@ -158,10 +166,14 @@ def _masks(p: int, N: int) -> tuple[int, int, int, int]:
         return int.from_bytes(row * count, "little")
 
     nz = rows(0, *[full] * (p - 1)) >> R << R
-    return rows(*[full] * p), rows(*[1 << w - 1] * p), nz, rows(*[1] * p, count=1)
+    return _low(p, N), rows(*[1 << w - 1] * p), nz, rows(*[1] * p, count=1)
 
 
 _CACHED_CELLS = 1 << 16  # the widest N * p whose reader is cached, masks and all
+# the reader cache's bounds: the N * p sum of the readers it holds, and their number
+_HELD_CELLS, _HELD_READERS = 1 << 17, 64
+_readers: OrderedDict = OrderedDict()  # (p, N) -> reader, least recently used first
+_readers_lock = threading.Lock()
 
 
 def _new_reader(p: int, N: int):
@@ -185,13 +197,25 @@ def _new_reader(p: int, N: int):
     return read
 
 
-_cached_reader = lru_cache(maxsize=8)(_new_reader)
-
-
 def _reader(p: int, N: int):
-    """The reader of (p, N)'s matrices, cached up to _CACHED_CELLS cells; a
-    wider one is built per call, so no cache holds masks as wide as a matrix."""
-    return (_cached_reader if N * p <= _CACHED_CELLS else _new_reader)(p, N)
+    """The reader of (p, N)'s matrices. Readers of at most _CACHED_CELLS cells
+    are cached, the least recently used dropped while the cache holds more
+    than _HELD_CELLS cells or _HELD_READERS readers; a wider one is built per
+    call, so no cache holds masks as wide as a matrix."""
+    if N * p > _CACHED_CELLS:
+        return _new_reader(p, N)
+    key = (p, N)
+    with _readers_lock:
+        read = _readers.get(key)
+        if read is not None:
+            _readers.move_to_end(key)
+            return read
+        read = _readers[key] = _new_reader(p, N)
+        held = sum([q * n for q, n in _readers])
+        while held > _HELD_CELLS or len(_readers) > _HELD_READERS:
+            q, n = _readers.popitem(last=False)[0]  # never key: its cells are within the bound
+            held -= q * n
+        return read
 
 
 def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
@@ -212,7 +236,7 @@ def _stepper(p: int, N: int):
     """(step, LOW): step(node, b) places digit b at the next position of
     node (M, H, G), (0, 0, 0) before the first digit, and f is
     (M & LOW) + (M >> p*w & LOW)."""
-    w, low = _width(N)[0], _masks(p, N)[0]
+    w, low = _width(N)[0], _low(p, N)
     R, top = 2 * p * w, (N - 1) * 2 * p * w
 
     def step(node: tuple[int, int, int], b: int) -> tuple[int, int, int]:

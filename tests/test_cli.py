@@ -452,3 +452,103 @@ def test_readme_cli_example_runs(capsys, line):
     code, out, _ = run(capsys, *shlex.split(line)[1:])
     assert code == 0
     assert out
+
+
+def full_parse(capsys, argv):
+    """Exit code (None when it parses), stdout and stderr of the top-level
+    parser given the whole argv."""
+    code = None
+    try:
+        args = cli._build_parser()[0].parse_args(list(argv))
+    except SystemExit as exc:
+        args, code = None, int(exc.code or 0)
+    captured = capsys.readouterr()
+    return args, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--p", "3", "--seq", "Z,Z,1,1,1", "--form", "json"),
+        ("analyze", "--seq", "Z,Z,2,1,0,1,2", "--p=3"),
+        ("verify-pdpds", "--N", "7", "--p", "3", "--set", "(2,2);(3,1);(4,0);(5,1);(6,2)",
+         "--params", "7,3,5,1,0,0,1,2", "--format", "json"),
+        ("verify-pdpds", "--N", "5", "--p", "3", "--set", ""),
+        ("bounds", "--n", "15", "--p", "5", "--gamma1", "-10", "--gamma2", "-3"),
+        ("bounds", "--n=3", "--p=2", "--gamma1=2", "--gamma2=-3", "--form=json"),
+        ("table", "--n", "15", "--gamma1-list=-10,-7", "--gamma2-list=-8,-5,-2"),
+        ("table", "--gamma2-list", "1", "--n", "15", "--gamma1-list", "1,2", "--format", "text"),
+        ("search", "--p", "3", "--period", "7", "--zeros", "2", "--type", "2,1", "--jobs", "1"),
+        ("search", "--p", "3", "--period", "6", "--zeros", "2", "--type=-2,0", "--full-space",
+         "--budget", "1000", "--form", "csv"),
+        ("roundtrip", "--p", "3", "--period", "6", "--zeros", "2", "--full-space", "--format",
+         "json"),
+    ],
+)
+def test_dispatch_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append((self, parse_args(self, *args, **kwargs)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    # one parse, by the subcommand's parser
+    [(parser, args)] = parsed
+    assert parser is cli._build_parser()[1][argv[0]]
+    full = vars(full_parse(capsys, argv)[0])
+    assert full.pop("command") == argv[0]  # which subcommand ran; no command reads it
+    assert vars(args) == full
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("analyze", "--p", "3"), 2),  # a missing required flag
+        (("bounds", "--n", "15", "--p", "five", "--gamma1", "1", "--gamma2", "1"), 2),
+        (("table", "--n", "15", "--gamma1-list"), 2),  # a flag without its value
+        (("anal", "--p", "3"), 2),  # not a subcommand, nor one abbreviated
+        (("--p", "3", "analyze"), 2),
+        ((), 2),
+        (("--version",), 0),
+        (("-h",), 0),
+        (("analyze", "-h"), 0),
+        (("search", "--help"), 0),
+    ],
+)
+def test_dispatch_exits_as_the_full_parser(capsys, argv, code):
+    full = full_parse(capsys, argv)
+    assert full[1] == code
+    assert run(capsys, *argv) == full[1:]
+
+
+@pytest.mark.parametrize(
+    "argv,stray",
+    [
+        (("analyze", "--p", "3", "--seq", "Z,1", "--bogus"), "--bogus"),
+        (("bounds", "--n", "3", "--p", "2", "--gamma1", "2", "--gamma2", "-3", "x"), "x"),
+        (("search", "--p", "3", "--period", "5", "--zeros", "2", "--version"), "--version"),
+    ],
+)
+def test_unrecognized_argument_reported_by_the_subcommand(capsys, argv, stray):
+    # the one stderr change of the dispatch: the subcommand's usage and prog
+    code, out, err = run(capsys, *argv)
+    _, full_code, full_out, full_err = full_parse(capsys, argv)
+    assert (code, out) == (full_code, full_out) == (2, "")
+    assert err.startswith(f"usage: npseq {argv[0]} [-h] ")
+    assert err.endswith(f"\nnpseq {argv[0]}: error: unrecognized arguments: {stray}\n")
+    assert full_err.startswith("usage: npseq [-h] [--version]")
+    assert full_err.endswith(f"\nnpseq: error: unrecognized arguments: {stray}\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["bounds", "--n", "15", "--p", "5", "--gamma1", "-10", "--gamma2", "-8"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr("sys.argv", ["npseq", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected[0] == 0 and expected[1]

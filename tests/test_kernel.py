@@ -8,9 +8,11 @@ the matrix, and every value matches the definitional sum, at the edges of the
 column width too."""
 
 import itertools
+from collections import OrderedDict
 
 import pytest
 
+from npseq import sequence
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt, _canonicalize
 from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
@@ -108,6 +110,45 @@ def test_only_narrow_readers_are_cached():
     assert _reader(3, 12) is _reader(3, 12)
     assert _reader(2, 1 << 15) is _reader(2, 1 << 15)
     assert _reader(2, (1 << 15) + 1) is not _reader(2, (1 << 15) + 1)
+
+
+def test_short_readers_are_built_once(monkeypatch):
+    # the paper's short sequences over three primes: 51 (p, N), each read twice
+    built = []
+    new_reader = sequence._new_reader
+
+    def counting(p, N):
+        built.append((p, N))
+        return new_reader(p, N)
+
+    monkeypatch.setattr(sequence, "_new_reader", counting)
+    monkeypatch.setattr(sequence, "_readers", OrderedDict())
+    pairs = [(p, N) for p in (3, 5, 7) for N in range(4, 21)]
+    for _ in range(2):
+        for p, N in pairs:
+            profile(AlmostParySequence(p, (None, None) + (1,) * (N - 2)))
+    assert built == pairs
+
+
+def test_reader_cache_holds_bounded_cells(monkeypatch):
+    monkeypatch.setattr(sequence, "_readers", OrderedDict())
+
+    def held():
+        return sum(p * N for p, N in sequence._readers)
+
+    # wide readers, up to the widest cached: at most 2^17 cells stay
+    for p, N in [(2, 1 << 15), (3, 20000), (2, (1 << 15) - 1), (5, 9000), (2, 1 << 15)]:
+        read = _reader(p, N)
+        assert next(reversed(sequence._readers)) == (p, N)
+        assert _reader(p, N) is read
+        assert held() <= 1 << 17
+    assert list(sequence._readers) == [(5, 9000), (2, 1 << 15)]
+    # many narrow ones: at most 64 readers, the least recently used dropped first
+    for N in range(2, 200):
+        _reader(3, N)
+        _reader(3, 2)
+        assert len(sequence._readers) <= 64
+    assert list(sequence._readers) == [(3, N) for N in range(137, 200)] + [(3, 2)]
 
 
 @settings(max_examples=200, deadline=None)

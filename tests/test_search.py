@@ -1,5 +1,6 @@
 """Exhaustive search driver: content, completeness, and determinism."""
 
+import gc
 import itertools
 import os
 import signal
@@ -28,6 +29,18 @@ from npseq.search import (
     verify_nps_pdpds_equivalence,
 )
 from npseq.sequence import AlmostParySequence, classify_nps
+
+
+def cycles_left(run):
+    """The objects the cyclic collector finds unreachable after run(), its
+    result dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def free_digits(config):
@@ -257,6 +270,20 @@ class TestSingleScan:
             sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).matrix
             for rep in reps
         ]
+
+    @pytest.mark.parametrize("scan,config", SCANS)
+    def test_scan_leaves_no_cycles(self, scan, config):
+        # the walk refers to itself through its closure; the scan breaks that cycle
+        assert cycles_left(partial(scan, config)) == 0
+
+    def test_walk_past_recursion_limit_leaves_no_cycles(self):
+        config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400)
+
+        def refused():
+            with pytest.raises(ValueError, match="exceed the recursion limit"):
+                enumerate_and_classify(config)
+
+        assert cycles_left(refused) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("normalize", [True, False])
