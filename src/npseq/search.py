@@ -51,8 +51,9 @@ With job_count > 1 the orbit ordinals are split into contiguous ranges (the
 walk skips a subtree, or a leaf, outside its range by its leaf count),
 processed independently and merged, so reports are byte-identical for any
 job count; the leaves read bunch at low ordinals, so the first range reads
-the most. One pool of worker processes, started by the first parallel scan,
-serves every later one.
+the most. One pool of worker processes serves every parallel scan: the
+first one imports the pool modules (a process that runs none never loads
+them) and starts the pool, and the pool is shut down at exit.
 
 The roundtrip compares each representative's five-class classification with
 `expected_pdpds_params` of its type (None without one); for n >= 2 that is
@@ -67,13 +68,12 @@ columns equal, mu_t = (m_t - gamma)/p: the grid classifies as that tuple.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import attrgetter
@@ -85,7 +85,8 @@ from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
 MAX_JOBS = 1024  # one range and one future per job
-_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of parallel scans
+# (workers, ProcessPoolExecutor) of parallel scans, made by the first one
+_pool: tuple[int, object] | None = None
 
 # filter modes for enumerate_and_classify
 FILTER_ALL = "all"  # record every candidate
@@ -198,21 +199,44 @@ def _violation_index(text: str) -> int:
     return int(text.split(" ", 2)[1])  # "index 17 [...]: ..."
 
 
+def _shutdown_pool() -> None:
+    """Shut the parallel scans' pool down at exit. The pool modules are
+    imported after this one, so teardown clears their globals first, and a
+    pool still live then fails to collect without them."""
+    if _pool is not None:
+        _pool[1].shutdown()
+
+
 def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
-    """Scan the ranges on the one pool, grown to min(ranges, usable CPUs)."""
+    """Scan the ranges on the one pool, grown to min(ranges, usable CPUs).
+
+    The pool modules are imported here, by the first parallel scan, so that
+    a process that never runs one does not load them.
+    """
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     global _pool
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     workers = min(len(ranges), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if _pool is None or _pool[0] < workers:
         if _pool is not None:
             _pool[1].shutdown()
+        atexit.unregister(_shutdown_pool)  # one hook, however many pools are made
+        atexit.register(_shutdown_pool)
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     try:
         futures = [_pool[1].submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
-        return [fut.result() for fut in futures]
+        parts = []
+        for fut in futures:
+            parts.append(fut.result())
+        return parts
     except BrokenProcessPool:  # a worker died: the next call starts a fresh pool
         _pool = None
         raise
+    finally:
+        # a raised result's traceback holds this frame: it must not hold the
+        # future that holds the exception
+        futures = fut = None
 
 
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:

@@ -2,13 +2,18 @@
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import npseq
 from npseq import cli, diffset
 from npseq.cli import main
 
@@ -552,3 +557,41 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert expected[0] == 0 and expected[1]
+
+
+STARTUP_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    from npseq import cli, search
+
+    def call(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        return code, out.getvalue()
+
+    assert call("--version") == (0, "{version}\\n")
+    print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
+    scan = ("roundtrip", "--p", "3", "--period", "6", "--zeros", "2", "--format", "json")
+    serial, parallel = call(*scan, "--jobs", "1"), call(*scan, "--jobs", "2")
+    print(serial[0] == parallel[0] == 0, serial[1] == parallel[1])
+    print("concurrent.futures.process" in sys.modules)
+    # keep the scan module, and so its pool, alive through the collection at
+    # exit, as a test runner does: the pool must be shut down before teardown
+    sys.npseq_search = search
+    """
+)
+
+
+def test_cli_starts_without_the_pool_modules():
+    # a fresh process imports the pool modules with its first parallel scan,
+    # which prints the bytes of the jobs-1 scan, and exits without a message
+    src = str(Path(npseq.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    script = STARTUP_SCRIPT.format(version=npseq.__version__)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["[]", "True True", "True"]

@@ -1,5 +1,6 @@
 """Exhaustive search driver: content, completeness, and determinism."""
 
+import concurrent.futures.process
 import gc
 import itertools
 import os
@@ -276,8 +277,14 @@ class TestSingleScan:
         # the walk refers to itself through its closure; the scan breaks that cycle
         assert cycles_left(partial(scan, config)) == 0
 
-    def test_walk_past_recursion_limit_leaves_no_cycles(self):
-        config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400)
+    @pytest.mark.parametrize("job_count", [1, 2])
+    def test_walk_past_recursion_limit_leaves_no_cycles(self, job_count):
+        # a worker's refusal reaches the caller through its future: the pool
+        # must not keep that future in a frame the exception's traceback holds
+        config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400, job_count=job_count)
+        # the first parallel scan imports the pool modules, whose import
+        # leaves garbage of its own, and starts the pool
+        enumerate_and_classify(SearchConfig(p=3, period=7, zeros=2, job_count=job_count))
 
         def refused():
             with pytest.raises(ValueError, match="exceed the recursion limit"):
@@ -362,7 +369,8 @@ class TestSingleScan:
         # an empty pool slot: the fake executor is dropped, and any live pool
         # put back, on teardown
         monkeypatch.setattr(search, "_pool", None)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+        # the name _scan_in_pool imports when it makes a pool
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
         # the CPUs this process may use, else the host's CPUs, else 1
         if affinity is None:
             monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
