@@ -10,6 +10,11 @@ An argv led by a subcommand name is parsed by that subcommand's parser alone,
 so its usage errors, an unrecognized argument included, are reported as
 `usage: npseq <command> ...` / `npseq <command>: error: ...`; any other argv
 (empty, `--version`, `-h`, an unknown command) goes to the top-level parser.
+A well-formed subcommand argv (exact option strings, every value valid, every
+required option given) is read from the same option table the subcommand's
+parser was built from, into the namespace that parser would return; argparse
+still parses every other argv, so it alone prints help and reports every
+usage error.
 """
 
 from __future__ import annotations
@@ -266,9 +271,28 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+# A subcommand's option table: each exact option string -> the Action that
+# add_argument returned, the parsed namespace's defaults (the actions' own and
+# the set_defaults values) and the dests that must be given.
+_OptionTable = tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]
+
+
+def _option_table(
+    parser: argparse.ArgumentParser, actions: list[argparse.Action], **defaults: object
+) -> _OptionTable:
+    parser.set_defaults(**defaults)
+    return (
+        {flag: action for action in actions for flag in action.option_strings},
+        {**{action.dest: action.default for action in actions}, **defaults},
+        frozenset(action.dest for action in actions if action.required),
+    )
+
+
 @cache  # built once per process; parse_args never changes it
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser, by name."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, _OptionTable]
+]:
+    """The top-level parser, each subcommand's parser and its option table, by name."""
     parser = argparse.ArgumentParser(
         prog="npseq",
         description="Exact autocorrelation and difference-set analysis of almost p-ary sequences",
@@ -276,41 +300,46 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
+    tables: dict[str, _OptionTable] = {}
 
     p_analyze = commands["analyze"] = sub.add_parser(
         "analyze", help="profile and classify a sequence"
     )
-    p_analyze.add_argument("--p", type=int, required=True)
-    p_analyze.add_argument("--seq", required=True, help='tokens like "Z,Z,1,1,1"')
-    p_analyze.add_argument("--format", choices=["json", "text"], default="text")
-    p_analyze.set_defaults(func=_cmd_analyze)
+    tables["analyze"] = _option_table(p_analyze, [
+        p_analyze.add_argument("--p", type=int, required=True),
+        p_analyze.add_argument("--seq", required=True, help='tokens like "Z,Z,1,1,1"'),
+        p_analyze.add_argument("--format", choices=["json", "text"], default="text"),
+    ], func=_cmd_analyze)
 
     p_verify = commands["verify-pdpds"] = sub.add_parser(
         "verify-pdpds", help="classify a subset of Z_N x Z_p"
     )
-    p_verify.add_argument("--N", type=int, required=True)
-    p_verify.add_argument("--p", type=int, required=True)
-    p_verify.add_argument("--set", required=True, help='pairs like "(2,1);(3,1)"')
-    p_verify.add_argument("--params", help="8 comma-separated integers to check instead")
-    p_verify.add_argument("--format", choices=["json", "text"], default="text")
-    p_verify.set_defaults(func=_cmd_verify_pdpds)
+    tables["verify-pdpds"] = _option_table(p_verify, [
+        p_verify.add_argument("--N", type=int, required=True),
+        p_verify.add_argument("--p", type=int, required=True),
+        p_verify.add_argument("--set", required=True, help='pairs like "(2,1);(3,1)"'),
+        p_verify.add_argument("--params", help="8 comma-separated integers to check instead"),
+        p_verify.add_argument("--format", choices=["json", "text"], default="text"),
+    ], func=_cmd_verify_pdpds)
 
     p_bounds = commands["bounds"] = sub.add_parser(
         "bounds", help="nonexistence verdict for one (gamma1, gamma2)"
     )
-    p_bounds.add_argument("--n", type=int, required=True)
-    p_bounds.add_argument("--p", type=int, required=True)
-    p_bounds.add_argument("--gamma1", type=int, required=True)
-    p_bounds.add_argument("--gamma2", type=int, required=True)
-    p_bounds.add_argument("--format", choices=["json", "text"], default="text")
-    p_bounds.set_defaults(func=_cmd_bounds)
+    tables["bounds"] = _option_table(p_bounds, [
+        p_bounds.add_argument("--n", type=int, required=True),
+        p_bounds.add_argument("--p", type=int, required=True),
+        p_bounds.add_argument("--gamma1", type=int, required=True),
+        p_bounds.add_argument("--gamma2", type=int, required=True),
+        p_bounds.add_argument("--format", choices=["json", "text"], default="text"),
+    ], func=_cmd_bounds)
 
     p_table = commands["table"] = sub.add_parser("table", help="bound table over gamma grids")
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--gamma1-list", required=True, help="comma-separated integers")
-    p_table.add_argument("--gamma2-list", required=True, help="comma-separated integers")
-    p_table.add_argument("--format", choices=["json", "csv", "text"], default="csv")
-    p_table.set_defaults(func=_cmd_table)
+    tables["table"] = _option_table(p_table, [
+        p_table.add_argument("--n", type=int, required=True),
+        p_table.add_argument("--gamma1-list", required=True, help="comma-separated integers"),
+        p_table.add_argument("--gamma2-list", required=True, help="comma-separated integers"),
+        p_table.add_argument("--format", choices=["json", "csv", "text"], default="csv"),
+    ], func=_cmd_table)
 
     for name, scan, help_text in (
         ("search", "enumerate_and_classify", "exhaustive scan with a pinned leading zero run"),
@@ -321,33 +350,85 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     ):
         p_cmd = commands[name] = sub.add_parser(name, help=help_text)
-        p_cmd.add_argument("--p", type=int, required=True)
-        p_cmd.add_argument("--period", type=int, required=True)
-        p_cmd.add_argument("--zeros", type=int, required=True)
+        actions = [
+            p_cmd.add_argument("--p", type=int, required=True),
+            p_cmd.add_argument("--period", type=int, required=True),
+            p_cmd.add_argument("--zeros", type=int, required=True),
+        ]
         if name == "search":
-            p_cmd.add_argument("--type", help="target gamma1,gamma2")
-        p_cmd.add_argument("--jobs", type=int, default=1)
-        p_cmd.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
-        p_cmd.add_argument(
-            "--full-space",
-            action="store_true",
-            help="disable phase normalization (scan all p^(period-zeros) candidates)",
-        )
-        p_cmd.add_argument("--format", choices=["json", "csv", "text"], default="text")
-        p_cmd.set_defaults(func=_cmd_scan, scan=scan)
+            actions.append(p_cmd.add_argument("--type", help="target gamma1,gamma2"))
+        actions += [
+            p_cmd.add_argument("--jobs", type=int, default=1),
+            p_cmd.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET),
+            p_cmd.add_argument(
+                "--full-space",
+                action="store_true",
+                help="disable phase normalization (scan all p^(period-zeros) candidates)",
+            ),
+            p_cmd.add_argument("--format", choices=["json", "csv", "text"], default="text"),
+        ]
+        tables[name] = _option_table(p_cmd, actions, func=_cmd_scan, scan=scan)
 
-    return parser, commands
+    return parser, commands, tables
+
+
+def _exact_parse(table: _OptionTable, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the table's parser would return for argv, or None.
+
+    None whenever argparse might read argv otherwise: any token that is not
+    exactly an option string (abbreviations, -h, --), a separate value that
+    starts with "-" and is not a negative integer, a missing, unconvertible
+    or out-of-choices value, or an absent required option. The caller then
+    parses with argparse, which prints help and reports every usage error.
+    """
+    actions, defaults, required = table
+    values = dict(defaults)
+    given = set()
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = actions.get(flag)
+        if action is None:
+            return None
+        if action.nargs == 0:  # --full-space takes no value
+            if eq:
+                return None
+            value = action.const
+        else:
+            if not eq:
+                value = next(tokens, None)
+                # argparse takes "-" and digits as a negative number; whether
+                # another token led by "-" is a value or an option is its call
+                if value is None or (value[:1] == "-" and not value[1:].isdecimal()):
+                    return None
+            elif value == "--":  # argparse up to 3.12 drops it from the value
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        given.add(action.dest)
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parser()
+    parser, commands, tables = _build_parser()
     # the subcommand's parser reads its own arguments: the top-level one would
-    # classify each of them first and then hand them all to it
+    # classify each of them first and then hand them all to it; a well-formed
+    # argv is read straight from the subcommand's option table
     command = commands.get(argv[0]) if argv else None
+    args = _exact_parse(tables[argv[0]], argv[1:]) if command else None
     try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        if args is None:
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error contract
         return int(exc.code or 0)

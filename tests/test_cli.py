@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from cli_corpus import corpus, differences
 
 import npseq
 from npseq import cli, diffset
@@ -369,6 +370,14 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tables = []
+    exact_parse = cli._exact_parse
+
+    def reading(table, argv):
+        tables.append(table)
+        return exact_parse(table, argv)
+
+    monkeypatch.setattr(cli, "_exact_parse", reading)
     cli._build_parser.cache_clear()
     argv = ["bounds", "--n", "15", "--p", "5", "--gamma1", "1", "--gamma2", "1"]
     first = run(capsys, *argv)
@@ -377,6 +386,11 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert run(capsys, *argv) == first
     assert run(capsys, "table", "--n", "15", "--gamma1-list=1", "--gamma2-list=1")[0] == 0
     assert built == []
+    # each call reads the one option table its subcommand was built with
+    built_tables = cli._build_parser()[2]
+    assert len(tables) == 3
+    assert tables[0] is tables[1] is built_tables["bounds"]
+    assert tables[2] is built_tables["table"]
 
 
 class TestUsageErrors:
@@ -491,22 +505,44 @@ def full_parse(capsys, argv):
     ],
 )
 def test_dispatch_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    parsed = []
+    parsed, read = [], []
     parse_args = argparse.ArgumentParser.parse_args
+    exact_parse = cli._exact_parse
 
     def recording(self, *args, **kwargs):
         parsed.append((self, parse_args(self, *args, **kwargs)))
         return parsed[-1][1]
 
+    def reading(table, argv):
+        read.append(exact_parse(table, argv))
+        return read[-1]
+
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    monkeypatch.setattr(cli, "_exact_parse", reading)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    # one parse, by the subcommand's parser
-    [(parser, args)] = parsed
-    assert parser is cli._build_parser()[1][argv[0]]
+    [args] = read
+    if any(token.partition("=")[0] == "--form" for token in argv):
+        # an abbreviation: the exact reader leaves it to one parse, by the
+        # subcommand's parser
+        assert args is None
+        [(parser, args)] = parsed
+        assert parser is cli._build_parser()[1][argv[0]]
+    else:
+        assert parsed == []
     full = vars(full_parse(capsys, argv)[0])
     assert full.pop("command") == argv[0]  # which subcommand ran; no command reads it
     assert vars(args) == full
+
+
+def test_exact_parse_matches_argparse():
+    # README lines, this file's argvs, malformed and seeded random ones: a
+    # namespace the exact reader returns is argparse's, an argv argparse
+    # refuses the reader leaves to it
+    entries = corpus()
+    problems, read = differences(entries)
+    assert problems == []
+    assert 0 < read < len(entries)
 
 
 @pytest.mark.parametrize(
