@@ -74,6 +74,18 @@ def _require_grid(N: int, p: int) -> None:
     _require_prime(p)
 
 
+# Largest k^2 accepted for a Python loop over the ordered pairs of k elements
+# (a profile's nonzero symbols, a difference multiset's subset): MAX_CELLS
+# bounds the grids' memory, this the pair loops' time.
+MAX_PAIRS = 1 << 22
+
+
+def _require_pairs(k: int) -> None:
+    """Refuse k elements whose k^2 ordered pairs exceed MAX_PAIRS."""
+    if k * k > MAX_PAIRS:
+        raise ValueError(f"{k} elements form {k * k} ordered pairs, above the limit of {MAX_PAIRS}")
+
+
 def _canonicalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Subtract the last coefficient from every entry so coeffs[-1] == 0."""
     last = coeffs[-1]

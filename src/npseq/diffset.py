@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import _require_grid, _require_prime
+from .cyclotomic import _require_grid, _require_pairs, _require_prime
 from .sequence import AlmostParySequence
 
 GroupElement = tuple[int, int]  # (h_exp mod N, g_exp mod p)
@@ -86,6 +86,7 @@ def build_ra(seq: AlmostParySequence) -> GroupSubset:
 def difference_multiset(R: GroupSubset) -> Grid:
     """Count r1 - r2 over all ordered pairs of elements of R: R R^(-1) as
     grid[d_h][d_g], an N x p grid whose cell (0, 0) is |R|."""
+    _require_pairs(R.k)
     grid = [[0] * R.p for _ in range(R.N)]
     for h1, g1 in R.elements:
         for h2, g2 in R.elements:

@@ -31,12 +31,10 @@ so the classification reads the matrix as it is.
 from __future__ import annotations
 
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .cyclotomic import CyclotomicInt, _canonicalize, _require_grid
+from .cyclotomic import CyclotomicInt, _canonicalize, _require_grid, _require_pairs
 
 Symbol = int | None  # None = zero-symbol, int = root exponent in [0, p)
 
@@ -161,19 +159,15 @@ def _masks(p: int, N: int) -> tuple[int, int, int, int]:
     w = _width(N)[0]
     size, full, R = w // 8, (1 << w) - 1, 2 * p * w
 
-    def rows(*slots: int, count: int = N) -> int:  # one row's first slots, in count rows
-        row = b"".join([c.to_bytes(size, "little") for c in slots]).ljust(R // 8, b"\0")
-        return int.from_bytes(row * count, "little")
+    def rows(first: int, rest: int, count: int = N) -> int:  # slot 0, then slots 1 .. p-1
+        row = first.to_bytes(size, "little") + rest.to_bytes(size, "little") * (p - 1)
+        return int.from_bytes(row.ljust(R // 8, b"\0") * count, "little")
 
-    nz = rows(0, *[full] * (p - 1)) >> R << R
-    return _low(p, N), rows(*[1 << w - 1] * p), nz, rows(*[1] * p, count=1)
+    half = 1 << w - 1
+    return _low(p, N), rows(half, half), rows(0, full) >> R << R, rows(1, 1, count=1)
 
 
-_CACHED_CELLS = 1 << 16  # the widest N * p whose reader is cached, masks and all
-# the reader cache's bounds: the N * p sum of the readers it holds, and their number
-_HELD_CELLS, _HELD_READERS = 1 << 17, 64
-_readers: OrderedDict = OrderedDict()  # (p, N) -> reader, least recently used first
-_readers_lock = threading.Lock()
+_CACHED_CELLS = 1 << 10  # the widest N * p whose reader is cached, masks and all
 
 
 def _new_reader(p: int, N: int):
@@ -197,25 +191,14 @@ def _new_reader(p: int, N: int):
     return read
 
 
+_cached_reader = lru_cache(maxsize=64)(_new_reader)
+
+
 def _reader(p: int, N: int):
-    """The reader of (p, N)'s matrices. Readers of at most _CACHED_CELLS cells
-    are cached, the least recently used dropped while the cache holds more
-    than _HELD_CELLS cells or _HELD_READERS readers; a wider one is built per
-    call, so no cache holds masks as wide as a matrix."""
-    if N * p > _CACHED_CELLS:
-        return _new_reader(p, N)
-    key = (p, N)
-    with _readers_lock:
-        read = _readers.get(key)
-        if read is not None:
-            _readers.move_to_end(key)
-            return read
-        read = _readers[key] = _new_reader(p, N)
-        held = sum([q * n for q, n in _readers])
-        while held > _HELD_CELLS or len(_readers) > _HELD_READERS:
-            q, n = _readers.popitem(last=False)[0]  # never key: its cells are within the bound
-            held -= q * n
-        return read
+    """The reader of (p, N)'s matrices. A reader of at most _CACHED_CELLS
+    cells is cached, 64 at most, so the cache holds a few MB of masks; a wider
+    one is built per call, so no cache holds masks as wide as a matrix."""
+    return _cached_reader(p, N) if N * p <= _CACHED_CELLS else _new_reader(p, N)
 
 
 def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
@@ -250,9 +233,10 @@ def _stepper(p: int, N: int):
 def _count_matrix(seq: AlmostParySequence) -> int:
     """Count each ordered pair (i, j) of nonzero positions at row j - i,
     column b_i - b_j (a negative index wraps), then pack each row."""
+    nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
+    _require_pairs(len(nonzero))
     pack = _row(seq.p, seq.period).pack
     counts = [[0] * seq.p for _ in range(seq.period)]
-    nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
     for i, a in nonzero:
         for j, b in nonzero:
             counts[j - i][a - b] += 1

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, output formats, determinism."""
 
 import argparse
+import inspect
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -15,8 +17,9 @@ import pytest
 from cli_corpus import corpus, differences
 
 import npseq
-from npseq import cli, diffset
+from npseq import cli, diffset, sequence
 from npseq.cli import main
+from npseq.cyclotomic import MAX_PAIRS
 
 
 def run(capsys, *argv):
@@ -217,6 +220,49 @@ class TestSizeCap:
         assert code == 2
         assert out == ""
         assert "N*p = 2*1000003 exceeds the limit of 1000000 cells" in err
+
+
+class TestPairCap:
+    """n nonzero symbols or k subset elements whose n^2 or k^2 ordered pairs
+    exceed MAX_PAIRS exit 2 before the pair loop runs."""
+
+    K = math.isqrt(MAX_PAIRS) + 1
+
+    @pytest.mark.parametrize(
+        "loop, argv",
+        [
+            (sequence._count_matrix, ("analyze", "--p", "2", "--seq", ",".join(["1"] * K))),
+            (
+                diffset.difference_multiset,
+                ("verify-pdpds", "--N", str(K), "--p", "2",
+                 "--set", ";".join(f"({h},0)" for h in range(K))),
+            ),
+        ],
+        ids=["analyze", "verify-pdpds"],
+    )
+    def test_over_the_cap_exit2(self, capsys, loop, argv):
+        # the lines of the loop's function that run, traced
+        source, first = inspect.getsourcelines(loop)
+        loop_line = first + next(i for i, text in enumerate(source) if text.split()[:1] == ["for"])
+        lines = set()
+
+        def trace_lines(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            return trace_lines if frame.f_code is loop.__code__ else None
+
+        sys.settrace(trace_calls)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.settrace(None)
+        assert code == 2
+        assert out == ""
+        K = self.K
+        assert f"{K} elements form {K * K} ordered pairs, above the limit of {MAX_PAIRS}" in err
+        assert lines and max(lines) < loop_line
 
 
 class TestBounds:

@@ -8,11 +8,11 @@ the matrix, and every value matches the definitional sum, at the edges of the
 column width too."""
 
 import itertools
-from collections import OrderedDict
+import tracemalloc
 
 import pytest
 
-from npseq import sequence
+from npseq import cyclotomic, sequence
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt, _canonicalize
 from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
@@ -106,49 +106,68 @@ def test_reader_reads_the_profile_summary(seq):
 
 
 def test_only_narrow_readers_are_cached():
-    # a reader holds masks as wide as the matrix: past 2^16 cells it is built per call
+    # a reader holds masks as wide as the matrix: past 2^10 cells it is built per call
     assert _reader(3, 12) is _reader(3, 12)
-    assert _reader(2, 1 << 15) is _reader(2, 1 << 15)
-    assert _reader(2, (1 << 15) + 1) is not _reader(2, (1 << 15) + 1)
+    assert _reader(2, 512) is _reader(2, 512)
+    assert _reader(2, 513) is not _reader(2, 513)
 
 
-def test_short_readers_are_built_once(monkeypatch):
+def test_short_readers_are_built_once():
     # the paper's short sequences over three primes: 51 (p, N), each read twice
-    built = []
-    new_reader = sequence._new_reader
-
-    def counting(p, N):
-        built.append((p, N))
-        return new_reader(p, N)
-
-    monkeypatch.setattr(sequence, "_new_reader", counting)
-    monkeypatch.setattr(sequence, "_readers", OrderedDict())
+    sequence._cached_reader.cache_clear()
     pairs = [(p, N) for p in (3, 5, 7) for N in range(4, 21)]
     for _ in range(2):
         for p, N in pairs:
             profile(AlmostParySequence(p, (None, None) + (1,) * (N - 2)))
-    assert built == pairs
+    info = sequence._cached_reader.cache_info()
+    assert (info.misses, info.hits) == (51, 51)
 
 
-def test_reader_cache_holds_bounded_cells(monkeypatch):
-    monkeypatch.setattr(sequence, "_readers", OrderedDict())
+def test_reader_cache_holds_bounded_memory():
+    # at most 2^10 cells, the widest readers have the most rows (struct codes
+    # per row) at 16-bit columns: p = 2 and the 64 largest N fill the cache
+    sequence._cached_reader.cache_clear()
+    tracemalloc.start()
+    try:
+        for N in range(449, 513):
+            _reader(2, N)
+        held = tracemalloc.get_traced_memory()[0]
+        assert sequence._cached_reader.cache_info().currsize == 64
+    finally:
+        tracemalloc.stop()
+        sequence._cached_reader.cache_clear()
+    assert held <= 4 * 2**20
 
-    def held():
-        return sum(p * N for p, N in sequence._readers)
 
-    # wide readers, up to the widest cached: at most 2^17 cells stay
-    for p, N in [(2, 1 << 15), (3, 20000), (2, (1 << 15) - 1), (5, 9000), (2, 1 << 15)]:
-        read = _reader(p, N)
-        assert next(reversed(sequence._readers)) == (p, N)
-        assert _reader(p, N) is read
-        assert held() <= 1 << 17
-    assert list(sequence._readers) == [(5, 9000), (2, 1 << 15)]
-    # many narrow ones: at most 64 readers, the least recently used dropped first
-    for N in range(2, 200):
-        _reader(3, N)
-        _reader(3, 2)
-        assert len(sequence._readers) <= 64
-    assert list(sequence._readers) == [(3, N) for N in range(137, 200)] + [(3, 2)]
+@pytest.mark.parametrize("p, N", [(3, 12), (7, 20), (499979, 2), (997, 1000), (2, 32768)])
+def test_masks_match_a_slot_by_slot_build(p, N):
+    # one to_bytes per slot: LOW covers slots 0 .. p-1 of every row, HALFS
+    # holds 2^(w-1) in each, NZ covers slots 1 .. p-1 of rows 1 .. N-1 and
+    # ONES is 1 in slots 0 .. p-1 of row 0
+    w = _width(N)[0]
+    size, full, half = w // 8, (1 << w) - 1, 1 << w - 1
+
+    def rows(slots, count=N, skip=0):
+        row = b"".join([c.to_bytes(size, "little") for c in slots]) + bytes(p * size)
+        return int.from_bytes(bytes(len(row)) * skip + row * (count - skip), "little")
+
+    expected = rows([full] * p), rows([half] * p), rows([0] + [full] * (p - 1), skip=1)
+    assert _masks(p, N) == (*expected, rows([1] * p, count=1))
+
+
+@pytest.mark.parametrize(
+    "count_pairs",
+    [
+        lambda k: profile(AlmostParySequence(3, (1,) * k + (None,))),
+        lambda k: difference_multiset(GroupSubset(k + 1, 3, frozenset((h, 1) for h in range(k)))),
+    ],
+    ids=["profile", "difference_multiset"],
+)
+def test_pair_cap_boundary(monkeypatch, count_pairs):
+    monkeypatch.setattr(cyclotomic, "MAX_PAIRS", 25)
+    count_pairs(5)
+    with pytest.raises(ValueError, match="6 elements form 36 ordered pairs, above the limit of 25"):
+        count_pairs(6)
 
 
 @settings(max_examples=200, deadline=None)
