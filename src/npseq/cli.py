@@ -4,7 +4,8 @@ Subcommands: analyze, verify-pdpds, bounds, table, search, roundtrip.
 All results go to stdout (JSON, CSV, or text); diagnostics go to stderr.
 
 Exit codes: 0 success, 1 verification failure or recorded violations,
-2 input/parse error, 3 search-budget refusal.
+2 input/parse error, 3 search-budget refusal, 141 (128 + SIGPIPE) when the
+reader of stdout closes it before the output is written.
 
 An argv led by a subcommand name is parsed by that subcommand's parser alone,
 so its usage errors, an unrecognized argument included, are reported as
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -55,14 +57,13 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+_EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a pipe's writer it ended
 
 
 def _render_value(value: CyclotomicInt) -> int | list[int]:
     """Rational integers render as ints, everything else as [c0..c_{p-2}]."""
     as_int = value.as_int()
-    if as_int is not None:
-        return as_int
-    return list(value.coeffs[:-1])
+    return list(value.coeffs[:-1]) if as_int is None else as_int
 
 
 def _envelope(inputs: dict, results: dict, checks: dict) -> dict:
@@ -433,7 +434,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, matching the input-error contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the flush at exit goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return _EXIT_PIPE
     except search.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -7,13 +7,15 @@ Since {1, zeta, ..., zeta^(p-2)} is an integral basis for prime p, canonical
 vectors are unique and equality/hashing are plain tuple comparisons.
 
 p = 2 is allowed (zeta_2 = -1), which makes binary sequences usable as cheap
-cross-checks.
+cross-checks. The input caps live here too, with _pair_counts, the one count of
+R R^(-1) in Z_N x Z_p behind both a profile and a difference multiset.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,16 +76,21 @@ def _require_grid(N: int, p: int) -> None:
     _require_prime(p)
 
 
-# Largest k^2 accepted for a Python loop over the ordered pairs of k elements
-# (a profile's nonzero symbols, a difference multiset's subset): MAX_CELLS
-# bounds the grids' memory, this the pair loops' time.
+# Largest k^2 accepted by _pair_counts: MAX_CELLS bounds the grids' memory, this its time.
 MAX_PAIRS = 1 << 22
 
 
-def _require_pairs(k: int) -> None:
-    """Refuse k elements whose k^2 ordered pairs exceed MAX_PAIRS."""
+def _pair_counts(N: int, p: int, elements: Collection[tuple[int, int]]) -> list[list[int]]:
+    """R R^(-1) for the k elements (h, g) of R in Z_N x Z_p, after refusing k^2
+    above MAX_PAIRS: grid[d_h][d_g] counts the ordered pairs (h1 - h2, g1 - g2)."""
+    k = len(elements)
     if k * k > MAX_PAIRS:
         raise ValueError(f"{k} elements form {k * k} ordered pairs, above the limit of {MAX_PAIRS}")
+    grid = [[0] * p for _ in range(N)]
+    for h1, g1 in elements:
+        for h2, g2 in elements:
+            grid[h1 - h2][g1 - g2] += 1  # a negative difference wraps
+    return grid
 
 
 def _canonicalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,9 +110,7 @@ class CyclotomicInt:
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.p:
-            raise ValueError(
-                f"expected {self.p} coefficients, got {len(self.coeffs)}"
-            )
+            raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
         if self.coeffs[-1] != 0:
             raise ValueError("coefficient vector is not canonical")
 

@@ -4,10 +4,10 @@ The ambient group is written additively as Z_N x Z_p (isomorphic to the
 multiplicative <h> x <g> product). The group ring product R R^(-1) of a
 subset R, the multiset of all its differences r1 - r2, is a dense N x p grid,
 grid[d_h][d_g] with |R| at the identity (0, 0), which makes every
-classification and residual check bit-exact. A free subset gets its grid from
-`difference_multiset`; the subset R_a = {(i, b_i)} of a sequence gets it from
-the sequence's profile, whose count matrix holds at row t the grid's row -t,
-so the scans never build R_a. Every class below is closed under inversion
+classification and residual check bit-exact. One loop counts every grid,
+`cyclotomic._pair_counts`: `difference_multiset` returns a free subset's, and
+a sequence's profile packs that of R_a = {(i, b_i)} with row -t at row t, so
+the scans never build R_a. Every class below is closed under inversion
 (d_h -> -d_h and d_g -> -d_g), so both tables classify either.
 
 Both classifications read one table of classes over the nonidentity cells,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import _require_grid, _require_pairs, _require_prime
+from .cyclotomic import _pair_counts, _require_grid, _require_prime
 from .sequence import AlmostParySequence
 
 GroupElement = tuple[int, int]  # (h_exp mod N, g_exp mod p)
@@ -86,12 +86,7 @@ def build_ra(seq: AlmostParySequence) -> GroupSubset:
 def difference_multiset(R: GroupSubset) -> Grid:
     """Count r1 - r2 over all ordered pairs of elements of R: R R^(-1) as
     grid[d_h][d_g], an N x p grid whose cell (0, 0) is |R|."""
-    _require_pairs(R.k)
-    grid = [[0] * R.p for _ in range(R.N)]
-    for h1, g1 in R.elements:
-        for h2, g2 in R.elements:
-            grid[(h1 - h2) % R.N][(g1 - g2) % R.p] += 1
-    return tuple(tuple(row) for row in grid)
+    return tuple(tuple(row) for row in _pair_counts(R.N, R.p, R.elements))
 
 
 @dataclass(frozen=True)
@@ -219,9 +214,7 @@ def classify_pdpds(R: GroupSubset) -> PdpdsParams | None:
     return classify_grid(difference_multiset(R))
 
 
-def expected_pdpds_params(
-    n: int, p: int, gamma1: int, gamma2: int
-) -> PdpdsParams | None:
+def expected_pdpds_params(n: int, p: int, gamma1: int, gamma2: int) -> PdpdsParams | None:
     """Parameter tuple a type-(gamma1, gamma2) sequence of period n+2 must produce.
 
     Defined only when p divides both n - gamma2 - 2 and n - gamma1 - 1;

@@ -23,9 +23,9 @@ f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, whose row t is C(t)'s canonical
 vector plus 2^(w-1) in every column: ell counts its distinct rows 1 .. N-1,
 and C(t) is a rational integer, column 0 less 2^(w-1), when the other
 columns hold just 2^(w-1).
-counts[t][d] is also the coefficient of (-t, d) in R_a R_a^(-1), R_a =
-{(i, b_i)} in Z_N x Z_p; every PDPDS class is closed under that inversion,
-so the classification reads the matrix as it is.
+`profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
+`cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
+inversion, so the classification reads the matrix as it is.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .cyclotomic import CyclotomicInt, _canonicalize, _require_grid, _require_pairs
+from .cyclotomic import CyclotomicInt, _canonicalize, _pair_counts, _require_grid
 
 Symbol = int | None  # None = zero-symbol, int = root exponent in [0, p)
 
@@ -231,16 +231,11 @@ def _stepper(p: int, N: int):
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:
-    """Count each ordered pair (i, j) of nonzero positions at row j - i,
-    column b_i - b_j (a negative index wraps), then pack each row."""
+    """Pack rows 0, -1, ..., -(N-1) of R_a R_a^(-1), R_a the nonzero (i, b_i)."""
     nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]
-    _require_pairs(len(nonzero))
+    grid = _pair_counts(seq.period, seq.p, nonzero)
     pack = _row(seq.p, seq.period).pack
-    counts = [[0] * seq.p for _ in range(seq.period)]
-    for i, a in nonzero:
-        for j, b in nonzero:
-            counts[j - i][a - b] += 1
-    return int.from_bytes(b"".join([pack(*row) for row in counts]), "little")
+    return int.from_bytes(b"".join([pack(*row) for row in grid[:1] + grid[:0:-1]]), "little")
 
 
 def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:

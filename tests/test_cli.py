@@ -17,7 +17,7 @@ import pytest
 from cli_corpus import corpus, differences
 
 import npseq
-from npseq import cli, diffset, sequence
+from npseq import cli, cyclotomic, diffset
 from npseq.cli import main
 from npseq.cyclotomic import MAX_PAIRS
 
@@ -199,8 +199,6 @@ class TestSizeCap:
 
     @pytest.fixture(autouse=True)
     def no_prime_test(self, monkeypatch):
-        from npseq import cyclotomic
-
         def refuse(p):
             raise AssertionError("primality tested before the size check")
 
@@ -229,19 +227,17 @@ class TestPairCap:
     K = math.isqrt(MAX_PAIRS) + 1
 
     @pytest.mark.parametrize(
-        "loop, argv",
+        "argv",
         [
-            (sequence._count_matrix, ("analyze", "--p", "2", "--seq", ",".join(["1"] * K))),
-            (
-                diffset.difference_multiset,
-                ("verify-pdpds", "--N", str(K), "--p", "2",
-                 "--set", ";".join(f"({h},0)" for h in range(K))),
-            ),
+            ("analyze", "--p", "2", "--seq", ",".join(["1"] * K)),
+            ("verify-pdpds", "--N", str(K), "--p", "2",
+             "--set", ";".join(f"({h},0)" for h in range(K))),
         ],
         ids=["analyze", "verify-pdpds"],
     )
-    def test_over_the_cap_exit2(self, capsys, loop, argv):
-        # the lines of the loop's function that run, traced
+    def test_over_the_cap_exit2(self, capsys, argv):
+        # the lines of the one pair counter that run, traced
+        loop = cyclotomic._pair_counts
         source, first = inspect.getsourcelines(loop)
         loop_line = first + next(i for i, text in enumerate(source) if text.split()[:1] == ["for"])
         lines = set()
@@ -665,15 +661,53 @@ STARTUP_SCRIPT = textwrap.dedent(
 )
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a child python."""
+    src = str(Path(npseq.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_cli_starts_without_the_pool_modules():
     # a fresh process imports the pool modules with its first parallel scan,
     # which prints the bytes of the jobs-1 scan, and exits without a message
-    src = str(Path(npseq.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = child_env()
     script = STARTUP_SCRIPT.format(version=npseq.__version__)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["[]", "True True", "True"]
+
+
+# the CI's wide analyze: 998 nonzero symbols over p = 997, about 2.2 MB of JSON
+WIDE_ANALYZE = ("analyze", "--p", "997", "--format", "json", "--seq",
+                "Z,Z," + ",".join(str(i * i % 997) for i in range(998)))
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [(WIDE_ANALYZE, 100), (("analyze", "--p", "3", "--seq", "Z,Z,1,1,1"), 0)],
+    ids=["closed-after-100-bytes", "closed-before-the-write"],
+)
+def test_closed_pipe_exits_quietly(argv, read):
+    # a reader that closes stdout early, as `| head -c 100` does: the CLI exits
+    # 141 with neither a traceback nor a message from the flush at exit
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as an install runs it
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    with subprocess.Popen(
+        [sys.executable, "-m", "npseq.cli", *argv], env=env, stdout=writer, stderr=subprocess.PIPE
+    ) as child:
+        os.close(writer)
+        if read:
+            got = b""
+            while len(got) < read and (chunk := os.read(reader, read - len(got))):
+                got += chunk
+            os.close(reader)
+            assert got.startswith(b'{"checks":')
+        err = child.communicate(timeout=60)[1].decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert child.returncode == cli._EXIT_PIPE == 141

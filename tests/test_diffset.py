@@ -83,10 +83,13 @@ class TestDifferenceMultiset:
 
     def test_against_oracle_fuzz(self):
         rng = random.Random(41)
-        for _ in range(60):
-            N = rng.randint(3, 8)
-            p = rng.choice([3, 5])
-            R = random_subset(rng, N, p)
+        subsets = [random_subset(rng, rng.randint(3, 8), rng.choice([3, 5])) for _ in range(60)]
+        for N, p in ((6, 7), (6, 997)):
+            # (0, 0) with (N-1, p-1): their differences wrap at both ends of both axes
+            extra = {(rng.randrange(N), rng.randrange(p)) for _ in range(10)}
+            subsets.append(GroupSubset(N, p, frozenset(extra | {(0, 0), (N - 1, p - 1)})))
+        for R in subsets:
+            N, p = R.N, R.p
             grid = difference_multiset(R)
             table = oracle_differences(N, p, sorted(R.elements))
             table[(0, 0)] += R.k  # each element minus itself
