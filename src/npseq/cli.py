@@ -428,13 +428,15 @@ def main(argv: list[str] | None = None) -> int:
     command = commands.get(argv[0]) if argv else None
     args = _exact_parse(tables[argv[0]], argv[1:]) if command else None
     try:
-        if args is None:
-            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, matching the input-error contract
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            if args is None:
+                args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags, matching the input-error contract,
+            # and 0 after help or the version, which may still be buffered
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:  # the reader closed stdout: the flush at exit goes to the null device

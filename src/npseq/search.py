@@ -47,13 +47,15 @@ space, else 1) members, as does its twin, and the report is expanded over
 the orbits of x and, when y != x, y: every member is counted and recorded
 with its own exponents and index, and matches and violations are sorted
 into index order, so a report equals that of a candidate-by-candidate scan.
-With job_count > 1 the orbit ordinals are split into contiguous ranges (the
-walk skips a subtree, or a leaf, outside its range by its leaf count),
-processed independently and merged, so reports are byte-identical for any
-job count; the leaves read bunch at low ordinals, so the first range reads
-the most. One pool of worker processes serves every parallel scan: the
-first one imports the pool modules (a process that runs none never loads
-them) and starts the pool, and the pool is shut down at exit.
+With job_count > 1 the orbit ordinals are cut into contiguous chunks (the
+walk skips a subtree, or a leaf, outside its chunk by its leaf count), dealt
+round-robin to job_count tasks, processed independently and merged, so
+reports are byte-identical for any job count. The leaves read bunch at low
+ordinals, so equal-count ranges, one per task, would leave the first task
+the most reads; eight chunks per task spread them. One pool of worker
+processes serves every parallel scan: the first one imports the pool
+modules (a process that runs none never loads them) and starts the pool,
+and the pool is shut down at exit.
 
 The roundtrip compares each representative's five-class classification with
 `expected_pdpds_params` of its type (None without one); for n >= 2 that is
@@ -84,7 +86,8 @@ from .sequence import _counts, _nps_type, _reader, _stepper, _width
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
-MAX_JOBS = 1024  # one range and one future per job
+MAX_JOBS = 1024  # one task and one future per job
+_CHUNKS_PER_JOB = 8  # ordinal chunks dealt to each task of a parallel scan
 # (workers, ProcessPoolExecutor) of parallel scans, made by the first one
 _pool: tuple[int, object] | None = None
 
@@ -207,8 +210,8 @@ def _shutdown_pool() -> None:
         _pool[1].shutdown()
 
 
-def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
-    """Scan the ranges on the one pool, grown to min(ranges, usable CPUs).
+def _scan_in_pool(config: SearchConfig, tasks: list[tuple[tuple[int, int], ...]], visit):
+    """Scan each task's ranges on the one pool, grown to min(tasks, usable CPUs).
 
     The pool modules are imported here, by the first parallel scan, so that
     a process that never runs one does not load them.
@@ -217,7 +220,7 @@ def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
 
     global _pool
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    workers = min(len(ranges), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    workers = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if _pool is None or _pool[0] < workers:
         if _pool is not None:
             _pool[1].shutdown()
@@ -225,7 +228,7 @@ def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
         atexit.register(_shutdown_pool)
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        futures = [_pool[1].submit(_scan, config, lo, hi, visit) for lo, hi in ranges]
+        futures = [_pool[1].submit(_scan, config, ranges, visit) for ranges in tasks]
         parts = []
         for fut in futures:
             parts.append(fut.result())
@@ -239,13 +242,22 @@ def _scan_in_pool(config: SearchConfig, ranges: list[tuple[int, int]], visit):
         futures = fut = None
 
 
-def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
-    """Split the orbit ordinals into job_count contiguous ranges, merge them
-    and sort the expanded matches and violations into index order.
+def _ranges(orbits: int, jobs: int) -> list[tuple[tuple[int, int], ...]]:
+    """Cut the ordinals [0, orbits) into min(orbits, 8 * jobs) contiguous
+    chunks of equal count and deal them round-robin to jobs tasks (jobs <=
+    orbits): task j gets chunks j, j + jobs, j + 2 * jobs, ..., in order."""
+    chunks = min(orbits, _CHUNKS_PER_JOB * jobs)
+    bounds = [orbits * c // chunks for c in range(chunks + 1)]
+    return [tuple(zip(bounds[j:-1:jobs], bounds[j + 1 :: jobs])) for j in range(jobs)]
 
-    The ranges are scanned by at most min(job_count, usable CPUs) workers,
-    forked by the first parallel scan and reused for the rest of the process,
-    so a monkeypatch made after that scan does not reach them.
+
+def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
+    """Deal the orbit ordinals to job_count tasks (`_ranges`), merge their
+    reports and sort the expanded matches and violations into index order.
+
+    Each task is one future, scanned by one of at most min(job_count, usable
+    CPUs) workers, forked by the first parallel scan and reused for the rest
+    of the process, so a monkeypatch made after that scan does not reach them.
     """
     total = config.space_size
     if total > config.budget:
@@ -254,12 +266,10 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     jobs = min(config.job_count, orbits)
     try:
         if jobs == 1:
-            report = _scan(config, 0, orbits, visit)
+            report = _scan(config, ((0, orbits),), visit)
         else:
-            bounds = [orbits * j // jobs for j in range(jobs + 1)]
-            ranges = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
             report = SearchReport(config=config)
-            for part in _scan_in_pool(config, ranges, visit):
+            for part in _scan_in_pool(config, _ranges(orbits, jobs), visit):
                 _merge(report, part)
     except RecursionError:  # the walk nests one call per free position: no leaf was read
         raise ValueError(
@@ -299,11 +309,12 @@ def _canon(p: int) -> _Lazy:
     return _Lazy(lambda b: _Lazy(partial(affine, b)))
 
 
-def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
-    """Walk the orbit representatives with ordinals [lo, hi) and pass the
-    folded matrix f and the summary of each one read, the least of its
-    reversal pair, to `visit(config, f, ell, ints)` (`sequence._reader`), a
-    module-level function or a partial of one (workers unpickle it), which
+def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> SearchReport:
+    """Walk the orbit representatives with ordinals in each [lo, hi) of
+    ranges, one range after another, and pass the folded matrix f and the
+    summary of each one read, the least of its reversal pair, to
+    `visit(config, f, ell, ints)` (`sequence._reader`), a module-level
+    function or a partial of one (workers unpickle it), which
     returns (record, violation): a match's (gamma1, gamma2, pdpds) or None,
     and a violation text or None. Both hold for every member of the pair's
     orbits, counted and recorded one by one."""
@@ -367,7 +378,8 @@ def _scan(config: SearchConfig, lo: int, hi: int, visit) -> SearchReport:
     every = tuple([(b, chr(b), (p - b) * w, b * w) for b in range(p)])
     unled = every[:2]  # until a nonzero digit is placed
     try:
-        walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
+        for lo, hi in ranges:  # walk reads them from this scope
+            walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
     finally:
         del walk  # it holds itself in its closure: drop the cycle, a RecursionError too
     part.total_enumerated = sum(histogram.values())

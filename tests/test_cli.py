@@ -687,8 +687,14 @@ WIDE_ANALYZE = ("analyze", "--p", "997", "--format", "json", "--seq",
 
 @pytest.mark.parametrize(
     "argv, read",
-    [(WIDE_ANALYZE, 100), (("analyze", "--p", "3", "--seq", "Z,Z,1,1,1"), 0)],
-    ids=["closed-after-100-bytes", "closed-before-the-write"],
+    [
+        (WIDE_ANALYZE, 100),
+        (("analyze", "--p", "3", "--seq", "Z,Z,1,1,1"), 0),
+        # argparse prints these inside parse_args and exits through SystemExit
+        (("--version",), 0),
+        (("analyze", "-h"), 0),
+    ],
+    ids=["closed-after-100-bytes", "closed-before-the-write", "version", "command-help"],
 )
 def test_closed_pipe_exits_quietly(argv, read):
     # a reader that closes stdout early, as `| head -c 100` does: the CLI exits

@@ -306,13 +306,19 @@ class TestSingleScan:
             partial(search._visit_ell, (0, 0)),  # every candidate is a violation
             search._visit_roundtrip,
         ):
-            whole = search._scan(config, 0, orbits, visit)
+            whole = search._scan(config, ((0, orbits),), visit)
             assert whole.total_enumerated == config.space_size
             merged = SearchReport(config=config)
             for i in range(orbits):
-                assert search._scan(config, i, i, visit).total_enumerated == 0
-                search._merge(merged, search._scan(config, i, i + 1, visit))
+                assert search._scan(config, ((i, i),), visit).total_enumerated == 0
+                search._merge(merged, search._scan(config, ((i, i + 1),), visit))
             assert merged == whole
+            # one walk over several non-adjacent ranges, each from the root
+            ranges = ((0, 1),) + tuple((i, i + 2) for i in range(2, orbits, 3))
+            dealt = SearchReport(config=config)
+            for lo, hi in ranges:
+                search._merge(dealt, search._scan(config, ((lo, hi),), visit))
+            assert search._scan(config, ranges, visit) == dealt
 
     @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
     def test_walk_at_wide_columns(self, p, period, zeros):
@@ -382,6 +388,45 @@ class TestSingleScan:
         # one range per orbit: 41 orbits of b -> c*b among the 81 candidates
         assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 41)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
+
+
+class TestDealing:
+    @pytest.mark.parametrize("jobs", range(1, 10))
+    @pytest.mark.parametrize("chunks", [1, 3, 8, 9, 100])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_every_ordinal_in_one_task(self, jobs, chunks, extra):
+        # orbit counts from jobs (one chunk per task) to well above 8 per task
+        orbits = chunks * jobs + extra
+        tasks = search._ranges(orbits, jobs)
+        assert len(tasks) == jobs
+        owners = [None] * orbits
+        for j, ranges in enumerate(tasks):
+            assert ranges  # every task walks at least one chunk
+            for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
+                assert hi <= next_lo  # ascending, as the walk visits them
+            for lo, hi in ranges:
+                assert 0 <= lo < hi <= orbits
+                for i in range(lo, hi):
+                    assert owners[i] is None, (i, owners[i], j)
+                    owners[i] = j
+        assert None not in owners
+
+    def test_roundtrip_reads_split_evenly(self):
+        # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
+        # reads bunch at low ordinals, so one range per task would give the
+        # first task 74 % of them
+        config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
+        reads = []
+
+        def count(config, f, ell, ints):
+            reads[-1] += 1
+            return None, None
+
+        for ranges in search._ranges(config.orbit_count, config.job_count):
+            reads.append(0)
+            search._scan(config, ranges, count)
+        assert sum(reads) == 410
+        assert max(reads) <= 0.6 * sum(reads), reads
 
 
 def _visit_pid(config, f, ell, ints):
