@@ -25,10 +25,14 @@ member of its orbit. The representatives are the free digits [0] + tail,
 where the tail is zero or has 1 as its first nonzero digit. A depth-first
 walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
 until a nonzero digit is placed, and each step places one digit with three
-big-int updates of its parent's node (`sequence._stepper`). The last digit
-takes one: a loop over the siblings makes each leaf's matrix in that one
-update and reads it in place (`sequence._reader`), with no recursive call
-and no profile object.
+big-int updates of its parent's node (`sequence._stepper`). The walk stops
+L digits above the leaves (`_depth`: p^L <= 2^10 leaves, 2L <= n) and
+queues the node; a group of queued nodes, up to 2^19 bits of leaves, is
+read at once: `sequence._brancher` places their last L digits on all of
+them together, packed side by side in one int, and `sequence._reader`
+gives every leaf read its ell, and its integral values when rational, from
+one K and one to_bytes, with no bytecode run per leaf but for the rational
+ones. No profile object is built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
 the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
@@ -37,18 +41,25 @@ conj(C(t)): count column d moves to -d, and decimation by -1 moves it back.
 So rho(-x) has the count matrix of x, cell for cell. Every visitor is a
 function of (f, ell, ints), so the orbit of x and that of y = canon(rho x),
 the representative of rho(-x)'s orbit (reverse x, subtract its last digit,
-scale the first nonzero one to 1), share one result. The walk reads a leaf
-only when x <= y; y < x is read at y's own ordinal, in whatever range holds
-it. rho is an involution that commutes with b -> c*b + a, so canon(rho y) =
-x and each pair is read once.
+scale the first nonzero one to 1), share one result. A leaf is read only
+when x <= y; y < x is read at y's own ordinal, in whatever range holds it.
+rho is an involution that commutes with b -> c*b + a, so canon(rho y) = x
+and each pair is read once. For a leaf x = prefix + S whose last L digits
+S are not constant, the canon map, and so y's first L-1 digits Y(S),
+depend on S alone, while x's are the prefix's: a table of the Y(S),
+sorted once per (p, L) (`_suffixes`), is bisected once per node
+(`_select`), so the S with Y(S) above are read with their twins, those
+below are skipped, and only the ties and the p constant S take the
+digit-by-digit test.
 
 An orbit has (p - 1 if the tail is nonzero, else 1) times (p over the full
 space, else 1) members, as does its twin, and the report is expanded over
 the orbits of x and, when y != x, y: every member is counted and recorded
 with its own exponents and index, and matches and violations are sorted
 into index order, so a report equals that of a candidate-by-candidate scan.
-With job_count > 1 the orbit ordinals are cut into contiguous chunks (the
-walk skips a subtree, or a leaf, outside its chunk by its leaf count), dealt
+With job_count > 1 the orbit ordinals are cut, at batch starts only (the
+ordinals of the queued nodes' first leaves), into contiguous chunks (the
+walk skips a subtree outside its chunk by its leaf count), dealt
 round-robin to job_count tasks, processed independently and merged, so
 reports are byte-identical for any job count. The leaves read bunch at low
 ordinals, so equal-count ranges, one per task, would leave the first task
@@ -76,13 +87,16 @@ import io
 import json
 import os
 import sys
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import repeat
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import _counts, _nps_type, _reader, _stepper, _width
+from .sequence import _brancher, _counts, _nps_type, _reader, _stepper, _width
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -151,7 +165,9 @@ class SearchConfig:
     @property
     def orbit_count(self) -> int:
         """Orbits of b -> c*b (+ a) on the space: the ordinals the ranges
-        split. A scan reads about half of them, one per reversal pair."""
+        split, p^L to a batch (`_depth`). A scan builds every one's leaf
+        matrix, a batch at a time, and reads about half of them, one per
+        reversal pair."""
         return _representatives(self.p, self.free_positions - 1)
 
 
@@ -242,18 +258,21 @@ def _scan_in_pool(config: SearchConfig, tasks: list[tuple[tuple[int, int], ...]]
         futures = fut = None
 
 
-def _ranges(orbits: int, jobs: int) -> list[tuple[tuple[int, int], ...]]:
-    """Cut the ordinals [0, orbits) into min(orbits, 8 * jobs) contiguous
-    chunks of equal count and deal them round-robin to jobs tasks (jobs <=
-    orbits): task j gets chunks j, j + jobs, j + 2 * jobs, ..., in order."""
-    chunks = min(orbits, _CHUNKS_PER_JOB * jobs)
-    bounds = [orbits * c // chunks for c in range(chunks + 1)]
+def _ranges(orbits: int, jobs: int, head: int, count: int) -> list[tuple[tuple[int, int], ...]]:
+    """Cut the ordinals [0, orbits) at batch starts, 0 and head + j*count
+    (`_scan`), into min(batches, 8 * jobs) contiguous chunks of about equal
+    batch count and deal them round-robin to jobs tasks (jobs <= batches):
+    task j gets chunks j, j + jobs, j + 2 * jobs, ..., in order."""
+    batches = 1 + (orbits - head) // count
+    chunks = min(batches, _CHUNKS_PER_JOB * jobs)
+    bounds = [0] + [head + (batches * c // chunks - 1) * count for c in range(1, chunks + 1)]
     return [tuple(zip(bounds[j:-1:jobs], bounds[j + 1 :: jobs])) for j in range(jobs)]
 
 
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
-    """Deal the orbit ordinals to job_count tasks (`_ranges`), merge their
-    reports and sort the expanded matches and violations into index order.
+    """Deal the orbit ordinals, by batch, to job_count tasks (`_ranges`; no
+    more tasks than batches), merge their reports and sort the expanded
+    matches and violations into index order.
 
     Each task is one future, scanned by one of at most min(job_count, usable
     CPUs) workers, forked by the first parallel scan and reused for the rest
@@ -262,14 +281,16 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     total = config.space_size
     if total > config.budget:
         raise BudgetExceededError(total, config.budget)
-    orbits = config.orbit_count
-    jobs = min(config.job_count, orbits)
+    orbits, p = config.orbit_count, config.p
+    L, head = _kit(p, config.period, config.free_positions)[:2]
+    count = p**L
+    jobs = min(config.job_count, _batches(((0, orbits),), head, count))
     try:
         if jobs == 1:
             report = _scan(config, ((0, orbits),), visit)
         else:
             report = SearchReport(config=config)
-            for part in _scan_in_pool(config, _ranges(orbits, jobs), visit):
+            for part in _scan_in_pool(config, _ranges(orbits, jobs, head, count), visit):
                 _merge(report, part)
     except RecursionError:  # the walk nests one call per free position: no leaf was read
         raise ValueError(
@@ -309,62 +330,229 @@ def _canon(p: int) -> _Lazy:
     return _Lazy(lambda b: _Lazy(partial(affine, b)))
 
 
+def _mirror(canon: _Lazy, digits: str) -> str:
+    """Digits 1 .. n-1 of y = canon(rho x), x the free digits (digit 0 is 0,
+    one chr(b) each): rho x reversed, less its last digit b, scaled so that
+    its first digit v other than b becomes 1; x's own when x is constant."""
+    b, rho = digits[-1], digits[-2::-1]
+    rest = rho.lstrip(b)
+    return rho.translate(canon[ord(b)][rest[0]]) if rest else digits[1:]
+
+
+_BATCH_LEAVES = 1 << 10  # the most leaves, p^L, in one batch
+_BATCH_BITS = 1 << 21  # the widest batch of packed matrices
+
+
+def _depth(p: int, n: int, N: int) -> int:
+    """L, the digits a batch places: the largest with p^L <= 2^10 leaves,
+    p^L matrices of N*R bits in at most 2^21 bits and 2L <= n (so a leaf's
+    digits 1 .. L-1 lie above its batch)."""
+    fits = min(_BATCH_LEAVES, _BATCH_BITS // (N * 2 * p * _width(N)[0]))
+    L = 0
+    while 2 * L + 2 <= n and p ** (L + 1) <= fits:
+        L += 1
+    return L
+
+
+@lru_cache(maxsize=8)
+def _suffixes(p: int, L: int):
+    """(suffixes, positions, tables, mirrors, ys, js, constants, unled) of
+    the p^L digit strings S a batch places, in lexicographic (ordinal)
+    order: S_j, its position in `sequence._brancher`'s packing and, for S
+    not constant, the translate table T(S) of its canon map and Y(S) (None
+    for a constant S); then the Y(S), sorted, with their j, the j of the
+    constant S and the j of the tails an unled batch holds (zero, or led by
+    1 after their zeros).
+
+    For x = prefix + S with S not constant, rho x starts with S reversed,
+    so S alone fixes b and v: y = canon(rho x) is Y(S), the canon of S's
+    first L-1 digits reversed, then the prefix reversed translated by T(S).
+    x's digits 1 .. L-1 are those of the prefix, so x is below its twin,
+    and read, when Y(S) is above them, and above it, and skipped, when Y(S)
+    is below."""
+    canon = _canon(p)
+    suffixes, positions = [""], [0]
+    for i in range(L):
+        suffixes = [s + chr(b) for s in suffixes for b in range(p)]
+        positions = [q + b * p**i for q in positions for b in range(p)]
+    tables, mirrors = [], []
+    for s in suffixes:
+        rest = s[-2::-1].lstrip(s[-1:])
+        tables.append(canon[ord(s[-1])][rest[0]] if rest else None)
+        mirrors.append(s[-2::-1].translate(tables[-1]) if rest else None)
+    keyed = sorted((y, j) for j, y in enumerate(mirrors) if y is not None)
+    constants = [j for j, table in enumerate(tables) if table is None]
+    unled = [j for j, s in enumerate(suffixes) if s.lstrip("\0")[:1] in ("", "\1")]
+    ys, js = [y for y, _ in keyed], [j for _, j in keyed]
+    return suffixes, positions, tables, mirrors, ys, js, constants, unled
+
+
+@lru_cache(maxsize=8)
+def _kit(p: int, N: int, n: int):
+    """(L, head, sizes, step, every): what every scan of (p, N) over n free
+    positions shares, built once: the batch depth (`_depth`), the leaves
+    of the batch below the zero prefix, the leaf counts of a subtree r
+    positions deep, (before, after) a nonzero digit, the walk's stepper and
+    its digits, (b, chr(b))."""
+    L = _depth(p, n, N)
+    sizes = tuple([(_representatives(p, r), p**r) for r in range(n)])
+    every = tuple([(b, chr(b)) for b in range(p)])
+    return L, _representatives(p, L), sizes, _stepper(p, N), every
+
+
+@lru_cache(maxsize=256)
+def _select(p: int, L: int, prefix: str):
+    """(chosen, ties) of the batch below the free digits prefix (a str of
+    chr(b)): the j of its leaves read with their twins, and (j, ordinal,
+    y, twin, nonzero) of those the digit-by-digit test reads: ordinal less
+    the batch's first, y = canon(rho x), whether y is another orbit and
+    whether the tail is nonzero. Scans that meet a batch again, a
+    repeated scan or the next range, find it here."""
+    suffixes, _, tables, mirrors, ys, js, constants, unled = _suffixes(p, L)
+    canon, tail, back = _canon(p), prefix[1:], prefix[::-1]
+    led = prefix.strip("\0") != ""
+    if led:
+        # Y(S) above x's digits 1 .. L-1: read with its twin; equal: a tie
+        below = bisect_left(ys, tail[: L - 1])
+        above = bisect_right(ys, tail[: L - 1], below)
+        chosen, ties = tuple(js[above:]), [(j, j) for j in js[below:above] + constants]
+    else:  # the zero prefix: its ordinals number unled's tails
+        chosen, ties = (), [(j, rank) for rank, j in enumerate(unled)]
+    tested = []
+    for j, ordinal in ties:
+        x = tail + suffixes[j]
+        if tables[j] is not None:
+            y = mirrors[j] + back.translate(tables[j])
+        else:
+            y = _mirror(canon, prefix + suffixes[j])
+        if y >= x:
+            tested.append((j, ordinal, y, y != x, led or j > 0))
+    return chosen, tuple(tested)
+
+
+_GROUP_BITS = 1 << 19  # the widest group of batches read at once, unless one batch is wider
+
+
+@lru_cache(maxsize=8)
+def _group(p: int, N: int, L: int, m: int):
+    """(leaves, read, offsets) of m batches read at once: the brancher and
+    the reader of their leaves (`sequence._brancher`, `sequence._reader`)
+    and the byte offset of each batch's leaf S_j (`_suffixes`) in the
+    first batch; batch i's are i*N*R/8 bytes further. Each of the eight
+    kept holds masks at most 2^19 bits wide, or one batch wide."""
+    leaves, per_block = _brancher(p, N, L, m)
+    stride = N * 2 * p * _width(N)[0] // 8
+    offsets = [position * m * stride for position in _suffixes(p, L)[1]]
+    return leaves, _reader(p, N, per_block), offsets
+
+
+def _batches(ranges, head: int, count: int) -> int:
+    """The batches (ordinals 0 .. head-1, then count at a time) that meet
+    the ranges."""
+    return sum(
+        (0 if hi <= head else 1 + (hi - 1 - head) // count)
+        - (0 if lo < head else 1 + (lo - head) // count)
+        + 1
+        for lo, hi in ranges
+        if lo < hi
+    )
+
+
 def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> SearchReport:
     """Walk the orbit representatives with ordinals in each [lo, hi) of
-    ranges, one range after another, and pass the folded matrix f and the
-    summary of each one read, the least of its reversal pair, to
-    `visit(config, f, ell, ints)` (`sequence._reader`), a module-level
-    function or a partial of one (workers unpickle it), which
-    returns (record, violation): a match's (gamma1, gamma2, pdpds) or None,
-    and a violation text or None. Both hold for every member of the pair's
-    orbits, counted and recorded one by one."""
+    ranges, one range after another, in batches: the walk stops L digits
+    above the leaves (`_depth`), and the nodes it stops at are read a group
+    at a time, as many as fit 2^19 bits: their p^L leaf matrices are built
+    at once (`sequence._brancher`), and the ell of each leaf that is the
+    least of its reversal pair, with its integral values when rational, is
+    read in one call (`sequence._reader`). Each such leaf's folded matrix f
+    and summary go to `visit(config, f, ell, ints)`, a module-level function
+    or a partial of one (workers unpickle it), which returns (record,
+    violation): a match's (gamma1, gamma2, pdpds) or None, and a violation
+    text or None. Both hold for every member of the pair's orbits, counted
+    and recorded one by one. `_visit_classify` and `_visit_ell` answer a
+    leaf that is not rational from ell alone, so they are asked once per
+    distinct ell, with f and ints None, and once per rational leaf; any
+    other visit is asked once per leaf read."""
     p, zeros, N = config.p, config.zeros, config.period
     full = not config.normalize_phase
     part = SearchReport(config=config)
     histogram = part.ell_histogram
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
-    # the leaves of a subtree r positions deep, (before, after) a nonzero digit
-    sizes = tuple([(_representatives(p, r), p**r) for r in range(N - zeros)])
+    pair = weights[1] << 1  # a led leaf read for itself and its twin
+    L, head, sizes, step, every = _kit(p, N, N - zeros)
+    count = p**L
+    stride = N * 2 * p * _width(N)[0] // 8  # bytes of one matrix
+    m = max(1, min(_batches(ranges, head, count), _GROUP_BITS // (count * stride * 8)))
+    leaves, read, offsets = _group(p, N, L, m)
+    suffixes = _suffixes(p, L)[0]
+    by_ell = getattr(visit, "func", visit) in (_visit_classify, _visit_ell)
+    answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
+    loud = set()  # the ells whose answer records or flags
+    pending = []  # (node, first, led, prefix, lo, hi) of the group's batches
 
-    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits, prefix) -> None:
-        """Try each of digits, (b, chr(b), (p-b)*w, b*w), at position k after
-        node and the free digits prefix (a str of chr(b)), then positions
-        k+1 .. N-1; the leaves have ordinals first, ..."""
-        if k < N - 1:
-            r = N - 1 - k
-            for b, char, _, _ in digits:
-                if first >= hi:
-                    return
-                # every tail follows a nonzero digit, else representatives only
-                nested = led or b > 0
-                size = sizes[r][nested]
-                if first + size > lo:
-                    tried = every if nested else unled
-                    walk(k + 1, step(node, b), first, nested, tried, prefix + char)
-                first += size
+    def flush() -> None:
+        """Read the leaves of the pending batches in [lo, hi) that are not
+        above their twins (`_select`): batch i's leaves have the free digits
+        prefix (a str of chr(b)) + S_j and ordinals first, ..."""
+        twinned, owners = [], []  # byte offsets, (i, j) of leaves read with their twins
+        tested, picks = [], []  # byte offsets, (i, j, y, weight) of the other leaves read
+        for i, (_, first, led, prefix, lo, hi) in enumerate(pending):
+            chosen, ties = _select(p, L, prefix)
+            if first < lo or first + (count if led else head) > hi:
+                keep = range(lo - first, hi - first)  # a range cuts the batch
+                chosen = [j for j in chosen if j in keep]
+                ties = [tie for tie in ties if tie[1] in keep]
+            base = i * stride
+            twinned += map(base.__add__, map(offsets.__getitem__, chosen))
+            owners += zip(repeat(i), chosen)
+            for j, _, y, twin, nonzero in ties:
+                tested.append(base + offsets[j])
+                picks.append((i, j, y, weights[nonzero] << twin))
+        if twinned or tested:
+            nodes = [batch[0] for batch in pending]
+            blocks = leaves(nodes + [(0, 0, 0)] * (m - len(nodes)))
+            read_group(blocks, twinned, owners, tested, picks)
+        pending.clear()
+
+    def read_group(blocks, twinned, owners, tested, picks) -> None:
+        """Count, visit and record the leaves at byte offsets twinned (with
+        their twins' weight) and tested of the group's leaf matrices."""
+        at = len(twinned)
+        ells, rational = read(blocks, twinned + tested)
+        for ell, times in Counter(ells[:at]).items() if at else ():
+            histogram[ell] = histogram.get(ell, 0) + times * pair
+        for ell, (_, _, _, weight) in zip(ells[at:], picks):
+            histogram[ell] = histogram.get(ell, 0) + weight
+        if by_ell:
+            for ell in set(ells) - answers.keys():
+                answers[ell] = answer = visit(config, None, ell, None)
+                if answer != (None, None):
+                    loud.add(ell)
+            results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
+            asked = rational
+        else:
+            results, asked = {}, range(len(ells))
+        if asked:
+            width = m * count // len(blocks) * stride
+            data = b"".join([f.to_bytes(width, "little") for f in blocks])
+            for k in asked:
+                offset = twinned[k] if k < at else tested[k - at]
+                f = int.from_bytes(data[offset : offset + stride], "little")
+                results[k] = visit(config, f, ells[k], rational.get(k))
+        if not results:
             return
-        # the last digit: the leaves in [lo, hi) (first <= hi here, so no
-        # slice bound is negative), each made in one update of node and read
-        # when it is not above y = canon(rho x). x and y are digits 1 .. n-1
-        # (digit 0 of both is 0); rho, the prefix reversed, is rho x less b
-        M, H, G = node
-        tail, rho = prefix[1:], prefix[::-1]
-        for b, char, h, g in digits[max(lo - first, 0) : hi - first]:
-            x = tail + char  # at n = 1 the leaf is the pinned 0, its own twin
-            rest = rho.lstrip(char)  # led by v, the first digit not b
-            y = rho.translate(canon[b][rest[0]]) if rest else x
-            if y < x:
-                continue  # read at y's ordinal, for both orbits
-            X = M + (H << h) + (G << g) + 1
-            f = (X & low) + (X >> pw & low)
-            ell, ints = read(f)
-            twin = y != x
-            histogram[ell] = histogram.get(ell, 0) + (weights[led or b > 0] << twin)
-            record, violation = visit(config, f, ell, ints)
+        leaf = owners + [pick[:2] for pick in picks]  # (i, j) of each leaf read
+        for k in sorted(results, key=leaf.__getitem__):  # ordinal order
+            record, violation = results[k]
             if record is None and violation is None:
                 continue
-            for rep in (prefix + char, "\0" + y) if twin else (prefix + char,):
+            i, j = leaf[k]
+            prefix = pending[i][3]
+            digits = prefix + suffixes[j]
+            y = picks[k - at][2] if k >= at else _mirror(_canon(p), digits)
+            for rep in (digits, "\0" + y) if y != digits[1:] else (digits,):
                 for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
                     if record is not None:
                         part.matches.append(Match(exponents, *record))
@@ -372,14 +560,32 @@ def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> S
                         text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
                         part.violations.append(f"index {index} [{text}]: {violation}")
 
-    step, low = _stepper(p, N)
-    read, w, canon = _reader(p, N), _width(N)[0], _canon(p)
-    pw = p * w
-    every = tuple([(b, chr(b), (p - b) * w, b * w) for b in range(p)])
-    unled = every[:2]  # until a nonzero digit is placed
+    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits, prefix) -> None:
+        """Try each of digits, (b, chr(b)), at position k after node and the
+        free digits prefix (a str of chr(b)), then positions k+1 .. N-L-1,
+        and queue the batch below each node; the leaves have ordinals first, ..."""
+        if k == N - L:
+            pending.append((node, first, led, prefix, lo, hi))
+            if len(pending) == m:
+                flush()
+            return
+        r = N - 1 - k
+        for b, char in digits:
+            if first >= hi:
+                return
+            # every tail follows a nonzero digit, else representatives only
+            nested = led or b > 0
+            size = sizes[r][nested]
+            if first + size > lo:
+                tried = every if nested else every[:2]
+                walk(k + 1, step(node, b), first, nested, tried, prefix + char)
+            first += size
+
     try:
         for lo, hi in ranges:  # walk reads them from this scope
             walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
+        if pending:
+            flush()
     finally:
         del walk  # it holds itself in its closure: drop the cycle, a RecursionError too
     part.total_enumerated = sum(histogram.values())

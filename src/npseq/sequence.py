@@ -16,13 +16,16 @@ w the least of 8, 16 or 32 with 2^(w-1) > N; column d is slot d + slot d+p.
 The scans place digit b at position k of a node (M, H, G), with histories
 H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
 2^((N-k+j)*R + (p-b_j)*w), in three big-int updates: M += (H << (p-b)*w) +
-(G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w);
-the last digit needs only the first. f = (M & LOW) + ((M >> p*w) & LOW)
-folds the slots, leaving slots p .. 2p-1 zero. `_reader(p, N)` owns K =
-f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, whose row t is C(t)'s canonical
-vector plus 2^(w-1) in every column: ell counts its distinct rows 1 .. N-1,
-and C(t) is a rational integer, column 0 less 2^(w-1), when the other
-columns hold just 2^(w-1).
+(G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w)
+(`_stepper`). `_brancher` makes the same updates on many nodes at once,
+packed side by side at a stride of N*R bits, to place the last L digits
+of a batch of them. f = (M & LOW) + ((M >> p*w) & LOW) folds the slots,
+leaving slots p .. 2p-1 zero. `_reader(p, N, m)` owns K = f + HALFS -
+((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices, whose row t is
+C(t)'s canonical vector plus 2^(w-1) in every column: ell counts its
+distinct rows 1 .. N-1, and C(t) is a rational integer, column 0 less
+2^(w-1), when the other columns hold just 2^(w-1). It reads any number of
+a batch's matrices in one pass; `profile` reads a batch of one.
 `profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
 `cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
 inversion, so the classification reads the matrix as it is.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress, count, repeat
 
 from .cyclotomic import CyclotomicInt, _canonicalize, _pair_counts, _require_grid
 
@@ -146,47 +150,60 @@ def _row(p: int, N: int) -> struct.Struct:
     return struct.Struct(f"<{p}{code}{p * w // 8}x")
 
 
-def _low(p: int, N: int) -> int:
-    """LOW: every bit of slots 0 .. p-1 of every row, built afresh."""
+def _low(p: int, N: int, m: int = 1) -> int:
+    """LOW: every bit of slots 0 .. p-1 of every row of m matrices, built afresh."""
     half = p * _width(N)[0] // 8  # bytes of p slots, half a row
-    return int.from_bytes((b"\xff" * half + bytes(half)) * N, "little")
+    return int.from_bytes((b"\xff" * half + bytes(half)) * (N * m), "little")
 
 
-def _masks(p: int, N: int) -> tuple[int, int, int, int]:
-    """(LOW, HALFS, NZ, ONES), built afresh: LOW covers slots 0 .. p-1 of
-    every row, HALFS holds 2^(w-1) in each of them, NZ covers slots 1 .. p-1
-    of rows 1 .. N-1 and ONES is 1 in slots 0 .. p-1 of row 0."""
+def _masks(p: int, N: int, m: int = 1) -> tuple[int, int, int]:
+    """(LOW, HALFS, ONES), built afresh: LOW covers slots 0 .. p-1 of every
+    row of m matrices, HALFS holds 2^(w-1) in each of them and ONES is 1 in
+    slots 0 .. p-1 of row 0."""
     w = _width(N)[0]
-    size, full, R = w // 8, (1 << w) - 1, 2 * p * w
-
-    def rows(first: int, rest: int, count: int = N) -> int:  # slot 0, then slots 1 .. p-1
-        row = first.to_bytes(size, "little") + rest.to_bytes(size, "little") * (p - 1)
-        return int.from_bytes(row.ljust(R // 8, b"\0") * count, "little")
-
-    half = 1 << w - 1
-    return _low(p, N), rows(half, half), rows(0, full) >> R << R, rows(1, 1, count=1)
+    size, half = w // 8, (1 << w - 1).to_bytes(w // 8, "little")
+    row = (half * p).ljust(2 * p * size, b"\0")
+    ones = int.from_bytes((1).to_bytes(size, "little") * p, "little")
+    return _low(p, N, m), int.from_bytes(row * (N * m), "little"), ones
 
 
-_CACHED_CELLS = 1 << 10  # the widest N * p whose reader is cached, masks and all
+_CACHED_CELLS = 1 << 10  # the widest m * N * p whose reader is cached, masks and all
 
 
-def _new_reader(p: int, N: int):
-    """read(f) -> (ell, integral values or None) of a folded matrix f, read
-    from K (see the module docstring); the one place K is formed."""
+def _new_reader(p: int, N: int, m: int):
+    """read(blocks, offsets=(0,)) -> (ells, rational): blocks holds folded
+    matrices, m in each, packed at a stride of N*R bits (the matrix at
+    position i is at bit i*N*R of the blocks joined); ells[k] is the ell of
+    the matrix at byte offsets[k] of the join, and rational maps k to its
+    integral values when they are integers. Read from K (see the module
+    docstring), the one place K is formed, with no bytecode run per matrix
+    but for the rational ones."""
     w, code = _width(N)
-    low, halfs, nz, ones = _masks(p, N)
+    low, halfs, ones = _masks(p, N, m)
     top, bias, span, size = (p - 1) * w, 1 << w - 1, 2 * p * w // 8, w // 8
-    length = N * span
-    # slots 0 .. p-1 of rows 1 .. N-1 as bytes, and their slot 0 as ints
-    keys = struct.Struct(f"<{span}x" + f"{p * size}s{p * size}x" * (N - 1)).unpack
-    firsts = struct.Struct(f"<{span}x" + f"{code}{span - size}x" * (N - 1)).unpack
+    length = m * N * span
+    # K's slots p .. 2p-1 are 0, so a row's key, slots 0 .. p-1, and its
+    # rest, slots 1 .. p-1, may each be read as one int of up to 2p slots
+    key, rest = (
+        next((c for c in "BHIQ" if struct.calcsize(c) >= slots * size), f"{slots * size}s")
+        for slots in (p, p - 1)
+    )
+    rows = N - 1  # rows 1 .. N-1 of a matrix
+    keys = struct.Struct(f"<{span}x" + f"{key}{span - struct.calcsize(key)}x" * rows).unpack_from
+    firsts = struct.Struct(f"<{span}x" + f"{code}{span - size}x" * rows).unpack_from
+    # rational exactly when slots 1 .. p-1 of rows 1 .. N-1 hold just the bias
+    gap = span - size - struct.calcsize(rest)
+    rests = struct.Struct(f"<{span}x" + f"{size}x{rest}{gap}x" * rows).unpack_from
+    biased = (1 << w - 1).to_bytes(size, "little") * (p - 1)
+    unbiased = struct.unpack(f"<{rest}", biased.ljust(struct.calcsize(rest), b"\0")) * rows
 
-    def read(f: int) -> tuple[int, tuple[int, ...] | None]:
-        K = f + halfs - (f >> top & low) * ones
-        data = K.to_bytes(length, "little")
-        # rational exactly when the nonzero columns hold just the bias
-        ints = tuple([c - bias for c in firsts(data)]) if not (K ^ halfs) & nz else None
-        return len(set(keys(data))), ints
+    def read(blocks, offsets=(0,)) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        # one K per block; bytes.join hands a lone block back uncopied
+        Ks = [f + halfs - (f >> top & low) * ones for f in blocks]
+        data = b"".join([K.to_bytes(length, "little") for K in Ks])
+        ells = [*map(len, map(set, map(keys, repeat(data), offsets)))]
+        found = compress(count(), map(unbiased.__eq__, map(rests, repeat(data), offsets)))
+        return ells, {k: tuple([c - bias for c in firsts(data, offsets[k])]) for k in found}
 
     return read
 
@@ -194,11 +211,14 @@ def _new_reader(p: int, N: int):
 _cached_reader = lru_cache(maxsize=64)(_new_reader)
 
 
-def _reader(p: int, N: int):
-    """The reader of (p, N)'s matrices. A reader of at most _CACHED_CELLS
-    cells is cached, 64 at most, so the cache holds a few MB of masks; a wider
-    one is built per call, so no cache holds masks as wide as a matrix."""
-    return _cached_reader(p, N) if N * p <= _CACHED_CELLS else _new_reader(p, N)
+def _reader(p: int, N: int, m: int = 1):
+    """The reader of m of (p, N)'s matrices. A reader of at most
+    _CACHED_CELLS cells is cached, 64 at most, so the cache holds a few MB
+    of masks; a wider one is built per call, so no cache holds masks as wide
+    as a matrix or a scan's batch."""
+    if m * N * p <= _CACHED_CELLS:
+        return _cached_reader(p, N, m)
+    return _new_reader(p, N, m)
 
 
 def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
@@ -216,10 +236,9 @@ def _nps_type(ints: tuple[int, ...] | None) -> NpsType | None:
 
 
 def _stepper(p: int, N: int):
-    """(step, LOW): step(node, b) places digit b at the next position of
-    node (M, H, G), (0, 0, 0) before the first digit, and f is
-    (M & LOW) + (M >> p*w & LOW)."""
-    w, low = _width(N)[0], _low(p, N)
+    """step(node, b): place digit b at the next position of node (M, H, G),
+    (0, 0, 0) before the first digit."""
+    w = _width(N)[0]
     R, top = 2 * p * w, (N - 1) * 2 * p * w
 
     def step(node: tuple[int, int, int], b: int) -> tuple[int, int, int]:
@@ -227,7 +246,76 @@ def _stepper(p: int, N: int):
         g, h = b * w, (p - b) * w
         return M + (H << h) + (G << g) + 1, (H + (1 << g)) << R, (G >> R) + (1 << top + h)
 
-    return step, low
+    return step
+
+
+def _brancher(p: int, N: int, L: int, m: int):
+    """(leaves, per_block): leaves(nodes), m nodes (M, H, G) of one depth,
+    is the folded matrices of their p^L descendants L digits below, packed
+    at a stride of N*R bits in blocks of per_block, one per last digit:
+    node i's with digits s_0 .. s_{L-1} is at position i + m*(s_0 + s_1*p +
+    ... + s_{L-1}*p^(L-1)) of the blocks joined.
+
+    leaves places each digit on all the nodes of a level at once, packed:
+    child b of parent i at position i + b*(the level's parents), which is
+    `_stepper`'s update with its +1 and 2^x terms repeated in every node.
+    No bits cross a stride. Placing position k, a node's M, H and G hold
+    the pairs among positions < k, one count below 2^(w-1) per slot: M any
+    row, H rows 1 .. k-s and G rows N-k+s .. N-1 (s the zero run), each in
+    slots 0 .. p-1. So H << (p-b)*w and G << b*w stay in slots 0 .. 2p-1
+    of their rows, H << R reaches row k-s+1 <= N-1 when a digit follows (k
+    <= N-2), and G >> R drops an empty row 0 (k <= N-1), so no row moves
+    into a neighbour's; the last digit updates M alone. The nodes are
+    packed by to_bytes, which fails rather than let a node past its
+    stride."""
+    w = _width(N)[0]
+    R, pw, size = 2 * p * w, p * w, w // 8
+    top, stride = (N - 1) * R, N * R // 8
+    per_block = m * p ** max(L - 1, 0)
+    low = _low(p, N, per_block)
+
+    def pack(parts, width: int) -> int:
+        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in parts]), "little")
+
+    def rep(x: int, width: int) -> int:
+        """p copies of x, width bytes apart."""
+        return int.from_bytes(x.to_bytes(width, "little") * p, "little")
+
+    # per level: the bytes of its parents, 1 in row 0 of each parent and of
+    # each child, and the +1 terms of its children's H and G
+    levels = []
+    for i in range(L):
+        parents = m * p**i * stride
+        one, ones = (
+            int.from_bytes((b"\1" + bytes(stride - 1)) * m * p**j, "little") for j in (i, i + 1)
+        )
+        hs = pack([one << b * w + R for b in range(p)], parents)
+        gs = pack([one << top + (p - b) * w for b in range(p)], parents)
+        levels.append((parents, one, ones, hs, gs))
+
+    def fold(M: int) -> int:
+        return (M & low) + (M >> pw & low)
+
+    def leaves(nodes) -> list[int]:
+        if m == 1:
+            M, H, G = nodes[0]
+        elif L:
+            M, H, G = [pack(part, stride) for part in zip(*nodes)]
+        else:  # past the last digit, H may run past its stride; only M is read
+            M = pack([node[0] for node in nodes], stride)
+        for i, (parents, one, ones, hs, gs) in enumerate(levels):
+            if i == L - 1:  # the last digit: one block per digit, M alone
+                return [fold(M + (H << (p - b) * w) + (G << b * w) + one) for b in range(p)]
+            # child b: M + (H << (p-b)*w) + (G << b*w) + 1, so H's copies
+            # stand size bytes closer (p*w - b*w) and G's size bytes apart
+            M, H, G = (
+                rep(M, parents) + (rep(H, parents - size) << pw) + rep(G, parents + size) + ones,
+                (rep(H, parents) << R) + hs,
+                (rep(G, parents) >> R) + gs,
+            )
+        return [fold(M)]
+
+    return leaves, per_block
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:
@@ -262,9 +350,9 @@ class AutocorrelationProfile:
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        ell, ints = _reader(self.p, self.period)(self.matrix)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "integral_values", ints)
+        ells, rational = _reader(self.p, self.period)((self.matrix,))
+        object.__setattr__(self, "ell", ells[0])
+        object.__setattr__(self, "integral_values", rational.get(0))
 
     @property
     def all_integral(self) -> bool:

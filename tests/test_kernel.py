@@ -1,11 +1,12 @@
 """The packed count-matrix kernel behind profile(): two siblings stepped from
 one node of the walk leave it alone and fold to the matrices of the
-sequences placed, the row slices of K are the biased canonical vectors, the
-reflected rows are the difference multiset of R_a, its shifts sum to
-|S|^2, decimation and phase leave the profile's invariants and classes
-alone, reversal negates the count columns and reversal with negation keeps
-the matrix, and every value matches the definitional sum, at the edges of the
-column width too."""
+sequences placed, the leaves of a batch of nodes built at once are the
+matrices of their subtrees and read as profile reads them, the row slices
+of K are the biased canonical vectors, the reflected rows are the
+difference multiset of R_a, its shifts sum to |S|^2, decimation and phase
+leave the profile's invariants and classes alone, reversal negates the
+count columns and reversal with negation keeps the matrix, and every value
+matches the definitional sum, at the edges of the column width too."""
 
 import itertools
 import tracemalloc
@@ -19,7 +20,9 @@ from npseq.search import SearchConfig
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
+    _brancher,
     _count_matrix,
+    _low,
     _masks,
     _reader,
     _row,
@@ -52,7 +55,7 @@ def test_siblings_step_from_one_parent(seq, data):
     digit = st.integers(0, p - 1)
     head = data.draw(st.lists(digit, max_size=N - zeros))
     rest = N - zeros - len(head)
-    step, low = _stepper(p, N)
+    step, low = _stepper(p, N), _low(p, N)
     w = _width(N)[0]
 
     def fold(M):
@@ -76,11 +79,53 @@ def test_siblings_step_from_one_parent(seq, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(sequences(), st.data())
+def test_batch_leaves_are_the_subtree_matrices(seq, data):
+    # m nodes of one depth, each with the L digits below it placed at once:
+    # node i's leaf with digits s_0 .. s_{L-1} sits at position
+    # i + m*(s_0 + s_1*p + ...), and the reader reads it as profile does
+    p, N = seq.p, seq.period
+    zeros = data.draw(st.integers(0, N - 1))
+    L = data.draw(st.integers(0, min(3, N - zeros)))
+    m = data.draw(st.integers(1, 3))
+    digit = st.integers(0, p - 1)
+    depth = N - zeros - L
+    heads = [data.draw(st.lists(digit, min_size=depth, max_size=depth)) for _ in range(m)]
+    step = _stepper(p, N)
+    nodes = []
+    for head in heads:
+        node = (0, 0, 0)
+        for b in head:
+            node = step(node, b)
+        nodes.append(node)
+    leaves, per_block = _brancher(p, N, L, m)
+    blocks = leaves(nodes)
+    stride = N * 2 * p * _width(N)[0] // 8
+    joined = b"".join([f.to_bytes(per_block * stride, "little") for f in blocks])
+    assert len(joined) == m * p**L * stride
+    offsets, expected = [], []
+    for i, head in enumerate(heads):
+        for tail in itertools.product(range(p), repeat=L):
+            position = i + m * sum(b * p**k for k, b in enumerate(tail))
+            offset = position * stride
+            f = int.from_bytes(joined[offset : offset + stride], "little")
+            prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + tail))
+            assert f == prof.matrix
+            offsets.append(offset)
+            expected.append(prof)
+    ells, rational = _reader(p, N, per_block)(blocks, offsets)
+    assert ells == [prof.ell for prof in expected]
+    assert rational == {
+        k: prof.integral_values for k, prof in enumerate(expected) if prof.all_integral
+    }
+
+
+@settings(max_examples=200, deadline=None)
 @given(sequences())
 def test_keys_are_biased_canonical_vectors(seq):
     p, N = seq.p, seq.period
     prof = profile(seq)
-    w, (low, halfs, nz, ones) = _width(N)[0], _masks(p, N)
+    w, (low, halfs, ones) = _width(N)[0], _masks(p, N)
     f = prof.matrix
     K = f + halfs - (f >> (p - 1) * w & low) * ones
     half = 1 << (w - 1)
@@ -88,9 +133,10 @@ def test_keys_are_biased_canonical_vectors(seq):
     rows = list(_row(p, N).iter_unpack(K.to_bytes(N * 2 * p * w // 8, "little")))
     assert [tuple(c - half for c in row) for row in rows[1:]] == canonical
     assert prof.ell == len(set(canonical))
-    # rational exactly when the nonzero columns hold the bias, and then C(t) is column 0
+    # rational exactly when the nonzero columns hold the bias, and then C(t) is
+    # column 0: slots 1 .. p-1 of K, shifted to 0 .. p-2 (slot p is 0), less the bias
     integral = all(vector[1:] == (0,) * (p - 1) for vector in canonical)
-    assert ((K ^ halfs) & nz == 0) == integral
+    assert ((K ^ halfs) >> w & low == 0) == integral
     assert prof.integral_values == (tuple(v[0] for v in canonical) if integral else None)
 
 
@@ -102,7 +148,9 @@ def test_reader_reads_the_profile_summary(seq):
     values = [autocorrelation(seq, t) for t in range(1, N)]
     ints = [v.as_int() for v in values]
     summary = (len(set(values)), None if None in ints else tuple(ints))
-    assert _reader(p, N)(prof.matrix) == (prof.ell, prof.integral_values) == summary
+    ints = prof.integral_values
+    assert _reader(p, N)((prof.matrix,)) == ([prof.ell], {} if ints is None else {0: ints})
+    assert (prof.ell, ints) == summary
 
 
 def test_only_narrow_readers_are_cached():
@@ -142,17 +190,16 @@ def test_reader_cache_holds_bounded_memory():
 @pytest.mark.parametrize("p, N", [(3, 12), (7, 20), (499979, 2), (997, 1000), (2, 32768)])
 def test_masks_match_a_slot_by_slot_build(p, N):
     # one to_bytes per slot: LOW covers slots 0 .. p-1 of every row, HALFS
-    # holds 2^(w-1) in each, NZ covers slots 1 .. p-1 of rows 1 .. N-1 and
-    # ONES is 1 in slots 0 .. p-1 of row 0
+    # holds 2^(w-1) in each and ONES is 1 in slots 0 .. p-1 of row 0
     w = _width(N)[0]
     size, full, half = w // 8, (1 << w) - 1, 1 << w - 1
 
-    def rows(slots, count=N, skip=0):
+    def rows(slots, count=N):
         row = b"".join([c.to_bytes(size, "little") for c in slots]) + bytes(p * size)
-        return int.from_bytes(bytes(len(row)) * skip + row * (count - skip), "little")
+        return int.from_bytes(row * count, "little")
 
-    expected = rows([full] * p), rows([half] * p), rows([0] + [full] * (p - 1), skip=1)
-    assert _masks(p, N) == (*expected, rows([1] * p, count=1))
+    expected = rows([full] * p), rows([half] * p), rows([1] * p, count=1)
+    assert _masks(p, N) == expected
 
 
 @pytest.mark.parametrize(

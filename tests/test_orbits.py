@@ -2,13 +2,16 @@
 
 The scans walk one representative per orbit of b -> c*b (+ a), read one per
 pair of orbits under reversal and expand what they find over both orbits.
-Here the expanded members cover the space exactly once, the reads number the
-classes under both maps, and a candidate-by-candidate scan that calls the
-same visitors gives byte-identical reports on every configuration of
-acceptance criteria 5-8 and 10.
+Here the expanded members cover the space exactly once, the reads are the
+classes under both maps, a candidate-by-candidate scan that calls the same
+visitors gives byte-identical reports on every configuration of acceptance
+criteria 5-8 and 10, and the batch scan over ranges that cut its batches
+reports what that scan does on the candidates the ranges cover.
 """
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -73,22 +76,22 @@ def test_orbit_members_cover_the_space_once(monkeypatch, config):
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_one_read_per_reversal_class(monkeypatch, config):
+def test_one_read_per_reversal_class(config):
+    # a visit other than _visit_classify and _visit_ell is asked once per
+    # leaf read: once per class, with its least member's matrix
     reads = []
-    reader = search._reader
 
-    def counting_reader(p, N):
-        read = reader(p, N)
+    def recording(config, f, ell, ints):
+        reads.append(f)
+        return None, None
 
-        def counted(f):
-            reads.append(f)
-            return read(f)
-
-        return counted
-
-    monkeypatch.setattr(search, "_reader", counting_reader)
-    enumerate_and_classify(config)
-    assert len(reads) == len({class_key(config, digits) for _, digits in candidates(config)})
+    report = search._run_partitioned(config, recording)
+    classes = {class_key(config, digits) for _, digits in candidates(config)}
+    assert Counter(reads) == Counter(
+        profile(AlmostParySequence(config.p, (None,) * config.zeros + rep)).matrix
+        for rep in classes
+    )
+    assert report.total_enumerated == config.space_size
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES[::3], ids=str)
@@ -103,10 +106,14 @@ def test_expanded_report_counts_every_candidate(monkeypatch, config):
         assert indices == list(range(config.space_size))
 
 
-def brute_force(config, visit):
-    """Profile and visit every candidate in index order, with no reduction."""
+def brute_force(config, visit, keep=None):
+    """Profile and visit every candidate (in keep, if given) in index order,
+    with no reduction."""
     report = SearchReport(config=config)
-    for index, digits in candidates(config):
+    chosen = candidates(config) if keep is None else sorted(
+        (sum(b * config.p**k for k, b in enumerate(digits[::-1])), digits) for digits in keep
+    )
+    for index, digits in chosen:
         seq = AlmostParySequence(config.p, (None,) * config.zeros + tuple(digits))
         prof = profile(seq)
         report.total_enumerated += 1
@@ -153,3 +160,94 @@ def test_reports_match_brute_force(scan, visit, p, period, zeros, normalize, mod
     reference = report_to_json(brute_force(config, visitor))
     for jobs in (1, 3):
         assert report_to_json(scan(replace(config, job_count=jobs))) == reference
+
+
+def representative(p, r, i):
+    """The i-th tail of length r, in lexicographic order, that is zero or led
+    by 1 after its zeros: the free digits 1 .. r of orbit ordinal i."""
+    if r == 0:
+        return ()
+    head = 1 + (p ** (r - 1) - 1) // (p - 1)  # such tails of length r-1
+    if i < head:
+        return (0, *representative(p, r - 1, i))
+    i, digits = i - head, []
+    for _ in range(r - 1):
+        i, digit = divmod(i, p)
+        digits.append(digit)
+    return (1, *digits[::-1])
+
+
+def covered(config, lo, hi):
+    """The candidates a scan of orbit ordinals [lo, hi) counts: the classes
+    (under b -> c*b (+ a) and reversal) whose least member has an ordinal
+    there."""
+    p, n = config.p, config.free_positions
+    members = set()
+    for i in range(lo, hi):
+        rep = (0, *representative(p, n - 1, i))
+        if class_key(config, rep) == rep:
+            members |= {
+                m
+                for z in (rep, rep[::-1])
+                for c in range(1, p)
+                for a in range(p)
+                for m in [tuple((c * b + a) % p for b in z)]
+                if not config.normalize_phase or m[0] == 0
+            }
+    return members
+
+
+def assert_same_report(report, reference):
+    assert report.total_enumerated == reference.total_enumerated
+    assert report.ell_histogram == reference.ell_histogram
+    assert sorted(report.matches, key=lambda m: m.exponents) == reference.matches
+    assert sorted(report.violations, key=lambda v: int(v.split()[1])) == reference.violations
+
+
+def random_batch_cases(count, seed=20):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7))
+        zeros = rng.randrange(4)
+        free = rng.randrange(1, {2: 11, 3: 8, 5: 6, 7: 5}[p])
+        config = SearchConfig(
+            p=p,
+            period=zeros + free,
+            zeros=zeros,
+            normalize_phase=rng.random() < 0.6,
+            filter_mode=rng.choice((FILTER_NPS, FILTER_ALL)),
+        )
+        cut = sorted(rng.sample(range(config.orbit_count + 1), min(4, config.orbit_count + 1)))
+        ranges = tuple(zip(cut[::2], cut[1::2])) or ((0, config.orbit_count),)
+        cases.append((config, ranges))
+    return cases
+
+
+# n = 1, 2 and 3 (L = 0 and 1), the zero prefix's batch (ranges from 0, a
+# zero tail weighing 1, or p over the full space) and p^L at the 2^10 cap
+EDGE_BATCH_CASES = [
+    (SearchConfig(p=p, period=zeros + free, zeros=zeros, normalize_phase=normalize,
+                  filter_mode=FILTER_ALL), ((0, 1), (1, 10**9)))
+    for p in (2, 3, 7) for zeros in (1, 2) for free in (1, 2, 3) for normalize in (True, False)
+] + [
+    (SearchConfig(p=3, period=9, zeros=2, normalize_phase=False, filter_mode=FILTER_ALL),
+     ((0, 20), (40, 90))),
+    (SearchConfig(p=2, period=22, zeros=2), ((700, 3500),)),
+]
+
+
+@pytest.mark.parametrize("config,ranges", random_batch_cases(40) + EDGE_BATCH_CASES, ids=str)
+def test_batch_scan_matches_brute_force(config, ranges):
+    # every visit on ranges that cut through batches: the batch scan's report
+    # equals that of profiling, one by one, every candidate the ranges cover
+    ranges = tuple((lo, min(hi, config.orbit_count)) for lo, hi in ranges)
+    keep = set().union(*(covered(config, lo, hi) for lo, hi in ranges))
+    visits = [search._visit_classify]
+    if config.zeros:
+        visits.append(partial(search._visit_ell, (2, 3)))  # some candidates violate it
+    if config.zeros == 2:
+        visits.append(search._visit_roundtrip)
+    for visit in visits:
+        reference = brute_force(config, visit, keep)
+        assert_same_report(search._scan(config, ranges, visit), reference)

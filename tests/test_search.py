@@ -6,6 +6,7 @@ import itertools
 import os
 import signal
 import time
+from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -245,32 +246,36 @@ class TestSingleScan:
     ]
 
     @pytest.mark.parametrize("scan,config", SCANS)
-    def test_one_profile_per_candidate(self, monkeypatch, scan, config):
-        built = []
-        original = search._reader
+    def test_one_profile_per_candidate(self, scan, config):
+        # a visit that is neither _visit_classify nor _visit_ell is asked
+        # once per leaf read, with the leaf's folded matrix and summary
+        reads = []
 
-        def counting_reader(p, N):
-            read = original(p, N)
+        def recording(config, f, ell, ints):
+            reads.append((f, ell, ints))
+            return None, None
 
-            def counted(f):
-                built.append(f)
-                return read(f)
-
-            return counted
-
-        # the name the scan takes its per-leaf summary reader from
-        monkeypatch.setattr(search, "_reader", counting_reader)
         assert scan(config).total_enumerated == config.space_size
-        # one summary per class of b -> c*b (+ a) and reversal, and no class
-        # read twice: the k-th matrix read is that of the k-th class's least member
+        report = search._scan(config, ((0, config.orbit_count),), recording)
+        assert report.total_enumerated == config.space_size
+        # one read per class of b -> c*b (+ a) and reversal, and no class
+        # read twice: the reads are the profiles of the classes' least members
         reps = sorted({class_key(config, digits) for digits in free_digits(config)})
-        assert len(built) == len(reps) < config.orbit_count
+        assert len(reads) == len(reps) < config.orbit_count
         orbits = {orbit_key(config, digits) for digits in free_digits(config)}
         assert len(orbits) == config.orbit_count
-        assert built == [
-            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)).matrix
-            for rep in reps
+        profiles = [
+            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)) for rep in reps
         ]
+        assert Counter(reads) == Counter(
+            (prof.matrix, prof.ell, prof.integral_values) for prof in profiles
+        )
+        # and every candidate enters the histogram once, with its own ell
+        ells = Counter(
+            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + digits)).ell
+            for digits in free_digits(config)
+        )
+        assert report.ell_histogram == dict(ells)
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_scan_leaves_no_cycles(self, scan, config):
@@ -385,20 +390,24 @@ class TestSingleScan:
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(replace(base, job_count=1024))
-        # one range per orbit: 41 orbits of b -> c*b among the 81 candidates
-        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 41)]
+        # one task per batch: 41 orbits of b -> c*b among the 81 candidates,
+        # read 9 at a time after the 5 with a zero prefix
+        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 5)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
 class TestDealing:
     @pytest.mark.parametrize("jobs", range(1, 10))
-    @pytest.mark.parametrize("chunks", [1, 3, 8, 9, 100])
-    @pytest.mark.parametrize("extra", [0, 1, 5])
-    def test_every_ordinal_in_one_task(self, jobs, chunks, extra):
-        # orbit counts from jobs (one chunk per task) to well above 8 per task
-        orbits = chunks * jobs + extra
-        tasks = search._ranges(orbits, jobs)
-        assert len(tasks) == jobs
+    @pytest.mark.parametrize("p,L", [(2, 0), (3, 1), (3, 2), (5, 3), (7, 1)])
+    @pytest.mark.parametrize("batches", [1, 2, 3, 8, 9, 100])
+    def test_every_ordinal_in_one_task(self, jobs, p, L, batches):
+        # batch counts from one to well above 8 per task: the unled batch
+        # of head ordinals, then count per batch
+        head, count = search._representatives(p, L), p**L
+        orbits = head + (batches - 1) * count
+        starts = {0} | set(range(head, orbits, count))
+        tasks = search._ranges(orbits, min(jobs, batches), head, count)
+        assert len(tasks) == min(jobs, batches)
         owners = [None] * orbits
         for j, ranges in enumerate(tasks):
             assert ranges  # every task walks at least one chunk
@@ -406,6 +415,8 @@ class TestDealing:
                 assert hi <= next_lo  # ascending, as the walk visits them
             for lo, hi in ranges:
                 assert 0 <= lo < hi <= orbits
+                # cuts fall only at batch starts
+                assert lo in starts and (hi in starts or hi == orbits)
                 for i in range(lo, hi):
                     assert owners[i] is None, (i, owners[i], j)
                     owners[i] = j
@@ -422,10 +433,12 @@ class TestDealing:
             reads[-1] += 1
             return None, None
 
-        for ranges in search._ranges(config.orbit_count, config.job_count):
+        L = search._depth(5, 6, 8)
+        head, size = search._representatives(5, L), 5**L
+        for ranges in search._ranges(config.orbit_count, config.job_count, head, size):
             reads.append(0)
             search._scan(config, ranges, count)
-        assert sum(reads) == 410
+        assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
 
 
