@@ -22,17 +22,19 @@ of orbits under reversal (below). This loses nothing:
 
 So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
-where the tail is zero or has 1 as its first nonzero digit. A depth-first
-walk visits them in lexicographic (ordinal) order: only 0 and 1 are tried
-until a nonzero digit is placed, and each step places one digit with three
-big-int updates of its parent's node (`sequence._stepper`). The walk stops
-L digits above the leaves (`_depth`: p^L <= 2^10 leaves, 2L <= n) and
-queues the node; a group of queued nodes, up to 2^19 bits of leaves, is
-read at once: `sequence._brancher` places their last L digits on all of
-them together, packed side by side in one int, and `sequence._reader`
-gives every leaf read its ell, and its integral values when rational, from
-one K and one to_bytes, with no bytecode run per leaf but for the rational
-ones. No profile object is built.
+where the tail is zero or has 1 as its first nonzero digit. In
+lexicographic (ordinal) order they fall into batches that share all but
+their last L digits (`_depth`: p^L <= 2^10 leaves, 2L <= n): batch j's
+leaves are its prefix, 0 and the j-th such tail of r = n - 1 - L digits
+(`_prefixes`), then every S of L digits, or under the zero prefix the S
+that are representatives. A scan reads its batches a group at a time, up
+to 2^19 bits of leaves: it folds `sequence._stepper`, three big-int
+updates a digit, over each prefix, and `sequence._brancher` places the
+last L digits on all of the group's nodes together, packed side by side
+in one int, and `sequence._reader` gives every leaf read its ell, and its
+integral values when rational, from one K and one to_bytes, with no
+bytecode run per leaf but for the rational ones. No profile object is
+built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
 the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
@@ -42,7 +44,7 @@ So rho(-x) has the count matrix of x, cell for cell. Every visitor is a
 function of (f, ell, ints), so the orbit of x and that of y = canon(rho x),
 the representative of rho(-x)'s orbit (reverse x, subtract its last digit,
 scale the first nonzero one to 1), share one result. A leaf is read only
-when x <= y; y < x is read at y's own ordinal, in whatever range holds it.
+when x <= y; y < x is read at y's own ordinal, in whatever batch holds it.
 rho is an involution that commutes with b -> c*b + a, so canon(rho y) = x
 and each pair is read once. For a leaf x = prefix + S whose last L digits
 S are not constant, the canon map, and so y's first L-1 digits Y(S),
@@ -57,13 +59,11 @@ space, else 1) members, as does its twin, and the report is expanded over
 the orbits of x and, when y != x, y: every member is counted and recorded
 with its own exponents and index, and matches and violations are sorted
 into index order, so a report equals that of a candidate-by-candidate scan.
-With job_count > 1 the orbit ordinals are cut, at batch starts only (the
-ordinals of the queued nodes' first leaves), into contiguous chunks (the
-walk skips a subtree outside its chunk by its leaf count), dealt
-round-robin to job_count tasks, processed independently and merged, so
-reports are byte-identical for any job count. The leaves read bunch at low
-ordinals, so equal-count ranges, one per task, would leave the first task
-the most reads; eight chunks per task spread them. One pool of worker
+With job_count > 1 the batches are dealt round-robin, batch j to task j
+mod job_count, processed independently and merged, so reports are
+byte-identical for any job count. The leaves read bunch at low ordinals,
+so contiguous runs of batches, one per task, would leave the first task
+the most reads; dealing single batches spreads them. One pool of worker
 processes serves every parallel scan: the first one imports the pool
 modules (a process that runs none never loads them) and starts the pool,
 and the pool is shut down at exit.
@@ -90,8 +90,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache, partial, reduce
+from itertools import islice, product, repeat
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
@@ -101,7 +101,6 @@ from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
 MAX_JOBS = 1024  # one task and one future per job
-_CHUNKS_PER_JOB = 8  # ordinal chunks dealt to each task of a parallel scan
 # (workers, ProcessPoolExecutor) of parallel scans, made by the first one
 _pool: tuple[int, object] | None = None
 
@@ -164,10 +163,9 @@ class SearchConfig:
 
     @property
     def orbit_count(self) -> int:
-        """Orbits of b -> c*b (+ a) on the space: the ordinals the ranges
-        split, p^L to a batch (`_depth`). A scan builds every one's leaf
-        matrix, a batch at a time, and reads about half of them, one per
-        reversal pair."""
+        """Orbits of b -> c*b (+ a) on the space, p^L to a batch but the
+        first (`_depth`). A scan builds every one's leaf matrix, a batch at
+        a time, and reads about half of them, one per reversal pair."""
         return _representatives(self.p, self.free_positions - 1)
 
 
@@ -226,8 +224,8 @@ def _shutdown_pool() -> None:
         _pool[1].shutdown()
 
 
-def _scan_in_pool(config: SearchConfig, tasks: list[tuple[tuple[int, int], ...]], visit):
-    """Scan each task's ranges on the one pool, grown to min(tasks, usable CPUs).
+def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
+    """Scan each task's batches on the one pool, grown to min(tasks, usable CPUs).
 
     The pool modules are imported here, by the first parallel scan, so that
     a process that never runs one does not load them.
@@ -244,7 +242,7 @@ def _scan_in_pool(config: SearchConfig, tasks: list[tuple[tuple[int, int], ...]]
         atexit.register(_shutdown_pool)
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        futures = [_pool[1].submit(_scan, config, ranges, visit) for ranges in tasks]
+        futures = [_pool[1].submit(_scan, config, batches, visit) for batches in tasks]
         parts = []
         for fut in futures:
             parts.append(fut.result())
@@ -258,21 +256,10 @@ def _scan_in_pool(config: SearchConfig, tasks: list[tuple[tuple[int, int], ...]]
         futures = fut = None
 
 
-def _ranges(orbits: int, jobs: int, head: int, count: int) -> list[tuple[tuple[int, int], ...]]:
-    """Cut the ordinals [0, orbits) at batch starts, 0 and head + j*count
-    (`_scan`), into min(batches, 8 * jobs) contiguous chunks of about equal
-    batch count and deal them round-robin to jobs tasks (jobs <= batches):
-    task j gets chunks j, j + jobs, j + 2 * jobs, ..., in order."""
-    batches = 1 + (orbits - head) // count
-    chunks = min(batches, _CHUNKS_PER_JOB * jobs)
-    bounds = [0] + [head + (batches * c // chunks - 1) * count for c in range(1, chunks + 1)]
-    return [tuple(zip(bounds[j:-1:jobs], bounds[j + 1 :: jobs])) for j in range(jobs)]
-
-
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
-    """Deal the orbit ordinals, by batch, to job_count tasks (`_ranges`; no
-    more tasks than batches), merge their reports and sort the expanded
-    matches and violations into index order.
+    """Deal the batches round-robin to job_count tasks (no more tasks than
+    batches), batch j to task j mod job_count, merge their reports and sort
+    the expanded matches and violations into index order.
 
     Each task is one future, scanned by one of at most min(job_count, usable
     CPUs) workers, forked by the first parallel scan and reused for the rest
@@ -281,22 +268,16 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     total = config.space_size
     if total > config.budget:
         raise BudgetExceededError(total, config.budget)
-    orbits, p = config.orbit_count, config.p
-    L, head = _kit(p, config.period, config.free_positions)[:2]
-    count = p**L
-    jobs = min(config.job_count, _batches(((0, orbits),), head, count))
-    try:
-        if jobs == 1:
-            report = _scan(config, ((0, orbits),), visit)
-        else:
-            report = SearchReport(config=config)
-            for part in _scan_in_pool(config, _ranges(orbits, jobs, head, count), visit):
-                _merge(report, part)
-    except RecursionError:  # the walk nests one call per free position: no leaf was read
-        raise ValueError(
-            f"the walk over {config.free_positions} free positions and its callers "
-            f"exceed the recursion limit of {sys.getrecursionlimit()}"
-        ) from None
+    n = config.free_positions
+    batches = _representatives(config.p, n - 1 - _depth(config.p, n, config.period))
+    jobs = min(config.job_count, batches)
+    if jobs == 1:
+        report = _scan(config, range(batches), visit)
+    else:
+        report = SearchReport(config=config)
+        tasks = [range(j, batches, jobs) for j in range(jobs)]
+        for part in _scan_in_pool(config, tasks, visit):
+            _merge(report, part)
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
     report.violations.sort(key=_violation_index)
@@ -343,6 +324,7 @@ _BATCH_LEAVES = 1 << 10  # the most leaves, p^L, in one batch
 _BATCH_BITS = 1 << 21  # the widest batch of packed matrices
 
 
+@lru_cache(maxsize=8)
 def _depth(p: int, n: int, N: int) -> int:
     """L, the digits a batch places: the largest with p^L <= 2^10 leaves,
     p^L matrices of N*R bits in at most 2^21 bits and 2L <= n (so a leaf's
@@ -387,27 +369,26 @@ def _suffixes(p: int, L: int):
     return suffixes, positions, tables, mirrors, ys, js, constants, unled
 
 
-@lru_cache(maxsize=8)
-def _kit(p: int, N: int, n: int):
-    """(L, head, sizes, step, every): what every scan of (p, N) over n free
-    positions shares, built once: the batch depth (`_depth`), the leaves
-    of the batch below the zero prefix, the leaf counts of a subtree r
-    positions deep, (before, after) a nonzero digit, the walk's stepper and
-    its digits, (b, chr(b))."""
-    L = _depth(p, n, N)
-    sizes = tuple([(_representatives(p, r), p**r) for r in range(n)])
-    every = tuple([(b, chr(b)) for b in range(p)])
-    return L, _representatives(p, L), sizes, _stepper(p, N), every
+def _prefixes(p: int, r: int):
+    """The free digits above each batch's leaves (a str of chr(b)), in
+    ordinal order: 0 and an r-digit tail, the zero tail first, then the
+    tails led by 1 after their zeros, base-p values in [p^e, 2*p^e) for
+    e = 0 .. r-1. There are _representatives(p, r)."""
+    yield "\0" * (r + 1)
+    digits = [chr(b) for b in range(p)]
+    for e in range(r):
+        lead = "\0" * (r - e) + "\1"
+        for rest in product(digits, repeat=e):
+            yield lead + "".join(rest)
 
 
 @lru_cache(maxsize=256)
 def _select(p: int, L: int, prefix: str):
     """(chosen, ties) of the batch below the free digits prefix (a str of
-    chr(b)): the j of its leaves read with their twins, and (j, ordinal,
-    y, twin, nonzero) of those the digit-by-digit test reads: ordinal less
-    the batch's first, y = canon(rho x), whether y is another orbit and
-    whether the tail is nonzero. Scans that meet a batch again, a
-    repeated scan or the next range, find it here."""
+    chr(b)): the j of its leaves read with their twins, and (j, y, twin,
+    nonzero) of those the digit-by-digit test reads: y = canon(rho x),
+    whether y is another orbit and whether the tail is nonzero. A repeated
+    scan finds it here."""
     suffixes, _, tables, mirrors, ys, js, constants, unled = _suffixes(p, L)
     canon, tail, back = _canon(p), prefix[1:], prefix[::-1]
     led = prefix.strip("\0") != ""
@@ -415,18 +396,18 @@ def _select(p: int, L: int, prefix: str):
         # Y(S) above x's digits 1 .. L-1: read with its twin; equal: a tie
         below = bisect_left(ys, tail[: L - 1])
         above = bisect_right(ys, tail[: L - 1], below)
-        chosen, ties = tuple(js[above:]), [(j, j) for j in js[below:above] + constants]
-    else:  # the zero prefix: its ordinals number unled's tails
-        chosen, ties = (), [(j, rank) for rank, j in enumerate(unled)]
+        chosen, ties = tuple(js[above:]), js[below:above] + constants
+    else:  # the zero prefix: its leaves are unled's tails
+        chosen, ties = (), unled
     tested = []
-    for j, ordinal in ties:
+    for j in ties:
         x = tail + suffixes[j]
         if tables[j] is not None:
             y = mirrors[j] + back.translate(tables[j])
         else:
             y = _mirror(canon, prefix + suffixes[j])
         if y >= x:
-            tested.append((j, ordinal, y, y != x, led or j > 0))
+            tested.append((j, y, y != x, led or j > 0))
     return chosen, tuple(tested)
 
 
@@ -446,23 +427,11 @@ def _group(p: int, N: int, L: int, m: int):
     return leaves, _reader(p, N, per_block), offsets
 
 
-def _batches(ranges, head: int, count: int) -> int:
-    """The batches (ordinals 0 .. head-1, then count at a time) that meet
-    the ranges."""
-    return sum(
-        (0 if hi <= head else 1 + (hi - 1 - head) // count)
-        - (0 if lo < head else 1 + (lo - head) // count)
-        + 1
-        for lo, hi in ranges
-        if lo < hi
-    )
-
-
-def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> SearchReport:
-    """Walk the orbit representatives with ordinals in each [lo, hi) of
-    ranges, one range after another, in batches: the walk stops L digits
-    above the leaves (`_depth`), and the nodes it stops at are read a group
-    at a time, as many as fit 2^19 bits: their p^L leaf matrices are built
+def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
+    """Read the orbit representatives of the given batches, in order: each
+    batch's node is its prefix (`_prefixes`) placed from (0, 0, 0), L
+    digits above its leaves (`_depth`), and the nodes are read a group at a
+    time, as many as fit 2^19 bits: their p^L leaf matrices are built
     at once (`sequence._brancher`), and the ell of each leaf that is the
     least of its reversal pair, with its integral values when rational, is
     read in one call (`sequence._reader`). Each such leaf's folded matrix f
@@ -481,42 +450,37 @@ def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> S
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
-    L, head, sizes, step, every = _kit(p, N, N - zeros)
+    L, step = _depth(p, N - zeros, N), _stepper(p, N)
     count = p**L
     stride = N * 2 * p * _width(N)[0] // 8  # bytes of one matrix
-    m = max(1, min(_batches(ranges, head, count), _GROUP_BITS // (count * stride * 8)))
+    # batches may hold more than sys.maxsize, too many for len() and islice
+    m = max(1, len(batches[: _GROUP_BITS // (count * stride * 8)]))
     leaves, read, offsets = _group(p, N, L, m)
     suffixes = _suffixes(p, L)[0]
     by_ell = getattr(visit, "func", visit) in (_visit_classify, _visit_ell)
     answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
     loud = set()  # the ells whose answer records or flags
-    pending = []  # (node, first, led, prefix, lo, hi) of the group's batches
 
-    def flush() -> None:
-        """Read the leaves of the pending batches in [lo, hi) that are not
-        above their twins (`_select`): batch i's leaves have the free digits
-        prefix (a str of chr(b)) + S_j and ordinals first, ..."""
+    def read_batches(group: list[str]) -> None:
+        """Read the leaves of the group's batches that are not above their
+        twins (`_select`): batch i's leaves have the free digits group[i]
+        (a str of chr(b)) + S_j."""
         twinned, owners = [], []  # byte offsets, (i, j) of leaves read with their twins
         tested, picks = [], []  # byte offsets, (i, j, y, weight) of the other leaves read
-        for i, (_, first, led, prefix, lo, hi) in enumerate(pending):
+        for i, prefix in enumerate(group):
             chosen, ties = _select(p, L, prefix)
-            if first < lo or first + (count if led else head) > hi:
-                keep = range(lo - first, hi - first)  # a range cuts the batch
-                chosen = [j for j in chosen if j in keep]
-                ties = [tie for tie in ties if tie[1] in keep]
             base = i * stride
             twinned += map(base.__add__, map(offsets.__getitem__, chosen))
             owners += zip(repeat(i), chosen)
-            for j, _, y, twin, nonzero in ties:
+            for j, y, twin, nonzero in ties:
                 tested.append(base + offsets[j])
                 picks.append((i, j, y, weights[nonzero] << twin))
         if twinned or tested:
-            nodes = [batch[0] for batch in pending]
+            nodes = [reduce(step, map(ord, prefix), (0, 0, 0)) for prefix in group]
             blocks = leaves(nodes + [(0, 0, 0)] * (m - len(nodes)))
-            read_group(blocks, twinned, owners, tested, picks)
-        pending.clear()
+            read_group(group, blocks, twinned, owners, tested, picks)
 
-    def read_group(blocks, twinned, owners, tested, picks) -> None:
+    def read_group(group, blocks, twinned, owners, tested, picks) -> None:
         """Count, visit and record the leaves at byte offsets twinned (with
         their twins' weight) and tested of the group's leaf matrices."""
         at = len(twinned)
@@ -549,8 +513,7 @@ def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> S
             if record is None and violation is None:
                 continue
             i, j = leaf[k]
-            prefix = pending[i][3]
-            digits = prefix + suffixes[j]
+            digits = group[i] + suffixes[j]
             y = picks[k - at][2] if k >= at else _mirror(_canon(p), digits)
             for rep in (digits, "\0" + y) if y != digits[1:] else (digits,):
                 for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
@@ -560,34 +523,10 @@ def _scan(config: SearchConfig, ranges: tuple[tuple[int, int], ...], visit) -> S
                         text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
                         part.violations.append(f"index {index} [{text}]: {violation}")
 
-    def walk(k: int, node: tuple[int, int, int], first: int, led: bool, digits, prefix) -> None:
-        """Try each of digits, (b, chr(b)), at position k after node and the
-        free digits prefix (a str of chr(b)), then positions k+1 .. N-L-1,
-        and queue the batch below each node; the leaves have ordinals first, ..."""
-        if k == N - L:
-            pending.append((node, first, led, prefix, lo, hi))
-            if len(pending) == m:
-                flush()
-            return
-        r = N - 1 - k
-        for b, char in digits:
-            if first >= hi:
-                return
-            # every tail follows a nonzero digit, else representatives only
-            nested = led or b > 0
-            size = sizes[r][nested]
-            if first + size > lo:
-                tried = every if nested else every[:2]
-                walk(k + 1, step(node, b), first, nested, tried, prefix + char)
-            first += size
-
-    try:
-        for lo, hi in ranges:  # walk reads them from this scope
-            walk(zeros, (0, 0, 0), 0, False, every[:1], "")  # the first free digit is pinned to 0
-        if pending:
-            flush()
-    finally:
-        del walk  # it holds itself in its closure: drop the cycle, a RecursionError too
+    r = N - zeros - 1 - L  # the tail digits above a batch
+    prefixes = islice(_prefixes(p, r), batches.start, min(batches.stop, sys.maxsize), batches.step)
+    while group := list(islice(prefixes, m)):
+        read_batches(group)
     part.total_enumerated = sum(histogram.values())
     return part
 

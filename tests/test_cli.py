@@ -373,13 +373,13 @@ class TestSearch:
         assert "the type target needs two integers gamma1,gamma2" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_walk_deeper_than_recursion_limit_exit2(self, capsys, jobs):
+    def test_period_1100_at_default_budget_exit3(self, capsys, jobs):
+        # no recursion limit applies to the scan: the default budget refuses it
         code, out, err = run(
-            capsys, "search", "--p", "2", "--period", "1100", "--zeros", "2",
-            "--jobs", jobs, "--budget", "1" + "0" * 400,
+            capsys, "search", "--p", "2", "--period", "1100", "--zeros", "2", "--jobs", jobs
         )
-        assert (code, out) == (2, "")
-        assert "the walk over 1098 free positions and its callers exceed" in err
+        assert (code, out) == (3, "")
+        assert f"search space has {2**1097} candidates, exceeding budget 100000000" in err
 
     def test_roundtrip_clean(self, capsys):
         code, out, _ = run(

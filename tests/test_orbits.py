@@ -5,12 +5,13 @@ pair of orbits under reversal and expand what they find over both orbits.
 Here the expanded members cover the space exactly once, the reads are the
 classes under both maps, a candidate-by-candidate scan that calls the same
 visitors gives byte-identical reports on every configuration of acceptance
-criteria 5-8 and 10, and the batch scan over ranges that cut its batches
-reports what that scan does on the candidates the ranges cover.
+criteria 5-8 and 10, and the batch scan over any range of batches reports
+what that scan does on the candidates those batches cover.
 """
 
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -31,7 +32,7 @@ from npseq.search import (
 )
 from npseq.sequence import AlmostParySequence, profile
 from npseq.theory import ell_bounds
-from test_search import class_key
+from test_search import _visit_refuse, batch_count, class_key
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -164,36 +165,42 @@ def test_reports_match_brute_force(scan, visit, p, period, zeros, normalize, mod
 
 def representative(p, r, i):
     """The i-th tail of length r, in lexicographic order, that is zero or led
-    by 1 after its zeros: the free digits 1 .. r of orbit ordinal i."""
-    if r == 0:
-        return ()
-    head = 1 + (p ** (r - 1) - 1) // (p - 1)  # such tails of length r-1
-    if i < head:
-        return (0, *representative(p, r - 1, i))
-    i, digits = i - head, []
-    for _ in range(r - 1):
-        i, digit = divmod(i, p)
+    by 1 after its zeros: zero, then the base-p values in [p^e, 2*p^e) for
+    e = 0, 1, ..., r-1."""
+    value, e = 0, 0
+    if i:
+        i -= 1
+        while i >= p**e:
+            i, e = i - p**e, e + 1
+        value = p**e + i
+    digits = []
+    for _ in range(r):
+        value, digit = divmod(value, p)
         digits.append(digit)
-    return (1, *digits[::-1])
+    return tuple(digits[::-1])
 
 
-def covered(config, lo, hi):
-    """The candidates a scan of orbit ordinals [lo, hi) counts: the classes
-    (under b -> c*b (+ a) and reversal) whose least member has an ordinal
-    there."""
+def covered(config, batches):
+    """The candidates a scan of the given batches counts: the classes (under
+    b -> c*b (+ a) and reversal) whose least member is a leaf of one of
+    them, batch j's leaves being 0, the j-th tail of r = n - 1 - L digits,
+    then any L digits."""
     p, n = config.p, config.free_positions
+    L = search._depth(p, n, config.period)
     members = set()
-    for i in range(lo, hi):
-        rep = (0, *representative(p, n - 1, i))
-        if class_key(config, rep) == rep:
-            members |= {
-                m
-                for z in (rep, rep[::-1])
-                for c in range(1, p)
-                for a in range(p)
-                for m in [tuple((c * b + a) % p for b in z)]
-                if not config.normalize_phase or m[0] == 0
-            }
+    for j in batches:
+        prefix = (0, *representative(p, n - 1 - L, j))
+        for last in itertools.product(range(p), repeat=L):
+            rep = prefix + last
+            if class_key(config, rep) == rep:
+                members |= {
+                    m
+                    for z in (rep, rep[::-1])
+                    for c in range(1, p)
+                    for a in range(p)
+                    for m in [tuple((c * b + a) % p for b in z)]
+                    if not config.normalize_phase or m[0] == 0
+                }
     return members
 
 
@@ -218,31 +225,34 @@ def random_batch_cases(count, seed=20):
             normalize_phase=rng.random() < 0.6,
             filter_mode=rng.choice((FILTER_NPS, FILTER_ALL)),
         )
-        cut = sorted(rng.sample(range(config.orbit_count + 1), min(4, config.orbit_count + 1)))
-        ranges = tuple(zip(cut[::2], cut[1::2])) or ((0, config.orbit_count),)
-        cases.append((config, ranges))
+        total = batch_count(config)
+        start = rng.randrange(total)
+        batches = range(start, rng.randrange(start + 1, total + 1), rng.randrange(1, 4))
+        cases.append((config, batches))
     return cases
 
 
-# n = 1, 2 and 3 (L = 0 and 1), the zero prefix's batch (ranges from 0, a
-# zero tail weighing 1, or p over the full space) and p^L at the 2^10 cap
+# n = 1, 2 and 3 (L = 0 and 1), the zero prefix's batch alone (a zero tail
+# weighing 1, or p over the full space) and without it, and p^L at the 2^10
+# cap
 EDGE_BATCH_CASES = [
     (SearchConfig(p=p, period=zeros + free, zeros=zeros, normalize_phase=normalize,
-                  filter_mode=FILTER_ALL), ((0, 1), (1, 10**9)))
+                  filter_mode=FILTER_ALL), batches)
     for p in (2, 3, 7) for zeros in (1, 2) for free in (1, 2, 3) for normalize in (True, False)
+    for batches in (range(1), range(1, 10**9))
 ] + [
     (SearchConfig(p=3, period=9, zeros=2, normalize_phase=False, filter_mode=FILTER_ALL),
-     ((0, 20), (40, 90))),
-    (SearchConfig(p=2, period=22, zeros=2), ((700, 3500),)),
+     range(0, 14, 3)),
+    (SearchConfig(p=2, period=22, zeros=2), range(1, 512, 170)),
 ]
 
 
-@pytest.mark.parametrize("config,ranges", random_batch_cases(40) + EDGE_BATCH_CASES, ids=str)
-def test_batch_scan_matches_brute_force(config, ranges):
-    # every visit on ranges that cut through batches: the batch scan's report
-    # equals that of profiling, one by one, every candidate the ranges cover
-    ranges = tuple((lo, min(hi, config.orbit_count)) for lo, hi in ranges)
-    keep = set().union(*(covered(config, lo, hi) for lo, hi in ranges))
+@pytest.mark.parametrize("config,batches", random_batch_cases(40) + EDGE_BATCH_CASES, ids=str)
+def test_batch_scan_matches_brute_force(config, batches):
+    # every visit on any range of batches: the batch scan's report equals
+    # that of profiling, one by one, every candidate those batches cover
+    batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
+    keep = covered(config, batches)
     visits = [search._visit_classify]
     if config.zeros:
         visits.append(partial(search._visit_ell, (2, 3)))  # some candidates violate it
@@ -250,4 +260,19 @@ def test_batch_scan_matches_brute_force(config, ranges):
         visits.append(search._visit_roundtrip)
     for visit in visits:
         reference = brute_force(config, visit, keep)
-        assert_same_report(search._scan(config, ranges, visit), reference)
+        assert_same_report(search._scan(config, batches, visit), reference)
+
+
+def test_scan_past_the_recursion_limit_returns():
+    # 1,098 free positions, more than the interpreter's limit of nested
+    # calls: each batch's prefix is placed in a loop
+    config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400, filter_mode=FILTER_ALL)
+    assert config.free_positions > sys.getrecursionlimit()
+    report = search._scan(config, range(3), search._visit_classify)
+    keep = covered(config, range(3))
+    assert report.total_enumerated == len(keep) == len(report.matches)
+    assert sorted(m.exponents for m in report.matches) == sorted(keep)
+    # the whole space, 2^1093 batches, more than len() and islice take,
+    # starts as any other: the first leaf read reaches the visit
+    with pytest.raises(ValueError, match="visit refused"):
+        search._run_partitioned(config, _visit_refuse)

@@ -62,6 +62,14 @@ def orbit_key(config, digits):
     )
 
 
+def batch_count(config):
+    """The batches of config's space: one per tail of r = n - 1 - L free
+    digits that is zero or led by 1 after its zeros."""
+    p, n = config.p, config.free_positions
+    r = n - 1 - search._depth(p, n, config.period)
+    return 1 + (p**r - 1) // (p - 1)
+
+
 def class_key(config, digits):
     """The least member of the space in the class of digits under b -> c*b + a
     and the reversal of the free digits (positions i -> s-1-i mod N); under
@@ -256,7 +264,7 @@ class TestSingleScan:
             return None, None
 
         assert scan(config).total_enumerated == config.space_size
-        report = search._scan(config, ((0, config.orbit_count),), recording)
+        report = search._scan(config, range(batch_count(config)), recording)
         assert report.total_enumerated == config.space_size
         # one read per class of b -> c*b (+ a) and reversal, and no class
         # read twice: the reads are the profiles of the classes' least members
@@ -279,51 +287,55 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_scan_leaves_no_cycles(self, scan, config):
-        # the walk refers to itself through its closure; the scan breaks that cycle
+        # the scan's reading closures refer to its locals, never to
+        # themselves or to the scan's frame: the collector finds nothing
         assert cycles_left(partial(scan, config)) == 0
 
     @pytest.mark.parametrize("job_count", [1, 2])
-    def test_walk_past_recursion_limit_leaves_no_cycles(self, job_count):
-        # a worker's refusal reaches the caller through its future: the pool
+    def test_worker_exception_leaves_no_cycles(self, job_count):
+        # a worker's exception reaches the caller through its future: the pool
         # must not keep that future in a frame the exception's traceback holds
-        config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400, job_count=job_count)
+        config = SearchConfig(p=3, period=7, zeros=2, job_count=job_count)
         # the first parallel scan imports the pool modules, whose import
         # leaves garbage of its own, and starts the pool
-        enumerate_and_classify(SearchConfig(p=3, period=7, zeros=2, job_count=job_count))
+        enumerate_and_classify(config)
 
         def refused():
-            with pytest.raises(ValueError, match="exceed the recursion limit"):
-                enumerate_and_classify(config)
+            with pytest.raises(ValueError, match="visit refused"):
+                search._run_partitioned(config, _visit_refuse)
 
         assert cycles_left(refused) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("free", [1, 2, 4])
-    def test_single_ordinal_ranges_merge_to_the_whole_scan(self, p, normalize, free):
-        # a range of one ordinal cuts every sibling group of the last digit
+    def test_single_batch_ranges_merge_to_the_whole_scan(self, p, normalize, free):
+        # single batches, and every batch at a stride, merge to the whole scan
         config = SearchConfig(
             p=p, period=free + 2, zeros=2, normalize_phase=normalize, filter_mode=FILTER_ALL
         )
-        orbits = config.orbit_count
+        total = batch_count(config)
         for visit in (
             search._visit_classify,
             partial(search._visit_ell, (0, 0)),  # every candidate is a violation
             search._visit_roundtrip,
         ):
-            whole = search._scan(config, ((0, orbits),), visit)
+            whole = search._scan(config, range(total), visit)
             assert whole.total_enumerated == config.space_size
+            single = []
+            for j in range(total):
+                assert search._scan(config, range(j, j), visit).total_enumerated == 0
+                single.append(search._scan(config, range(j, j + 1), visit))
             merged = SearchReport(config=config)
-            for i in range(orbits):
-                assert search._scan(config, ((i, i),), visit).total_enumerated == 0
-                search._merge(merged, search._scan(config, ((i, i + 1),), visit))
+            for part in single:
+                search._merge(merged, part)
             assert merged == whole
-            # one walk over several non-adjacent ranges, each from the root
-            ranges = ((0, 1),) + tuple((i, i + 2) for i in range(2, orbits, 3))
-            dealt = SearchReport(config=config)
-            for lo, hi in ranges:
-                search._merge(dealt, search._scan(config, ((lo, hi),), visit))
-            assert search._scan(config, ranges, visit) == dealt
+            # each task of a dealt scan reads its batches as they read alone
+            for start, step in ((0, 2), (1, 2), (2, 3)):
+                dealt = SearchReport(config=config)
+                for j in range(start, total, step):
+                    search._merge(dealt, single[j])
+                assert search._scan(config, range(start, total, step), visit) == dealt
 
     @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
     def test_walk_at_wide_columns(self, p, period, zeros):
@@ -396,36 +408,57 @@ class TestSingleScan:
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
+def dealt_tasks(config):
+    """The batches _run_partitioned gives each task of config's scan, with
+    no scan run."""
+    tasks = []
+
+    def scan(config, batches, visit):
+        tasks.append(batches)
+        return SearchReport(config=config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_scan", scan)
+        patch.setattr(search, "_scan_in_pool", lambda c, t, v: [scan(c, b, v) for b in t])
+        search._run_partitioned(config, search._visit_classify)
+    return tasks
+
+
+# (p, period, zeros): from one batch (n = 1) to thousands, at L = 0 .. 10
+DEALT_SPACES = [
+    (2, 3, 2), (2, 4, 2), (2, 6, 1), (2, 8, 2), (2, 12, 2), (2, 22, 2), (2, 26, 1),
+    (3, 3, 2), (3, 5, 2), (3, 6, 1), (3, 7, 2), (3, 9, 2), (3, 11, 2), (3, 15, 2),
+    (3, 19, 2), (5, 4, 2), (5, 5, 1), (5, 6, 2), (5, 8, 2), (5, 10, 2), (5, 13, 2),
+    (7, 3, 1), (7, 5, 2), (7, 7, 2), (7, 8, 2), (7, 10, 2), (11, 6, 2), (13, 7, 2),
+    (3, 130, 124), (2, 40, 16),
+]
+
+
 class TestDealing:
     @pytest.mark.parametrize("jobs", range(1, 10))
-    @pytest.mark.parametrize("p,L", [(2, 0), (3, 1), (3, 2), (5, 3), (7, 1)])
-    @pytest.mark.parametrize("batches", [1, 2, 3, 8, 9, 100])
-    def test_every_ordinal_in_one_task(self, jobs, p, L, batches):
-        # batch counts from one to well above 8 per task: the unled batch
-        # of head ordinals, then count per batch
-        head, count = search._representatives(p, L), p**L
-        orbits = head + (batches - 1) * count
-        starts = {0} | set(range(head, orbits, count))
-        tasks = search._ranges(orbits, min(jobs, batches), head, count)
-        assert len(tasks) == min(jobs, batches)
-        owners = [None] * orbits
-        for j, ranges in enumerate(tasks):
-            assert ranges  # every task walks at least one chunk
-            for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
-                assert hi <= next_lo  # ascending, as the walk visits them
-            for lo, hi in ranges:
-                assert 0 <= lo < hi <= orbits
-                # cuts fall only at batch starts
-                assert lo in starts and (hi in starts or hi == orbits)
-                for i in range(lo, hi):
-                    assert owners[i] is None, (i, owners[i], j)
-                    owners[i] = j
+    @pytest.mark.parametrize("p,period,zeros", DEALT_SPACES)
+    def test_tasks_partition_the_batches(self, jobs, p, period, zeros):
+        config = SearchConfig(p=p, period=period, zeros=zeros, job_count=jobs)
+        total = batch_count(config)
+        tasks = dealt_tasks(config)
+        # no more tasks than batches, each task at least one batch, in order
+        assert len(tasks) == min(jobs, total)
+        owners = [None] * total
+        for j, batches in enumerate(tasks):
+            assert batches
+            assert list(batches) == sorted(batches)
+            for i in batches:
+                assert 0 <= i < total and owners[i] is None, (i, owners[i], j)
+                owners[i] = j
         assert None not in owners
+        # round-robin: batch i goes to task i mod the tasks
+        assert owners == [i % len(tasks) for i in range(total)]
 
     def test_roundtrip_reads_split_evenly(self):
         # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
-        # reads bunch at low ordinals, so one range per task would give the
-        # first task 74 % of them
+        # reads bunch at low ordinals, so one run of batches per task, the
+        # first four of its seven and the last three, would give the first
+        # task 76 % of them
         config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
         reads = []
 
@@ -433,13 +466,16 @@ class TestDealing:
             reads[-1] += 1
             return None, None
 
-        L = search._depth(5, 6, 8)
-        head, size = search._representatives(5, L), 5**L
-        for ranges in search._ranges(config.orbit_count, config.job_count, head, size):
+        for batches in dealt_tasks(config):
             reads.append(0)
-            search._scan(config, ranges, count)
+            search._scan(config, batches, count)
         assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
+
+
+def _visit_refuse(config, f, ell, ints):
+    """Fail the scan, in whichever process reads the first leaf."""
+    raise ValueError("visit refused")
 
 
 def _visit_pid(config, f, ell, ints):
