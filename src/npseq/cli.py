@@ -26,7 +26,7 @@ import os
 import sys
 from functools import cache
 
-from . import __version__, search, theory
+from . import __version__, search
 from .cyclotomic import CyclotomicInt
 from .diffset import (
     PDPDS_CLASSES,

@@ -27,14 +27,13 @@ lexicographic (ordinal) order they fall into batches that share all but
 their last L digits (`_depth`: p^L <= 2^10 leaves, 2L <= n): batch j's
 leaves are its prefix, 0 and the j-th such tail of r = n - 1 - L digits
 (`_prefixes`), then every S of L digits, or under the zero prefix the S
-that are representatives. A scan reads its batches a group at a time, up
-to 2^19 bits of leaves: it folds `sequence._stepper`, three big-int
-updates a digit, over each prefix, and `sequence._brancher` places the
-last L digits on all of the group's nodes together, packed side by side
-in one int, and `sequence._reader` gives every leaf read its ell, and its
-integral values when rational, from one K and one to_bytes, with no
-bytecode run per leaf but for the rational ones. No profile object is
-built.
+that are representatives. A scan reads its batches one at a time: it
+folds `sequence._stepper`, three big-int updates a digit, over the
+batch's prefix, `sequence._brancher` places the last L digits below that
+node, the p^L leaf matrices packed side by side in one int, and
+`sequence._reader` gives every leaf read its ell, and its integral values
+when rational, from one K and one to_bytes, with no bytecode run per leaf
+but for the rational ones. No profile object is built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
 the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
@@ -91,7 +90,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import islice, product, repeat
+from itertools import islice, product
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
@@ -411,38 +410,33 @@ def _select(p: int, L: int, prefix: str):
     return chosen, tuple(tested)
 
 
-_GROUP_BITS = 1 << 19  # the widest group of batches read at once, unless one batch is wider
-
-
 @lru_cache(maxsize=8)
-def _group(p: int, N: int, L: int, m: int):
-    """(leaves, read, offsets) of m batches read at once: the brancher and
-    the reader of their leaves (`sequence._brancher`, `sequence._reader`)
-    and the byte offset of each batch's leaf S_j (`_suffixes`) in the
-    first batch; batch i's are i*N*R/8 bytes further. Each of the eight
-    kept holds masks at most 2^19 bits wide, or one batch wide."""
-    leaves, per_block = _brancher(p, N, L, m)
+def _batch(p: int, N: int, L: int):
+    """(leaves, read, offsets) of one batch: the brancher and the reader of
+    its leaves (`sequence._brancher`, `sequence._reader`) and the byte
+    offset of each leaf S_j (`_suffixes`) in the blocks joined."""
+    leaves, per_block = _brancher(p, N, L)
     stride = N * 2 * p * _width(N)[0] // 8
-    offsets = [position * m * stride for position in _suffixes(p, L)[1]]
+    offsets = [position * stride for position in _suffixes(p, L)[1]]
     return leaves, _reader(p, N, per_block), offsets
 
 
 def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
-    """Read the orbit representatives of the given batches, in order: each
-    batch's node is its prefix (`_prefixes`) placed from (0, 0, 0), L
-    digits above its leaves (`_depth`), and the nodes are read a group at a
-    time, as many as fit 2^19 bits: their p^L leaf matrices are built
-    at once (`sequence._brancher`), and the ell of each leaf that is the
-    least of its reversal pair, with its integral values when rational, is
-    read in one call (`sequence._reader`). Each such leaf's folded matrix f
-    and summary go to `visit(config, f, ell, ints)`, a module-level function
-    or a partial of one (workers unpickle it), which returns (record,
-    violation): a match's (gamma1, gamma2, pdpds) or None, and a violation
-    text or None. Both hold for every member of the pair's orbits, counted
-    and recorded one by one. `_visit_classify` and `_visit_ell` answer a
-    leaf that is not rational from ell alone, so they are asked once per
-    distinct ell, with f and ints None, and once per rational leaf; any
-    other visit is asked once per leaf read."""
+    """Read the orbit representatives of the given batches, in order, one
+    batch at a time: each batch's node is its prefix (`_prefixes`) placed
+    from (0, 0, 0), L digits above its leaves (`_depth`), its p^L leaf
+    matrices are built at once (`sequence._brancher`), and the ell of each
+    leaf that is the least of its reversal pair, with its integral values
+    when rational, is read in one call (`sequence._reader`). Each such
+    leaf's folded matrix f and summary go to `visit(config, f, ell, ints)`,
+    a module-level function or a partial of one (workers unpickle it),
+    which returns (record, violation): a match's (gamma1, gamma2, pdpds) or
+    None, and a violation text or None. Both hold for every member of the
+    pair's orbits, counted and recorded one by one, and `_run_partitioned`
+    sorts them. `_visit_classify` and `_visit_ell` answer a leaf that is
+    not rational from ell alone, so they are asked once per distinct ell,
+    with f and ints None, and once per rational leaf; any other visit is
+    asked once per leaf read."""
     p, zeros, N = config.p, config.zeros, config.period
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -451,44 +445,28 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
     L, step = _depth(p, N - zeros, N), _stepper(p, N)
-    count = p**L
     stride = N * 2 * p * _width(N)[0] // 8  # bytes of one matrix
-    # batches may hold more than sys.maxsize, too many for len() and islice
-    m = max(1, len(batches[: _GROUP_BITS // (count * stride * 8)]))
-    leaves, read, offsets = _group(p, N, L, m)
+    leaves, read, offsets = _batch(p, N, L)
     suffixes = _suffixes(p, L)[0]
     by_ell = getattr(visit, "func", visit) in (_visit_classify, _visit_ell)
     answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
     loud = set()  # the ells whose answer records or flags
-
-    def read_batches(group: list[str]) -> None:
-        """Read the leaves of the group's batches that are not above their
-        twins (`_select`): batch i's leaves have the free digits group[i]
-        (a str of chr(b)) + S_j."""
-        twinned, owners = [], []  # byte offsets, (i, j) of leaves read with their twins
-        tested, picks = [], []  # byte offsets, (i, j, y, weight) of the other leaves read
-        for i, prefix in enumerate(group):
-            chosen, ties = _select(p, L, prefix)
-            base = i * stride
-            twinned += map(base.__add__, map(offsets.__getitem__, chosen))
-            owners += zip(repeat(i), chosen)
-            for j, y, twin, nonzero in ties:
-                tested.append(base + offsets[j])
-                picks.append((i, j, y, weights[nonzero] << twin))
-        if twinned or tested:
-            nodes = [reduce(step, map(ord, prefix), (0, 0, 0)) for prefix in group]
-            blocks = leaves(nodes + [(0, 0, 0)] * (m - len(nodes)))
-            read_group(group, blocks, twinned, owners, tested, picks)
-
-    def read_group(group, blocks, twinned, owners, tested, picks) -> None:
-        """Count, visit and record the leaves at byte offsets twinned (with
-        their twins' weight) and tested of the group's leaf matrices."""
-        at = len(twinned)
-        ells, rational = read(blocks, twinned + tested)
+    r = N - zeros - 1 - L  # the tail digits above a batch
+    # batches may hold more than sys.maxsize, too many for islice
+    prefixes = islice(_prefixes(p, r), batches.start, min(batches.stop, sys.maxsize), batches.step)
+    for prefix in prefixes:
+        # leaves prefix + S_j not above their twins: read with them, then the others
+        chosen, ties = _select(p, L, prefix)
+        if not chosen and not ties:
+            continue
+        at = len(chosen)
+        picked = [offsets[j] for j in chosen] + [offsets[tie[0]] for tie in ties]
+        blocks = leaves(reduce(step, map(ord, prefix), (0, 0, 0)))
+        ells, rational = read(blocks, picked)
         for ell, times in Counter(ells[:at]).items() if at else ():
             histogram[ell] = histogram.get(ell, 0) + times * pair
-        for ell, (_, _, _, weight) in zip(ells[at:], picks):
-            histogram[ell] = histogram.get(ell, 0) + weight
+        for ell, (_, _, twin, nonzero) in zip(ells[at:], ties):
+            histogram[ell] = histogram.get(ell, 0) + (weights[nonzero] << twin)
         if by_ell:
             for ell in set(ells) - answers.keys():
                 answers[ell] = answer = visit(config, None, ell, None)
@@ -499,22 +477,16 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
         else:
             results, asked = {}, range(len(ells))
         if asked:
-            width = m * count // len(blocks) * stride
+            width = p**L // len(blocks) * stride
             data = b"".join([f.to_bytes(width, "little") for f in blocks])
             for k in asked:
-                offset = twinned[k] if k < at else tested[k - at]
-                f = int.from_bytes(data[offset : offset + stride], "little")
+                f = int.from_bytes(data[picked[k] : picked[k] + stride], "little")
                 results[k] = visit(config, f, ells[k], rational.get(k))
-        if not results:
-            return
-        leaf = owners + [pick[:2] for pick in picks]  # (i, j) of each leaf read
-        for k in sorted(results, key=leaf.__getitem__):  # ordinal order
-            record, violation = results[k]
+        for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue
-            i, j = leaf[k]
-            digits = group[i] + suffixes[j]
-            y = picks[k - at][2] if k >= at else _mirror(_canon(p), digits)
+            digits = prefix + suffixes[chosen[k] if k < at else ties[k - at][0]]
+            y = _mirror(_canon(p), digits) if k < at else ties[k - at][1]
             for rep in (digits, "\0" + y) if y != digits[1:] else (digits,):
                 for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
                     if record is not None:
@@ -522,11 +494,6 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
                     if violation is not None:
                         text = ",".join(["Z"] * zeros + [str(b) for b in exponents])
                         part.violations.append(f"index {index} [{text}]: {violation}")
-
-    r = N - zeros - 1 - L  # the tail digits above a batch
-    prefixes = islice(_prefixes(p, r), batches.start, min(batches.stop, sys.maxsize), batches.step)
-    while group := list(islice(prefixes, m)):
-        read_batches(group)
     part.total_enumerated = sum(histogram.values())
     return part
 

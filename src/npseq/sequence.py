@@ -17,15 +17,15 @@ The scans place digit b at position k of a node (M, H, G), with histories
 H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
 2^((N-k+j)*R + (p-b_j)*w), in three big-int updates: M += (H << (p-b)*w) +
 (G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w)
-(`_stepper`). `_brancher` makes the same updates on many nodes at once,
-packed side by side at a stride of N*R bits, to place the last L digits
-of a batch of them. f = (M & LOW) + ((M >> p*w) & LOW) folds the slots,
-leaving slots p .. 2p-1 zero. `_reader(p, N, m)` owns K = f + HALFS -
-((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices, whose row t is
-C(t)'s canonical vector plus 2^(w-1) in every column: ell counts its
-distinct rows 1 .. N-1, and C(t) is a rational integer, column 0 less
-2^(w-1), when the other columns hold just 2^(w-1). It reads any number of
-a batch's matrices in one pass; `profile` reads a batch of one.
+(`_stepper`). `_brancher` places the last L digits below one node: it
+makes the same updates on all the nodes of a level at once, packed side
+by side at a stride of N*R bits. f = (M & LOW) + ((M >> p*w) & LOW)
+folds the slots, leaving slots p .. 2p-1 zero. `_reader(p, N, m)` owns
+K = f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
+whose row t is C(t)'s canonical vector plus 2^(w-1) in every column:
+ell counts its distinct rows 1 .. N-1, and C(t) is a rational integer,
+column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It reads
+any number of a batch's matrices in one pass; `profile` reads just one.
 `profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
 `cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
 inversion, so the classification reads the matrix as it is.
@@ -249,12 +249,12 @@ def _stepper(p: int, N: int):
     return step
 
 
-def _brancher(p: int, N: int, L: int, m: int):
-    """(leaves, per_block): leaves(nodes), m nodes (M, H, G) of one depth,
-    is the folded matrices of their p^L descendants L digits below, packed
-    at a stride of N*R bits in blocks of per_block, one per last digit:
-    node i's with digits s_0 .. s_{L-1} is at position i + m*(s_0 + s_1*p +
-    ... + s_{L-1}*p^(L-1)) of the blocks joined.
+def _brancher(p: int, N: int, L: int):
+    """(leaves, per_block): leaves(node), a node (M, H, G), is the folded
+    matrices of its p^L descendants L digits below, packed at a stride of
+    N*R bits in blocks of per_block, one per last digit: the leaf with
+    digits s_0 .. s_{L-1} is at position s_0 + s_1*p + ... +
+    s_{L-1}*p^(L-1) of the blocks joined.
 
     leaves places each digit on all the nodes of a level at once, packed:
     child b of parent i at position i + b*(the level's parents), which is
@@ -271,7 +271,7 @@ def _brancher(p: int, N: int, L: int, m: int):
     w = _width(N)[0]
     R, pw, size = 2 * p * w, p * w, w // 8
     top, stride = (N - 1) * R, N * R // 8
-    per_block = m * p ** max(L - 1, 0)
+    per_block = p ** max(L - 1, 0)
     low = _low(p, N, per_block)
 
     def pack(parts, width: int) -> int:
@@ -285,9 +285,9 @@ def _brancher(p: int, N: int, L: int, m: int):
     # each child, and the +1 terms of its children's H and G
     levels = []
     for i in range(L):
-        parents = m * p**i * stride
+        parents = p**i * stride
         one, ones = (
-            int.from_bytes((b"\1" + bytes(stride - 1)) * m * p**j, "little") for j in (i, i + 1)
+            int.from_bytes((b"\1" + bytes(stride - 1)) * p**j, "little") for j in (i, i + 1)
         )
         hs = pack([one << b * w + R for b in range(p)], parents)
         gs = pack([one << top + (p - b) * w for b in range(p)], parents)
@@ -296,13 +296,8 @@ def _brancher(p: int, N: int, L: int, m: int):
     def fold(M: int) -> int:
         return (M & low) + (M >> pw & low)
 
-    def leaves(nodes) -> list[int]:
-        if m == 1:
-            M, H, G = nodes[0]
-        elif L:
-            M, H, G = [pack(part, stride) for part in zip(*nodes)]
-        else:  # past the last digit, H may run past its stride; only M is read
-            M = pack([node[0] for node in nodes], stride)
+    def leaves(node) -> list[int]:
+        M, H, G = node
         for i, (parents, one, ones, hs, gs) in enumerate(levels):
             if i == L - 1:  # the last digit: one block per digit, M alone
                 return [fold(M + (H << (p - b) * w) + (G << b * w) + one) for b in range(p)]

@@ -81,38 +81,31 @@ def test_siblings_step_from_one_parent(seq, data):
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.data())
 def test_batch_leaves_are_the_subtree_matrices(seq, data):
-    # m nodes of one depth, each with the L digits below it placed at once:
-    # node i's leaf with digits s_0 .. s_{L-1} sits at position
-    # i + m*(s_0 + s_1*p + ...), and the reader reads it as profile does
+    # a node with the L digits below it placed at once: its leaf with
+    # digits s_0 .. s_{L-1} sits at position s_0 + s_1*p + ..., and the
+    # reader reads it as profile does
     p, N = seq.p, seq.period
     zeros = data.draw(st.integers(0, N - 1))
     L = data.draw(st.integers(0, min(3, N - zeros)))
-    m = data.draw(st.integers(1, 3))
-    digit = st.integers(0, p - 1)
     depth = N - zeros - L
-    heads = [data.draw(st.lists(digit, min_size=depth, max_size=depth)) for _ in range(m)]
+    head = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth))
     step = _stepper(p, N)
-    nodes = []
-    for head in heads:
-        node = (0, 0, 0)
-        for b in head:
-            node = step(node, b)
-        nodes.append(node)
-    leaves, per_block = _brancher(p, N, L, m)
-    blocks = leaves(nodes)
+    node = (0, 0, 0)
+    for b in head:
+        node = step(node, b)
+    leaves, per_block = _brancher(p, N, L)
+    blocks = leaves(node)
     stride = N * 2 * p * _width(N)[0] // 8
     joined = b"".join([f.to_bytes(per_block * stride, "little") for f in blocks])
-    assert len(joined) == m * p**L * stride
+    assert len(joined) == p**L * stride
     offsets, expected = [], []
-    for i, head in enumerate(heads):
-        for tail in itertools.product(range(p), repeat=L):
-            position = i + m * sum(b * p**k for k, b in enumerate(tail))
-            offset = position * stride
-            f = int.from_bytes(joined[offset : offset + stride], "little")
-            prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + tail))
-            assert f == prof.matrix
-            offsets.append(offset)
-            expected.append(prof)
+    for tail in itertools.product(range(p), repeat=L):
+        offset = sum(b * p**k for k, b in enumerate(tail)) * stride
+        f = int.from_bytes(joined[offset : offset + stride], "little")
+        prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + tail))
+        assert f == prof.matrix
+        offsets.append(offset)
+        expected.append(prof)
     ells, rational = _reader(p, N, per_block)(blocks, offsets)
     assert ells == [prof.ell for prof in expected]
     assert rational == {

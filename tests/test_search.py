@@ -287,8 +287,8 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_scan_leaves_no_cycles(self, scan, config):
-        # the scan's reading closures refer to its locals, never to
-        # themselves or to the scan's frame: the collector finds nothing
+        # the scan's batch loop leaves no reference cycle behind: the
+        # collector finds nothing
         assert cycles_left(partial(scan, config)) == 0
 
     @pytest.mark.parametrize("job_count", [1, 2])
@@ -336,6 +336,18 @@ class TestSingleScan:
                 for j in range(start, total, step):
                     search._merge(dealt, single[j])
                 assert search._scan(config, range(start, total, step), visit) == dealt
+
+    def test_ranges_past_sys_maxsize_stop_at_the_last_batch(self):
+        # a range stop above sys.maxsize, which islice refuses, reads as the
+        # batch count: the scan ends where the batches do
+        config = SearchConfig(p=3, period=12, zeros=2)
+        total = batch_count(config)
+        assert total == 41
+        visit = search._visit_classify
+        whole = search._scan(config, range(total), visit)
+        assert search._scan(config, range(0, 2**70), visit) == whole
+        dealt = search._scan(config, range(1, total, 3), visit)
+        assert search._scan(config, range(1, 2**70, 3), visit) == dealt
 
     @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
     def test_walk_at_wide_columns(self, p, period, zeros):
