@@ -22,18 +22,19 @@ of orbits under reversal (below). This loses nothing:
 
 So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
-where the tail is zero or has 1 as its first nonzero digit. In
-lexicographic (ordinal) order they fall into batches that share all but
-their last L digits (`_depth`: p^L <= 2^10 leaves, 2L <= n): batch j's
-leaves are its prefix, 0 and the j-th such tail of r = n - 1 - L digits
-(`_prefixes`), then every S of L digits, or under the zero prefix the S
-that are representatives. A scan reads its batches one at a time: it
-folds `sequence._stepper`, three big-int updates a digit, over the
-batch's prefix, `sequence._brancher` places the last L digits below that
-node, the p^L leaf matrices packed side by side in one int, and
-`sequence._reader` gives every leaf read its ell, and its integral values
-when rational, from one K and one to_bytes, with no bytecode run per leaf
-but for the rational ones. No profile object is built.
+where the tail is zero or has 1 as its first nonzero digit. In ordinal order
+they fall into batches that share all but their last L digits (`_depth`:
+p^L <= 2^10 leaves, 2L <= n): batch j's leaves are its prefix, 0 and the
+j-th such tail of r = n - 1 - L digits (`_prefixes`), then every S of L
+digits, or under the zero prefix the S that are representatives. A scan
+reads its batches one at a time, by one plan per (p, N, n) (`_plan`): it
+folds `sequence._stepper`, three big-int updates a digit, over the batch's
+prefix, the plan's kernel (`sequence._batch`) places the last L digits below
+that node, the p^L leaf matrices packed side by side in one int, S_j of
+digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ... (the packing order), and the
+kernel's reader gives every leaf read its ell, and its integral values when
+rational, from one K and one to_bytes, with no bytecode run per leaf but for
+the rational ones. No profile object is built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
 the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
@@ -48,10 +49,10 @@ rho is an involution that commutes with b -> c*b + a, so canon(rho y) = x
 and each pair is read once. For a leaf x = prefix + S whose last L digits
 S are not constant, the canon map, and so y's first L-1 digits Y(S),
 depend on S alone, while x's are the prefix's: a table of the Y(S),
-sorted once per (p, L) (`_suffixes`), is bisected once per node
-(`_select`), so the S with Y(S) above are read with their twins, those
-below are skipped, and only the ties and the p constant S take the
-digit-by-digit test.
+sorted once per plan, is bisected once per batch (`_select`, which keeps
+the byte offsets of the leaves it picks), so the S with Y(S) above are
+read with their twins, those below are skipped, and only the ties and the
+p constant S take the digit-by-digit test.
 
 An orbit has (p - 1 if the tail is nonzero, else 1) times (p over the full
 space, else 1) members, as does its twin, and the report is expanded over
@@ -95,7 +96,7 @@ from operator import attrgetter
 
 from .cyclotomic import _require_grid
 from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import _brancher, _counts, _nps_type, _reader, _stepper, _width
+from .sequence import _batch, _batch_depth, _counts, _nps_type, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -163,8 +164,9 @@ class SearchConfig:
     @property
     def orbit_count(self) -> int:
         """Orbits of b -> c*b (+ a) on the space, p^L to a batch but the
-        first (`_depth`). A scan builds every one's leaf matrix, a batch at
-        a time, and reads about half of them, one per reversal pair."""
+        first (L of the scan's plan, `_plan`). A scan builds every one's
+        leaf matrix, a batch at a time in packing order (`sequence._batch`),
+        and reads about half of them, one per reversal pair."""
         return _representatives(self.p, self.free_positions - 1)
 
 
@@ -319,53 +321,69 @@ def _mirror(canon: _Lazy, digits: str) -> str:
     return rho.translate(canon[ord(b)][rest[0]]) if rest else digits[1:]
 
 
-_BATCH_LEAVES = 1 << 10  # the most leaves, p^L, in one batch
-_BATCH_BITS = 1 << 21  # the widest batch of packed matrices
-
-
-@lru_cache(maxsize=8)
 def _depth(p: int, n: int, N: int) -> int:
-    """L, the digits a batch places: the largest with p^L <= 2^10 leaves,
-    p^L matrices of N*R bits in at most 2^21 bits and 2L <= n (so a leaf's
-    digits 1 .. L-1 lie above its batch)."""
-    fits = min(_BATCH_LEAVES, _BATCH_BITS // (N * 2 * p * _width(N)[0]))
-    L = 0
-    while 2 * L + 2 <= n and p ** (L + 1) <= fits:
-        L += 1
-    return L
+    """L, the digits a batch places: at most `sequence._batch_depth` (p^L <=
+    2^10 leaves in 2^21 bits), and 2L <= n, so digits 1 .. L-1 lie above it."""
+    return min(n // 2, _batch_depth(p, N))
 
 
 @lru_cache(maxsize=8)
-def _suffixes(p: int, L: int):
-    """(suffixes, positions, tables, mirrors, ys, js, constants, unled) of
-    the p^L digit strings S a batch places, in lexicographic (ordinal)
-    order: S_j, its position in `sequence._brancher`'s packing and, for S
-    not constant, the translate table T(S) of its canon map and Y(S) (None
-    for a constant S); then the Y(S), sorted, with their j, the j of the
-    constant S and the j of the tails an unled batch holds (zero, or led by
-    1 after their zeros).
+def _plan(p: int, N: int, n: int):
+    """(L, step, leaves, read, matrices, select): the setup of the scans of
+    (p, N) with n free positions, L (`_depth`), the stepper, the batches'
+    kernel (`sequence._batch`) and select(prefix), the leaves read below the
+    free digits prefix (a str of chr(b)): (picked, names, ties), their byte
+    offsets, those read with their twins first, their last L digits S, and
+    (y, twin, nonzero) of the last len(ties), which the digit-by-digit test
+    reads: y = canon(rho x), whether y is another orbit and whether the
+    tail is nonzero.
 
-    For x = prefix + S with S not constant, rho x starts with S reversed,
-    so S alone fixes b and v: y = canon(rho x) is Y(S), the canon of S's
-    first L-1 digits reversed, then the prefix reversed translated by T(S).
-    x's digits 1 .. L-1 are those of the prefix, so x is below its twin,
-    and read, when Y(S) is above them, and above it, and skipped, when Y(S)
-    is below."""
+    The tables list the p^L strings S in the kernel's packing order, S_j of
+    digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ...: for S not constant, the
+    translate table T(S) of its canon map and Y(S); then the Y(S), sorted,
+    with the byte offsets and S of their leaves, the j of the constant S and
+    the j of the tails an unled batch holds (zero, or led by 1 after their
+    zeros). For x = prefix + S with S not constant, rho x starts with S
+    reversed, so S alone fixes b and v: y = canon(rho x) is Y(S), the canon
+    of S's first L-1 digits reversed, then the prefix reversed translated by
+    T(S). x's digits 1 .. L-1 are the prefix's, so x is below its twin, and
+    read, when Y(S) is above them, and above it, and skipped, when Y(S) is
+    below."""
+    L = _depth(p, n, N)
+    leaves, read, matrices, offsets = _batch(p, N, L)
     canon = _canon(p)
-    suffixes, positions = [""], [0]
-    for i in range(L):
-        suffixes = [s + chr(b) for s in suffixes for b in range(p)]
-        positions = [q + b * p**i for q in positions for b in range(p)]
-    tables, mirrors = [], []
-    for s in suffixes:
-        rest = s[-2::-1].lstrip(s[-1:])
-        tables.append(canon[ord(s[-1])][rest[0]] if rest else None)
-        mirrors.append(s[-2::-1].translate(tables[-1]) if rest else None)
-    keyed = sorted((y, j) for j, y in enumerate(mirrors) if y is not None)
+    suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
+    rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
+    tables = [canon[ord(s[-1])][rest[0]] if rest else None for s, rest in zip(suffixes, rests)]
+    mirrors = [s[-2::-1].translate(t) if t is not None else None for s, t in zip(suffixes, tables)]
+    js = sorted((j for j, y in enumerate(mirrors) if y is not None), key=mirrors.__getitem__)
+    ys, ranked, named = ([table[j] for j in js] for table in (mirrors, offsets, suffixes))
     constants = [j for j, table in enumerate(tables) if table is None]
     unled = [j for j, s in enumerate(suffixes) if s.lstrip("\0")[:1] in ("", "\1")]
-    ys, js = [y for y, _ in keyed], [j for _, j in keyed]
-    return suffixes, positions, tables, mirrors, ys, js, constants, unled
+
+    def select(prefix: str):
+        tail, back, led = prefix[1:], prefix[::-1], prefix.strip("\0") != ""
+        if led:
+            # Y(S) above x's digits 1 .. L-1: read with its twin; equal: a tie
+            below = bisect_left(ys, tail[: L - 1])
+            above = bisect_right(ys, tail[: L - 1], below)
+            ties = js[below:above] + constants
+        else:  # the zero prefix: its leaves are unled's tails
+            above, ties = len(ys), unled
+        picked, names, tested = ranked[above:], named[above:], []
+        for j in ties:
+            x = tail + suffixes[j]
+            if tables[j] is not None:
+                y = mirrors[j] + back.translate(tables[j])
+            else:
+                y = _mirror(canon, prefix + suffixes[j])
+            if y >= x:
+                picked.append(offsets[j])
+                names.append(suffixes[j])
+                tested.append((y, y != x, led or j > 0))
+        return tuple(picked), tuple(names), tuple(tested)
+
+    return L, _stepper(p, N), leaves, read, matrices, select
 
 
 def _prefixes(p: int, r: int):
@@ -382,52 +400,18 @@ def _prefixes(p: int, r: int):
 
 
 @lru_cache(maxsize=256)
-def _select(p: int, L: int, prefix: str):
-    """(chosen, ties) of the batch below the free digits prefix (a str of
-    chr(b)): the j of its leaves read with their twins, and (j, y, twin,
-    nonzero) of those the digit-by-digit test reads: y = canon(rho x),
-    whether y is another orbit and whether the tail is nonzero. A repeated
-    scan finds it here."""
-    suffixes, _, tables, mirrors, ys, js, constants, unled = _suffixes(p, L)
-    canon, tail, back = _canon(p), prefix[1:], prefix[::-1]
-    led = prefix.strip("\0") != ""
-    if led:
-        # Y(S) above x's digits 1 .. L-1: read with its twin; equal: a tie
-        below = bisect_left(ys, tail[: L - 1])
-        above = bisect_right(ys, tail[: L - 1], below)
-        chosen, ties = tuple(js[above:]), js[below:above] + constants
-    else:  # the zero prefix: its leaves are unled's tails
-        chosen, ties = (), unled
-    tested = []
-    for j in ties:
-        x = tail + suffixes[j]
-        if tables[j] is not None:
-            y = mirrors[j] + back.translate(tables[j])
-        else:
-            y = _mirror(canon, prefix + suffixes[j])
-        if y >= x:
-            tested.append((j, y, y != x, led or j > 0))
-    return chosen, tuple(tested)
-
-
-@lru_cache(maxsize=8)
-def _batch(p: int, N: int, L: int):
-    """(leaves, read, offsets) of one batch: the brancher and the reader of
-    its leaves (`sequence._brancher`, `sequence._reader`) and the byte
-    offset of each leaf S_j (`_suffixes`) in the blocks joined."""
-    leaves, per_block = _brancher(p, N, L)
-    stride = N * 2 * p * _width(N)[0] // 8
-    offsets = [position * stride for position in _suffixes(p, L)[1]]
-    return leaves, _reader(p, N, per_block), offsets
+def _select(p: int, N: int, n: int, prefix: str):
+    """`_plan(p, N, n)`'s select(prefix); a repeated scan finds it here."""
+    return _plan(p, N, n)[5](prefix)
 
 
 def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     """Read the orbit representatives of the given batches, in order, one
-    batch at a time: each batch's node is its prefix (`_prefixes`) placed
-    from (0, 0, 0), L digits above its leaves (`_depth`), its p^L leaf
-    matrices are built at once (`sequence._brancher`), and the ell of each
-    leaf that is the least of its reversal pair, with its integral values
-    when rational, is read in one call (`sequence._reader`). Each such
+    batch at a time, from the plan of (p, N, n) (`_plan`): each batch's
+    node is its prefix (`_prefixes`) placed from (0, 0, 0), L digits above
+    its leaves, its p^L leaf matrices are built at once, and the ell of
+    each leaf that is the least of its reversal pair (`_select`), with its
+    integral values when rational, is read in one call. Each such
     leaf's folded matrix f and summary go to `visit(config, f, ell, ints)`,
     a module-level function or a partial of one (workers unpickle it),
     which returns (record, violation): a match's (gamma1, gamma2, pdpds) or
@@ -437,35 +421,31 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     not rational from ell alone, so they are asked once per distinct ell,
     with f and ints None, and once per rational leaf; any other visit is
     asked once per leaf read."""
-    p, zeros, N = config.p, config.zeros, config.period
+    p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
     histogram = part.ell_histogram
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
-    L, step = _depth(p, N - zeros, N), _stepper(p, N)
-    stride = N * 2 * p * _width(N)[0] // 8  # bytes of one matrix
-    leaves, read, offsets = _batch(p, N, L)
-    suffixes = _suffixes(p, L)[0]
+    L, step, leaves, read, matrices, _ = _plan(p, N, n)
     by_ell = getattr(visit, "func", visit) in (_visit_classify, _visit_ell)
     answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
     loud = set()  # the ells whose answer records or flags
-    r = N - zeros - 1 - L  # the tail digits above a batch
+    r = n - 1 - L  # the tail digits above a batch
     # batches may hold more than sys.maxsize, too many for islice
     prefixes = islice(_prefixes(p, r), batches.start, min(batches.stop, sys.maxsize), batches.step)
     for prefix in prefixes:
         # leaves prefix + S_j not above their twins: read with them, then the others
-        chosen, ties = _select(p, L, prefix)
-        if not chosen and not ties:
+        picked, names, ties = _select(p, N, n, prefix)
+        if not picked:
             continue
-        at = len(chosen)
-        picked = [offsets[j] for j in chosen] + [offsets[tie[0]] for tie in ties]
+        at = len(picked) - len(ties)
         blocks = leaves(reduce(step, map(ord, prefix), (0, 0, 0)))
         ells, rational = read(blocks, picked)
         for ell, times in Counter(ells[:at]).items() if at else ():
             histogram[ell] = histogram.get(ell, 0) + times * pair
-        for ell, (_, _, twin, nonzero) in zip(ells[at:], ties):
+        for ell, (_, twin, nonzero) in zip(ells[at:], ties):
             histogram[ell] = histogram.get(ell, 0) + (weights[nonzero] << twin)
         if by_ell:
             for ell in set(ells) - answers.keys():
@@ -477,16 +457,13 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
         else:
             results, asked = {}, range(len(ells))
         if asked:
-            width = p**L // len(blocks) * stride
-            data = b"".join([f.to_bytes(width, "little") for f in blocks])
-            for k in asked:
-                f = int.from_bytes(data[picked[k] : picked[k] + stride], "little")
+            for k, f in zip(asked, matrices(blocks, [picked[k] for k in asked])):
                 results[k] = visit(config, f, ells[k], rational.get(k))
         for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue
-            digits = prefix + suffixes[chosen[k] if k < at else ties[k - at][0]]
-            y = _mirror(_canon(p), digits) if k < at else ties[k - at][1]
+            digits = prefix + names[k]
+            y = _mirror(_canon(p), digits) if k < at else ties[k - at][0]
             for rep in (digits, "\0" + y) if y != digits[1:] else (digits,):
                 for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
                     if record is not None:

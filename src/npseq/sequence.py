@@ -17,11 +17,12 @@ The scans place digit b at position k of a node (M, H, G), with histories
 H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
 2^((N-k+j)*R + (p-b_j)*w), in three big-int updates: M += (H << (p-b)*w) +
 (G << b*w) + 1, H = (H + 2^(b*w)) << R, G = (G >> R) + 2^((N-1)*R + (p-b)*w)
-(`_stepper`). `_brancher` places the last L digits below one node: it
+(`_stepper`). `_batch` places the last L digits below one node: it
 makes the same updates on all the nodes of a level at once, packed side
-by side at a stride of N*R bits. f = (M & LOW) + ((M >> p*w) & LOW)
-folds the slots, leaving slots p .. 2p-1 zero. `_reader(p, N, m)` owns
-K = f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
+by side at a stride of N*R bits, leaf s_0 .. s_{L-1} at position s_0 +
+s_1*p + ... (the packing order). f = (M & LOW) + ((M >> p*w) & LOW) folds
+the slots, leaving slots p .. 2p-1 zero. `_new_reader(p, N, m)` owns K =
+f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
 whose row t is C(t)'s canonical vector plus 2^(w-1) in every column:
 ell counts its distinct rows 1 .. N-1, and C(t) is a rational integer,
 column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It reads
@@ -167,7 +168,7 @@ def _masks(p: int, N: int, m: int = 1) -> tuple[int, int, int]:
     return _low(p, N, m), int.from_bytes(row * (N * m), "little"), ones
 
 
-_CACHED_CELLS = 1 << 10  # the widest m * N * p whose reader is cached, masks and all
+_CACHED_CELLS = 1 << 10  # the widest N * p whose reader is cached, masks and all
 
 
 def _new_reader(p: int, N: int, m: int):
@@ -211,14 +212,13 @@ def _new_reader(p: int, N: int, m: int):
 _cached_reader = lru_cache(maxsize=64)(_new_reader)
 
 
-def _reader(p: int, N: int, m: int = 1):
-    """The reader of m of (p, N)'s matrices. A reader of at most
-    _CACHED_CELLS cells is cached, 64 at most, so the cache holds a few MB
-    of masks; a wider one is built per call, so no cache holds masks as wide
-    as a matrix or a scan's batch."""
-    if m * N * p <= _CACHED_CELLS:
-        return _cached_reader(p, N, m)
-    return _new_reader(p, N, m)
+def _reader(p: int, N: int):
+    """The reader of one of (p, N)'s matrices, as `profile` reads it: cached,
+    64 at most, up to _CACHED_CELLS cells, so the cache holds a few MB of
+    masks, else built per call, so it holds none as wide as a long matrix. A
+    batch's reader, as wide as the batch, is `_batch`'s, held by the scan's
+    plan (`search._plan`, eight at most)."""
+    return (_cached_reader if N * p <= _CACHED_CELLS else _new_reader)(p, N, 1)
 
 
 def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
@@ -249,12 +249,29 @@ def _stepper(p: int, N: int):
     return step
 
 
-def _brancher(p: int, N: int, L: int):
-    """(leaves, per_block): leaves(node), a node (M, H, G), is the folded
-    matrices of its p^L descendants L digits below, packed at a stride of
-    N*R bits in blocks of per_block, one per last digit: the leaf with
-    digits s_0 .. s_{L-1} is at position s_0 + s_1*p + ... +
-    s_{L-1}*p^(L-1) of the blocks joined.
+_BATCH_LEAVES = 1 << 10  # the most leaves, p^L, in one batch
+_BATCH_BITS = 1 << 21  # the widest batch of packed matrices
+
+
+def _batch_depth(p: int, N: int) -> int:
+    """The most digits L a batch of (p, N) may place: p^L <= _BATCH_LEAVES
+    leaves whose matrices, N*R bits each, fit in _BATCH_BITS."""
+    fits = min(_BATCH_LEAVES, _BATCH_BITS // (N * 2 * p * _width(N)[0]))
+    L, leaves = 0, p
+    while leaves <= fits:
+        L, leaves = L + 1, leaves * p
+    return L
+
+
+def _batch(p: int, N: int, L: int):
+    """(leaves, read, matrices, offsets) of the batches placing L digits:
+    leaves(node), a node (M, H, G), is the folded matrices of its p^L
+    descendants L digits below, packed at a stride of N*R bits in blocks of
+    p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0 +
+    s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of the blocks joined;
+    read(blocks, picked) (`_new_reader`) and matrices(blocks, picked) give the
+    ells and integral values, and the folded matrices, of the leaves at the
+    byte offsets picked.
 
     leaves places each digit on all the nodes of a level at once, packed:
     child b of parent i at position i + b*(the level's parents), which is
@@ -272,7 +289,7 @@ def _brancher(p: int, N: int, L: int):
     R, pw, size = 2 * p * w, p * w, w // 8
     top, stride = (N - 1) * R, N * R // 8
     per_block = p ** max(L - 1, 0)
-    low = _low(p, N, per_block)
+    low, block = _low(p, N, per_block), per_block * stride
 
     def pack(parts, width: int) -> int:
         return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in parts]), "little")
@@ -310,7 +327,12 @@ def _brancher(p: int, N: int, L: int):
             )
         return [fold(M)]
 
-    return leaves, per_block
+    def matrices(blocks, picked) -> list[int]:
+        data = b"".join([f.to_bytes(block, "little") for f in blocks])
+        return [int.from_bytes(data[at : at + stride], "little") for at in picked]
+
+    offsets = [j * stride for j in range(p**L)]
+    return leaves, _new_reader(p, N, per_block), matrices, offsets
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:

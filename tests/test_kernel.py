@@ -20,7 +20,7 @@ from npseq.search import SearchConfig
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
-    _brancher,
+    _batch,
     _count_matrix,
     _low,
     _masks,
@@ -82,8 +82,8 @@ def test_siblings_step_from_one_parent(seq, data):
 @given(sequences(), st.data())
 def test_batch_leaves_are_the_subtree_matrices(seq, data):
     # a node with the L digits below it placed at once: its leaf with
-    # digits s_0 .. s_{L-1} sits at position s_0 + s_1*p + ..., and the
-    # reader reads it as profile does
+    # digits s_0 .. s_{L-1} sits at position j = s_0 + s_1*p + ..., byte
+    # offsets[j], and the batch's reader and matrices read it as profile does
     p, N = seq.p, seq.period
     zeros = data.draw(st.integers(0, N - 1))
     L = data.draw(st.integers(0, min(3, N - zeros)))
@@ -93,20 +93,22 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
     node = (0, 0, 0)
     for b in head:
         node = step(node, b)
-    leaves, per_block = _brancher(p, N, L)
+    leaves, read, matrices, offsets = _batch(p, N, L)
     blocks = leaves(node)
     stride = N * 2 * p * _width(N)[0] // 8
-    joined = b"".join([f.to_bytes(per_block * stride, "little") for f in blocks])
+    assert offsets == [j * stride for j in range(p**L)]
+    joined = b"".join([f.to_bytes(p**L // len(blocks) * stride, "little") for f in blocks])
     assert len(joined) == p**L * stride
-    offsets, expected = [], []
+    picked, expected = [], []
     for tail in itertools.product(range(p), repeat=L):
-        offset = sum(b * p**k for k, b in enumerate(tail)) * stride
+        offset = offsets[sum(b * p**k for k, b in enumerate(tail))]
         f = int.from_bytes(joined[offset : offset + stride], "little")
         prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + tail))
         assert f == prof.matrix
-        offsets.append(offset)
+        picked.append(offset)
         expected.append(prof)
-    ells, rational = _reader(p, N, per_block)(blocks, offsets)
+    assert matrices(blocks, picked) == [prof.matrix for prof in expected]
+    ells, rational = read(blocks, picked)
     assert ells == [prof.ell for prof in expected]
     assert rational == {
         k: prof.integral_values for k, prof in enumerate(expected) if prof.all_integral

@@ -233,8 +233,10 @@ def random_batch_cases(count, seed=20):
 
 
 # n = 1, 2 and 3 (L = 0 and 1), the zero prefix's batch alone (a zero tail
-# weighing 1, or p over the full space) and without it, and p^L at the 2^10
-# cap
+# weighing 1, or p over the full space) and without it, p^L at the 2^10
+# cap, and wide p: p = 11 places L = 2, 121 leaves in packing order with
+# T(S) tables above p = 7, and p = 31 places L = 1, every S constant, so
+# every leaf takes the digit-by-digit test
 EDGE_BATCH_CASES = [
     (SearchConfig(p=p, period=zeros + free, zeros=zeros, normalize_phase=normalize,
                   filter_mode=FILTER_ALL), batches)
@@ -244,6 +246,8 @@ EDGE_BATCH_CASES = [
     (SearchConfig(p=3, period=9, zeros=2, normalize_phase=False, filter_mode=FILTER_ALL),
      range(0, 14, 3)),
     (SearchConfig(p=2, period=22, zeros=2), range(1, 512, 170)),
+    (SearchConfig(p=11, period=6, zeros=2), range(2)),
+    (SearchConfig(p=31, period=5, zeros=2), range(2)),
 ]
 
 

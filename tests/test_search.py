@@ -349,6 +349,20 @@ class TestSingleScan:
         dealt = search._scan(config, range(1, total, 3), visit)
         assert search._scan(config, range(1, 2**70, 3), visit) == dealt
 
+    def test_plans_hold_bounded_memory(self):
+        # nine distinct (p, N), 64 batches each: eight plans stay, and the
+        # cached selections of all of them, 576 asked, total at most 256
+        search._plan.cache_clear()
+        search._select.cache_clear()
+        for period in range(40, 49):
+            config = SearchConfig(p=2, period=period, zeros=period - 14)
+            assert batch_count(config) == 64
+            search._scan(config, range(64), search._visit_classify)
+        assert search._plan.cache_info().currsize == 8
+        selections = search._select.cache_info()
+        assert selections.misses == 9 * 64
+        assert selections.currsize <= 256
+
     @pytest.mark.parametrize("p,period,zeros", [(3, 130, 124), (2, 32768, 32764)])
     def test_walk_at_wide_columns(self, p, period, zeros):
         # 16- and 32-bit columns: every candidate against its own profile
