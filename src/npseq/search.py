@@ -77,6 +77,14 @@ far rows: a type, and lambda + (p-1)*mu = m_t gives mu = (m_t - gamma)/p,
 its expected tuple. Conversely, 1 + zeta + ... + zeta^(p-1) = 0 being the
 only relation among the powers of zeta, a type makes each row's nonzero
 columns equal, mu_t = (m_t - gamma)/p: the grid classifies as that tuple.
+
+Both sides of the comparison are None for a leaf that is not rational (no
+type) and has a class that is not constant, so the roundtrip visits only
+the rational leaves and those whose five classes the batch walk finds
+constant (`_classified`): one struct per class of PDPDS_CLASSES reads its
+cells at each leaf's byte offset of the batch's folded bytes, and each
+class, in table order, is tested on the leaves that passed the one before.
+Every other leaf is answered (None, None) without a visit.
 """
 
 from __future__ import annotations
@@ -95,8 +103,8 @@ from itertools import islice, product
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
-from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
-from .sequence import _batch, _batch_depth, _counts, _nps_type, _stepper
+from .diffset import PDPDS_CLASSES, PdpdsParams, _part_rows, classify_grid, expected_pdpds_params
+from .sequence import _batch, _batch_depth, _cells, _counts, _nps_type, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -329,14 +337,16 @@ def _depth(p: int, n: int, N: int) -> int:
 
 @lru_cache(maxsize=8)
 def _plan(p: int, N: int, n: int):
-    """(L, step, leaves, read, matrices, select): the setup of the scans of
-    (p, N) with n free positions, L (`_depth`), the stepper, the batches'
-    kernel (`sequence._batch`) and select(prefix), the leaves read below the
-    free digits prefix (a str of chr(b)): (picked, names, ties), their byte
-    offsets, those read with their twins first, their last L digits S, and
-    (y, twin, nonzero) of the last len(ties), which the digit-by-digit test
-    reads: y = canon(rho x), whether y is another orbit and whether the
-    tail is nonzero.
+    """(L, step, leaves, read, join, matrices, classes, select): the setup
+    of the scans of (p, N) with n free positions, L (`_depth`), the stepper,
+    the batches' kernel (`sequence._batch`), the unpack_from of each class
+    of PDPDS_CLASSES with more than one cell, in table order, when N = n + 2
+    (`_classified` walks them; none, else), and select(prefix), the leaves
+    read below the free digits prefix (a str of chr(b)): (picked, names,
+    ties), their byte offsets, those read with their twins first, their last
+    L digits S, and (y, twin, nonzero) of the last len(ties), which the
+    digit-by-digit test reads: y = canon(rho x), whether y is another orbit
+    and whether the tail is nonzero.
 
     The tables list the p^L strings S in the kernel's packing order, S_j of
     digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ...: for S not constant, the
@@ -350,7 +360,14 @@ def _plan(p: int, N: int, n: int):
     read, when Y(S) is above them, and above it, and skipped, when Y(S) is
     below."""
     L = _depth(p, n, N)
-    leaves, read, matrices, offsets = _batch(p, N, L)
+    leaves, read, join, matrices, offsets = _batch(p, N, L)
+    rows, classes = _part_rows(N), []
+    # the roundtrip's walk, for its two zeros alone: a wide grid's are large
+    for cls in PDPDS_CLASSES if N - n == 2 else ():
+        columns = (0,) if cls.pure else range(1, p)
+        cells = [(t, d) for t in range(N)[rows[cls.h_part]] for d in columns]
+        if len(cells) > 1:  # else constant
+            classes.append(_cells(p, N, cells).unpack_from)
     canon = _canon(p)
     suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
     rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
@@ -383,7 +400,7 @@ def _plan(p: int, N: int, n: int):
                 tested.append((y, y != x, led or j > 0))
         return tuple(picked), tuple(names), tuple(tested)
 
-    return L, _stepper(p, N), leaves, read, matrices, select
+    return L, _stepper(p, N), leaves, read, join, matrices, classes, select
 
 
 def _prefixes(p: int, r: int):
@@ -402,7 +419,17 @@ def _prefixes(p: int, r: int):
 @lru_cache(maxsize=256)
 def _select(p: int, N: int, n: int, prefix: str):
     """`_plan(p, N, n)`'s select(prefix); a repeated scan finds it here."""
-    return _plan(p, N, n)[5](prefix)
+    return _plan(p, N, n)[-1](prefix)
+
+
+def _classified(classes, data: bytes, picked, known) -> list[int]:
+    """The k not in known whose leaf, at byte offset picked[k] of data, holds
+    one value at most in each class, the classes walked in order over the
+    leaves that passed the one before: those that `classify_grid` classifies."""
+    ks = [k for k in range(len(picked)) if k not in known]
+    for cells in classes:
+        ks = [k for k in ks if len(set(cells(data, picked[k]))) < 2]
+    return ks
 
 
 def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
@@ -419,8 +446,10 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     pair's orbits, counted and recorded one by one, and `_run_partitioned`
     sorts them. `_visit_classify` and `_visit_ell` answer a leaf that is
     not rational from ell alone, so they are asked once per distinct ell,
-    with f and ints None, and once per rational leaf; any other visit is
-    asked once per leaf read."""
+    with f and ints None, and once per rational leaf; `_visit_roundtrip`
+    is asked once per leaf read that is rational or has its five classes
+    constant (`_classified`, over every other leaf read), the rest being
+    answered (None, None); any other visit is asked once per leaf read."""
     p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -428,8 +457,9 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
-    L, step, leaves, read, matrices, _ = _plan(p, N, n)
-    by_ell = getattr(visit, "func", visit) in (_visit_classify, _visit_ell)
+    L, step, leaves, read, join, matrices, classes, _ = _plan(p, N, n)
+    kind = getattr(visit, "func", visit)
+    by_ell = kind in (_visit_classify, _visit_ell)
     answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
     loud = set()  # the ells whose answer records or flags
     r = n - 1 - L  # the tail digits above a batch
@@ -447,6 +477,7 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
             histogram[ell] = histogram.get(ell, 0) + times * pair
         for ell, (_, twin, nonzero) in zip(ells[at:], ties):
             histogram[ell] = histogram.get(ell, 0) + (weights[nonzero] << twin)
+        data = None
         if by_ell:
             for ell in set(ells) - answers.keys():
                 answers[ell] = answer = visit(config, None, ell, None)
@@ -454,10 +485,15 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
                     loud.add(ell)
             results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
             asked = rational
+        elif kind is _visit_roundtrip:
+            # a leaf neither rational nor classified has no type and no
+            # classification: its answer is (None, None)
+            data = join(blocks)
+            results, asked = {}, [*rational, *_classified(classes, data, picked, rational)]
         else:
             results, asked = {}, range(len(ells))
         if asked:
-            for k, f in zip(asked, matrices(blocks, [picked[k] for k in asked])):
+            for k, f in zip(asked, matrices(data or join(blocks), [picked[k] for k in asked])):
                 results[k] = visit(config, f, ells[k], rational.get(k))
         for k, (record, violation) in results.items():
             if record is None and violation is None:

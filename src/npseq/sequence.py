@@ -264,14 +264,14 @@ def _batch_depth(p: int, N: int) -> int:
 
 
 def _batch(p: int, N: int, L: int):
-    """(leaves, read, matrices, offsets) of the batches placing L digits:
-    leaves(node), a node (M, H, G), is the folded matrices of its p^L
-    descendants L digits below, packed at a stride of N*R bits in blocks of
-    p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0 +
-    s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of the blocks joined;
-    read(blocks, picked) (`_new_reader`) and matrices(blocks, picked) give the
-    ells and integral values, and the folded matrices, of the leaves at the
-    byte offsets picked.
+    """(leaves, read, join, matrices, offsets) of the batches placing L
+    digits: leaves(node), a node (M, H, G), is the folded matrices of its
+    p^L descendants L digits below, packed at a stride of N*R bits in blocks
+    of p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0
+    + s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of join(blocks),
+    the blocks' bytes; read(blocks, picked) (`_new_reader`) and
+    matrices(join(blocks), picked) give the ells and integral values, and
+    the folded matrices, of the leaves at the byte offsets picked.
 
     leaves places each digit on all the nodes of a level at once, packed:
     child b of parent i at position i + b*(the level's parents), which is
@@ -327,12 +327,23 @@ def _batch(p: int, N: int, L: int):
             )
         return [fold(M)]
 
-    def matrices(blocks, picked) -> list[int]:
-        data = b"".join([f.to_bytes(block, "little") for f in blocks])
+    def join(blocks) -> bytes:
+        return b"".join([f.to_bytes(block, "little") for f in blocks])
+
+    def matrices(data: bytes, picked) -> list[int]:
         return [int.from_bytes(data[at : at + stride], "little") for at in picked]
 
     offsets = [j * stride for j in range(p**L)]
-    return leaves, _new_reader(p, N, per_block), matrices, offsets
+    return leaves, _new_reader(p, N, per_block), join, matrices, offsets
+
+
+def _cells(p: int, N: int, cells) -> struct.Struct:
+    """The struct that reads the given (row, column) cells of a folded matrix
+    as ints, the cells in increasing order."""
+    w, code = _width(N)
+    at = [t * 2 * p * w // 8 + d * w // 8 for t, d in cells]
+    gaps = [b - a - w // 8 for a, b in zip([-w // 8, *at], at)]
+    return struct.Struct("<" + "".join([f"{gap}x{code}" for gap in gaps]))
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:

@@ -93,12 +93,13 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
     node = (0, 0, 0)
     for b in head:
         node = step(node, b)
-    leaves, read, matrices, offsets = _batch(p, N, L)
+    leaves, read, join, matrices, offsets = _batch(p, N, L)
     blocks = leaves(node)
     stride = N * 2 * p * _width(N)[0] // 8
     assert offsets == [j * stride for j in range(p**L)]
     joined = b"".join([f.to_bytes(p**L // len(blocks) * stride, "little") for f in blocks])
     assert len(joined) == p**L * stride
+    assert join(blocks) == joined
     picked, expected = [], []
     for tail in itertools.product(range(p), repeat=L):
         offset = offsets[sum(b * p**k for k, b in enumerate(tail))]
@@ -107,7 +108,7 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
         assert f == prof.matrix
         picked.append(offset)
         expected.append(prof)
-    assert matrices(blocks, picked) == [prof.matrix for prof in expected]
+    assert matrices(joined, picked) == [prof.matrix for prof in expected]
     ells, rational = read(blocks, picked)
     assert ells == [prof.ell for prof in expected]
     assert rational == {

@@ -6,7 +6,9 @@ Here the expanded members cover the space exactly once, the reads are the
 classes under both maps, a candidate-by-candidate scan that calls the same
 visitors gives byte-identical reports on every configuration of acceptance
 criteria 5-8 and 10, and the batch scan over any range of batches reports
-what that scan does on the candidates those batches cover.
+what that scan does on the candidates those batches cover. The batch walk
+of the five PDPDS classes agrees with `classify_grid` on every leaf, and the
+roundtrip classifies only the leaves it lets through.
 """
 
 import itertools
@@ -30,7 +32,8 @@ from npseq.search import (
     verify_ell_bounds,
     verify_nps_pdpds_equivalence,
 )
-from npseq.sequence import AlmostParySequence, profile
+from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
+from npseq.sequence import AlmostParySequence, _counts, _row, _width, profile
 from npseq.theory import ell_bounds
 from test_search import _visit_refuse, batch_count, class_key
 
@@ -280,3 +283,89 @@ def test_scan_past_the_recursion_limit_returns():
     # starts as any other: the first leaf read reaches the visit
     with pytest.raises(ValueError, match="visit refused"):
         search._run_partitioned(config, _visit_refuse)
+
+
+def walk(p, N):
+    """`_classified` with the classes of the roundtrip's plan of (p, N), two
+    zeros and N - 2 free positions; they read any folded (p, N) matrix."""
+    return partial(search._classified, search._plan(p, N, N - 2)[6])
+
+
+def classified(p, N, matrices):
+    """The k of the matrices that `classify_grid` classifies."""
+    return [k for k, f in enumerate(matrices) if classify_grid(_counts(p, N, f)) is not None]
+
+
+WALKED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.period >= 3}) + [
+    (3, 130, 124),  # 16-bit columns
+]
+
+
+@pytest.mark.parametrize(
+    "config,batches",
+    [(SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in WALKED_SPACES]
+    + [case for case in EDGE_BATCH_CASES if case[0].period >= 3],
+    ids=str,
+)
+def test_walk_matches_classify_grid_on_every_leaf(config, batches):
+    # all p^L leaves of each batch, read or not: N = 4 has one far row, p = 2
+    # one-column mixed classes, p = 11 and 31 wide rows
+    p, N, n = config.p, config.period, config.free_positions
+    L, step, leaves, _, join, matrices, _, _ = search._plan(p, N, n)
+    offsets = [j * N * 2 * p * _width(N)[0] // 8 for j in range(p**L)]
+    batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
+    prefixes = search._prefixes(p, n - 1 - L)
+    for prefix in itertools.islice(prefixes, batches.start, batches.stop, batches.step):
+        node = (0, 0, 0)
+        for b in map(ord, prefix):
+            node = step(node, b)
+        data = join(leaves(node))
+        assert walk(p, N)(data, offsets, {}) == classified(p, N, matrices(data, offsets))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_walk_matches_classify_grid_on_planted_matrices(p, N):
+    # count grids with chosen classes constant, which no scan with two zeros
+    # reaches, packed at the batch stride; N = 130 has 16-bit columns
+    rng = random.Random(p * 1000 + N)
+    w = _width(N)[0]
+    rows = _part_rows(N)
+    grids = []
+    for _ in range(60):
+        top = rng.choice((2, 3, 1 << w - 1))
+        grid = [[rng.randrange(top) for _ in range(p)] for _ in range(N)]
+        for cls in PDPDS_CLASSES:
+            if rng.random() < 0.8:
+                value = rng.randrange(top)
+                columns = range(1) if cls.pure else range(1, p)
+                for row in grid[rows[cls.h_part]]:
+                    for d in columns:
+                        row[d] = value
+        if rng.random() < 0.2:  # one cell off
+            grid[rng.randrange(N)][rng.randrange(p)] = rng.randrange(top)
+        grids.append(grid)
+    pack = _row(p, N).pack
+    data = b"".join(pack(*row) for grid in grids for row in grid)
+    stride = N * _row(p, N).size
+    expected = [k for k, grid in enumerate(grids) if classify_grid(grid) is not None]
+    assert 0 < len(expected) < len(grids)
+    assert walk(p, N)(data, [k * stride for k in range(len(grids))], {}) == expected
+
+
+def test_roundtrip_classifies_only_the_leaves_the_walk_passes(monkeypatch):
+    # p = 5, N = 8 over the full space: one classification per leaf read
+    # that is rational or has all five classes constant, none for the rest
+    config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False)
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return classify_grid(grid)
+
+    monkeypatch.setattr(search, "classify_grid", counted)
+    assert verify_nps_pdpds_equivalence(config).violations == []
+    reads = {class_key(config, digits) for _, digits in candidates(config)}
+    profiles = [profile(AlmostParySequence(5, (None, None) + rep)) for rep in reads]
+    wanted = [prof for prof in profiles if prof.all_integral or classify_grid(prof.counts)]
+    assert len(calls) == len(wanted) < len(reads)

@@ -185,9 +185,19 @@ class TestEquivalence:
             verify_nps_pdpds_equivalence(SearchConfig(p=3, period=5, zeros=1))
 
     # the violation paths, reached by replacing the classification the
-    # roundtrip compares with each candidate's expected tuple
+    # roundtrip compares with each candidate's expected tuple, and the batch
+    # walk with one that passes every leaf on to it
     BROKEN = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)
     FIXED = PdpdsParams(7, 3, 5, 9, 9, 9, 9, 9)  # lambda2 = 9: no type's tuple
+
+    @staticmethod
+    def break_classification(monkeypatch, actual, walked=True):
+        # job_count 1 runs in this process, so the patches reach the scan
+        def walk(classes, data, picked, known):  # every leaf or none
+            return [k for k in range(len(picked)) if k not in known] if walked else []
+
+        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
+        monkeypatch.setattr(search, "_classified", walk)
 
     def expected_violations(self, actual):
         """The roundtrip's violations on BROKEN when every candidate's
@@ -210,17 +220,23 @@ class TestEquivalence:
     # None flags the 15 typed candidates of the 243; FIXED flags all of them
     @pytest.mark.parametrize("actual,flagged", [(None, 15), (FIXED, 243)], ids=["none", "fixed"])
     def test_mismatch_is_a_violation(self, monkeypatch, actual, flagged):
-        # job_count 1 runs in this process, so the patch reaches the visit
-        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
+        self.break_classification(monkeypatch, actual)
         report = verify_nps_pdpds_equivalence(self.BROKEN)
         expected = self.expected_violations(actual)
         assert report.violations == expected
         assert len(expected) == flagged
         assert report.matches == []
 
+    def test_rational_leaves_are_classified_whatever_the_walk(self, monkeypatch):
+        # a walk that passes no leaf still leaves the typed ones to the visit
+        self.break_classification(monkeypatch, None, walked=False)
+        report = verify_nps_pdpds_equivalence(self.BROKEN)
+        assert report.violations == self.expected_violations(None)
+        assert len(report.violations) == 15
+
     @pytest.mark.parametrize("actual", [None, FIXED], ids=["none", "fixed"])
     def test_cli_exits_1_on_mismatch(self, monkeypatch, capsys, actual):
-        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
+        self.break_classification(monkeypatch, actual)
         argv = ["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--full-space"]
         assert cli.main([*argv, "--jobs", "1"]) == 1
         printed = capsys.readouterr().out.splitlines()
