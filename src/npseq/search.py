@@ -41,7 +41,7 @@ the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
 sum of a_i conj(a_{i+t}) to the sum of a_{s-1-i} conj(a_{s-1-i-t}), that is
 conj(C(t)): count column d moves to -d, and decimation by -1 moves it back.
 So rho(-x) has the count matrix of x, cell for cell. Every visitor is a
-function of (f, ell, ints), so the orbit of x and that of y = canon(rho x),
+function of (f, ell, nps), so the orbit of x and that of y = canon(rho x),
 the representative of rho(-x)'s orbit (reverse x, subtract its last digit,
 scale the first nonzero one to 1), share one result. A leaf is read only
 when x <= y; y < x is read at y's own ordinal, in whatever batch holds it.
@@ -78,13 +78,15 @@ its expected tuple. Conversely, 1 + zeta + ... + zeta^(p-1) = 0 being the
 only relation among the powers of zeta, a type makes each row's nonzero
 columns equal, mu_t = (m_t - gamma)/p: the grid classifies as that tuple.
 
-Both sides of the comparison are None for a leaf that is not rational (no
-type) and has a class that is not constant, so the roundtrip visits only
-the rational leaves and those whose five classes the batch walk finds
-constant (`_classified`): one struct per class of PDPDS_CLASSES reads its
-cells at each leaf's byte offset of the batch's folded bytes, and each
-class, in table order, is tested on the leaves that passed the one before.
-Every other leaf is answered (None, None) without a visit.
+Every scan visits its leaves by one rule. A leaf read is shown to the
+visitor, with its folded matrix and type, when it has a type and, in the
+roundtrip, when the batch walk (`_classified`) finds its five classes
+constant: one struct per class of PDPDS_CLASSES (`_classes`) reads its cells
+at each leaf's byte offset, each class, in table order, tested on the leaves
+that passed the one before. Every other leaf takes the answer for no matrix
+and no type, asked once per distinct ell: the search records an untyped leaf
+alike, rational or not, the ell check reads ell alone, and the roundtrip's
+sides are both None for an untyped leaf with a class that is not constant.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from operator import attrgetter
 
 from .cyclotomic import _require_grid
 from .diffset import PDPDS_CLASSES, PdpdsParams, _part_rows, classify_grid, expected_pdpds_params
-from .sequence import _batch, _batch_depth, _cells, _counts, _nps_type, _stepper
+from .sequence import NpsType, _batch, _batch_depth, _cells, _counts, _nps_type, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -118,10 +120,19 @@ FILTER_NPS = "nps"  # record candidates with a positional classification
 FILTER_TYPE = "type"  # record only a specific (gamma1, gamma2)
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or in 7 significant digits when str() refuses so many."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # exact, and not bound by that limit
+        return format(Decimal(x), ".6e")
+
+
 class BudgetExceededError(RuntimeError):
     def __init__(self, required: int, budget: int) -> None:
         super().__init__(
-            f"search space has {required} candidates, exceeding budget {budget}"
+            f"search space has {_decimal(required)} candidates, exceeding budget {_decimal(budget)}"
         )
         self.required = required
         self.budget = budget
@@ -233,7 +244,7 @@ def _shutdown_pool() -> None:
         _pool[1].shutdown()
 
 
-def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
+def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
     """Scan each task's batches on the one pool, grown to min(tasks, usable CPUs).
 
     The pool modules are imported here, by the first parallel scan, so that
@@ -251,7 +262,7 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
         atexit.register(_shutdown_pool)
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        futures = [_pool[1].submit(_scan, config, batches, visit) for batches in tasks]
+        futures = [_pool[1].submit(_scan, config, batches, visit, walk) for batches in tasks]
         parts = []
         for fut in futures:
             parts.append(fut.result())
@@ -265,7 +276,7 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
         futures = fut = None
 
 
-def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
+def _run_partitioned(config: SearchConfig, visit, walk: bool = False) -> SearchReport:
     """Deal the batches round-robin to job_count tasks (no more tasks than
     batches), batch j to task j mod job_count, merge their reports and sort
     the expanded matches and violations into index order.
@@ -281,11 +292,11 @@ def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     batches = _representatives(config.p, n - 1 - _depth(config.p, n, config.period))
     jobs = min(config.job_count, batches)
     if jobs == 1:
-        report = _scan(config, range(batches), visit)
+        report = _scan(config, range(batches), visit, walk)
     else:
         report = SearchReport(config=config)
         tasks = [range(j, batches, jobs) for j in range(jobs)]
-        for part in _scan_in_pool(config, tasks, visit):
+        for part in _scan_in_pool(config, tasks, visit, walk):
             _merge(report, part)
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
@@ -337,14 +348,12 @@ def _depth(p: int, n: int, N: int) -> int:
 
 @lru_cache(maxsize=8)
 def _plan(p: int, N: int, n: int):
-    """(L, step, leaves, read, join, matrices, classes, select): the setup
-    of the scans of (p, N) with n free positions, L (`_depth`), the stepper,
-    the batches' kernel (`sequence._batch`), the unpack_from of each class
-    of PDPDS_CLASSES with more than one cell, in table order, when N = n + 2
-    (`_classified` walks them; none, else), and select(prefix), the leaves
-    read below the free digits prefix (a str of chr(b)): (picked, names,
-    ties), their byte offsets, those read with their twins first, their last
-    L digits S, and (y, twin, nonzero) of the last len(ties), which the
+    """(L, step, leaves, read, join, matrices, select): the setup of the
+    scans of (p, N) with n free positions, L (`_depth`), the stepper, the
+    batches' kernel (`sequence._batch`) and select(prefix), the leaves read
+    below the free digits prefix (a str of chr(b)): (picked, names, ties),
+    their byte offsets, those read with their twins first, their last L
+    digits S, and (y, twin, nonzero) of the last len(ties), which the
     digit-by-digit test reads: y = canon(rho x), whether y is another orbit
     and whether the tail is nonzero.
 
@@ -361,13 +370,6 @@ def _plan(p: int, N: int, n: int):
     below."""
     L = _depth(p, n, N)
     leaves, read, join, matrices, offsets = _batch(p, N, L)
-    rows, classes = _part_rows(N), []
-    # the roundtrip's walk, for its two zeros alone: a wide grid's are large
-    for cls in PDPDS_CLASSES if N - n == 2 else ():
-        columns = (0,) if cls.pure else range(1, p)
-        cells = [(t, d) for t in range(N)[rows[cls.h_part]] for d in columns]
-        if len(cells) > 1:  # else constant
-            classes.append(_cells(p, N, cells).unpack_from)
     canon = _canon(p)
     suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
     rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
@@ -400,7 +402,7 @@ def _plan(p: int, N: int, n: int):
                 tested.append((y, y != x, led or j > 0))
         return tuple(picked), tuple(names), tuple(tested)
 
-    return L, _stepper(p, N), leaves, read, join, matrices, classes, select
+    return L, _stepper(p, N), leaves, read, join, matrices, select
 
 
 def _prefixes(p: int, r: int):
@@ -422,6 +424,19 @@ def _select(p: int, N: int, n: int, prefix: str):
     return _plan(p, N, n)[-1](prefix)
 
 
+@lru_cache(maxsize=8)
+def _classes(p: int, N: int) -> tuple:
+    """The unpack_from of each class of PDPDS_CLASSES with more than one cell
+    of a folded (p, N) matrix, in table order, which `_classified` walks: a
+    mixed class has p - 1 columns, so only the roundtrip builds them."""
+    rows = _part_rows(N)
+    cells = (
+        [(t, d) for t in range(N)[rows[cls.h_part]] for d in ((0,) if cls.pure else range(1, p))]
+        for cls in PDPDS_CLASSES
+    )
+    return tuple(_cells(p, N, c).unpack_from for c in cells if len(c) > 1)
+
+
 def _classified(classes, data: bytes, picked, known) -> list[int]:
     """The k not in known whose leaf, at byte offset picked[k] of data, holds
     one value at most in each class, the classes walked in order over the
@@ -432,24 +447,21 @@ def _classified(classes, data: bytes, picked, known) -> list[int]:
     return ks
 
 
-def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
+def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> SearchReport:
     """Read the orbit representatives of the given batches, in order, one
     batch at a time, from the plan of (p, N, n) (`_plan`): each batch's
     node is its prefix (`_prefixes`) placed from (0, 0, 0), L digits above
     its leaves, its p^L leaf matrices are built at once, and the ell of
     each leaf that is the least of its reversal pair (`_select`), with its
-    integral values when rational, is read in one call. Each such
-    leaf's folded matrix f and summary go to `visit(config, f, ell, ints)`,
-    a module-level function or a partial of one (workers unpickle it),
-    which returns (record, violation): a match's (gamma1, gamma2, pdpds) or
-    None, and a violation text or None. Both hold for every member of the
-    pair's orbits, counted and recorded one by one, and `_run_partitioned`
-    sorts them. `_visit_classify` and `_visit_ell` answer a leaf that is
-    not rational from ell alone, so they are asked once per distinct ell,
-    with f and ints None, and once per rational leaf; `_visit_roundtrip`
-    is asked once per leaf read that is rational or has its five classes
-    constant (`_classified`, over every other leaf read), the rest being
-    answered (None, None); any other visit is asked once per leaf read."""
+    integral values when rational, is read in one call. visit(config, f,
+    ell, nps), a module-level function or a partial of one (workers
+    unpickle it), returns (record, violation): a match's (gamma1, gamma2,
+    pdpds) or None, and a violation text or None. It is shown the folded
+    matrix f and type nps of each leaf read that has a type and, when walk
+    is set, of each whose five classes are constant (`_classified`); every
+    other leaf takes its answer for f and nps None, asked once per distinct
+    ell. Both hold for every member of the pair's orbits, counted and
+    recorded one by one, and `_run_partitioned` sorts them."""
     p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -457,10 +469,9 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
-    L, step, leaves, read, join, matrices, classes, _ = _plan(p, N, n)
-    kind = getattr(visit, "func", visit)
-    by_ell = kind in (_visit_classify, _visit_ell)
-    answers = {}  # ell -> by_ell visit's answer for a leaf that is not rational
+    L, step, leaves, read, join, matrices, _ = _plan(p, N, n)
+    classes = _classes(p, N) if walk else ()
+    answers = {}  # ell -> the answer for a leaf shown no matrix
     loud = set()  # the ells whose answer records or flags
     r = n - 1 - L  # the tail digits above a batch
     # batches may hold more than sys.maxsize, too many for islice
@@ -477,24 +488,18 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
             histogram[ell] = histogram.get(ell, 0) + times * pair
         for ell, (_, twin, nonzero) in zip(ells[at:], ties):
             histogram[ell] = histogram.get(ell, 0) + (weights[nonzero] << twin)
-        data = None
-        if by_ell:
-            for ell in set(ells) - answers.keys():
-                answers[ell] = answer = visit(config, None, ell, None)
-                if answer != (None, None):
-                    loud.add(ell)
-            results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
-            asked = rational
-        elif kind is _visit_roundtrip:
-            # a leaf neither rational nor classified has no type and no
-            # classification: its answer is (None, None)
-            data = join(blocks)
-            results, asked = {}, [*rational, *_classified(classes, data, picked, rational)]
-        else:
-            results, asked = {}, range(len(ells))
-        if asked:
-            for k, f in zip(asked, matrices(data or join(blocks), [picked[k] for k in asked])):
-                results[k] = visit(config, f, ells[k], rational.get(k))
+        for ell in set(ells).difference(answers):
+            answers[ell] = answer = visit(config, None, ell, None)
+            if answer != (None, None):
+                loud.add(ell)
+        results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
+        # k -> type of the leaves shown their matrices
+        shown = {k: nps for k, ints in rational.items() if (nps := _nps_type(ints)) is not None}
+        data = join(blocks) if shown or walk else b""
+        if walk:
+            shown.update(dict.fromkeys(_classified(classes, data, picked, shown)))
+        for k, f in zip(shown, matrices(data, [picked[k] for k in shown])):
+            results[k] = visit(config, f, ells[k], shown[k])
         for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue
@@ -511,16 +516,11 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     return part
 
 
-def _visit_classify(config: SearchConfig, f: int, ell: int, ints):
-    nps = _nps_type(ints)
-    if config.filter_mode == FILTER_NPS and nps is None:
-        return None, None
-    if config.filter_mode == FILTER_TYPE and (
-        nps is None or (nps.gamma1, nps.gamma2) != config.target
-    ):
-        return None, None
+def _visit_classify(config: SearchConfig, f: int | None, ell: int, nps: NpsType | None):
     if nps is None:
-        return (None, None, None), None
+        return ((None, None, None) if config.filter_mode == FILTER_ALL else None), None
+    if config.filter_mode == FILTER_TYPE and (nps.gamma1, nps.gamma2) != config.target:
+        return None, None
     pdpds = classify_grid(_counts(config.p, config.period, f)) if config.zeros == 2 else None
     return (nps.gamma1, nps.gamma2, pdpds), None
 
@@ -530,7 +530,7 @@ def enumerate_and_classify(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, _visit_classify)
 
 
-def _visit_ell(bounds: tuple[int, int], config: SearchConfig, f: int, ell: int, ints):
+def _visit_ell(bounds: tuple[int, int], config: SearchConfig, f: int | None, ell: int, nps):
     low, high = bounds
     if not low <= ell <= high:
         return None, f"ell={ell} outside [{low},{high}]"
@@ -546,11 +546,10 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
     return _run_partitioned(config, partial(_visit_ell, bounds))
 
 
-def _visit_roundtrip(config: SearchConfig, f: int, ell: int, ints):
+def _visit_roundtrip(config: SearchConfig, f: int | None, ell: int, nps: NpsType | None):
     n = config.free_positions
-    if n < 2:
-        return None, None  # the equivalence is stated for n >= 2
-    nps = _nps_type(ints)
+    if n < 2 or f is None:
+        return None, None  # stated for n >= 2; no f: untyped and unclassified
     actual = classify_grid(_counts(config.p, config.period, f))
     typed = nps is not None
     expected = expected_pdpds_params(n, config.p, nps.gamma1, nps.gamma2) if typed else None
@@ -566,7 +565,7 @@ def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:
     type: one comparison covers both directions (see the module docstring)."""
     if config.zeros != 2:
         raise ValueError("equivalence check requires exactly two zero-symbols")
-    return _run_partitioned(config, _visit_roundtrip)
+    return _run_partitioned(config, _visit_roundtrip, walk=True)
 
 
 def _match_dict(m: Match) -> dict:

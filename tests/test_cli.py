@@ -17,7 +17,7 @@ import pytest
 from cli_corpus import corpus, differences
 
 import npseq
-from npseq import cli, cyclotomic, diffset
+from npseq import cli, cyclotomic, diffset, search
 from npseq.cli import main
 from npseq.cyclotomic import MAX_PAIRS
 
@@ -380,6 +380,16 @@ class TestSearch:
         )
         assert (code, out) == (3, "")
         assert f"search space has {2**1097} candidates, exceeding budget 100000000" in err
+
+    def test_space_past_the_int_string_limit_exit3(self, capsys):
+        # 2^14397 candidates, 4,334 decimal digits: past the interpreter's
+        # limit on int to str conversion, the size is given to 7 digits
+        code, out, err = run(capsys, "search", "--p", "2", "--period", "14400", "--zeros", "2")
+        assert (code, out) == (3, "")
+        assert "search space has 8.488825e+4333 candidates, exceeding budget 100000000" in err
+        huge = search.SearchConfig(p=2, period=14400, zeros=2, budget=2**14397 - 1)
+        with pytest.raises(search.BudgetExceededError, match=r"exceeding budget 8\.488825e\+4333$"):
+            search.enumerate_and_classify(huge)
 
     def test_roundtrip_clean(self, capsys):
         code, out, _ = run(

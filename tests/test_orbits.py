@@ -7,8 +7,10 @@ classes under both maps, a candidate-by-candidate scan that calls the same
 visitors gives byte-identical reports on every configuration of acceptance
 criteria 5-8 and 10, and the batch scan over any range of batches reports
 what that scan does on the candidates those batches cover. The batch walk
-of the five PDPDS classes agrees with `classify_grid` on every leaf, and the
-roundtrip classifies only the leaves it lets through.
+of the five PDPDS classes agrees with `classify_grid` on every leaf. Every
+scan shows its visit the matrix of the typed leaves it reads and, in the
+roundtrip, of those the walk lets through, and of no other leaf, and only
+the roundtrip builds the walk's class structs.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from npseq.search import (
 from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
 from npseq.sequence import AlmostParySequence, _counts, _row, _width, profile
 from npseq.theory import ell_bounds
-from test_search import _visit_refuse, batch_count, class_key
+from test_search import _visit_refuse, batch_count, class_key, every_leaf
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -53,6 +55,13 @@ def candidates(config):
         tails = itertools.product(range(p), repeat=free - 1)
         return enumerate((0, *tail) for tail in tails)
     return enumerate(itertools.product(range(p), repeat=free))
+
+
+def class_profiles(config):
+    """The profiles of the least members of the classes under b -> c*b (+ a)
+    and reversal: the leaves a scan reads."""
+    reps = {class_key(config, digits) for _, digits in candidates(config)}
+    return [profile(AlmostParySequence(config.p, (None,) * config.zeros + rep)) for rep in reps]
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
@@ -80,21 +89,19 @@ def test_orbit_members_cover_the_space_once(monkeypatch, config):
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_one_read_per_reversal_class(config):
-    # a visit other than _visit_classify and _visit_ell is asked once per
-    # leaf read: once per class, with its least member's matrix
+def test_one_read_per_reversal_class(monkeypatch, config):
+    # a walk that passes every leaf shows the visit each leaf read: once
+    # per class, with its least member's matrix
     reads = []
 
-    def recording(config, f, ell, ints):
-        reads.append(f)
+    def recording(config, f, ell, nps):
+        if f is not None:
+            reads.append(f)
         return None, None
 
-    report = search._run_partitioned(config, recording)
-    classes = {class_key(config, digits) for _, digits in candidates(config)}
-    assert Counter(reads) == Counter(
-        profile(AlmostParySequence(config.p, (None,) * config.zeros + rep)).matrix
-        for rep in classes
-    )
+    monkeypatch.setattr(search, "_classified", every_leaf)
+    report = search._run_partitioned(config, recording, walk=True)
+    assert Counter(reads) == Counter(prof.matrix for prof in class_profiles(config))
     assert report.total_enumerated == config.space_size
 
 
@@ -122,7 +129,7 @@ def brute_force(config, visit, keep=None):
         prof = profile(seq)
         report.total_enumerated += 1
         report.ell_histogram[prof.ell] = report.ell_histogram.get(prof.ell, 0) + 1
-        record, violation = visit(config, prof.matrix, prof.ell, prof.integral_values)
+        record, violation = visit(config, prof.matrix, prof.ell, prof.nps_type)
         if record is not None:
             report.matches.append(Match(tuple(digits), *record))
         if violation is not None:
@@ -267,7 +274,8 @@ def test_batch_scan_matches_brute_force(config, batches):
         visits.append(search._visit_roundtrip)
     for visit in visits:
         reference = brute_force(config, visit, keep)
-        assert_same_report(search._scan(config, batches, visit), reference)
+        walk = visit is search._visit_roundtrip
+        assert_same_report(search._scan(config, batches, visit, walk), reference)
 
 
 def test_scan_past_the_recursion_limit_returns():
@@ -286,9 +294,9 @@ def test_scan_past_the_recursion_limit_returns():
 
 
 def walk(p, N):
-    """`_classified` with the classes of the roundtrip's plan of (p, N), two
-    zeros and N - 2 free positions; they read any folded (p, N) matrix."""
-    return partial(search._classified, search._plan(p, N, N - 2)[6])
+    """`_classified` with the roundtrip's classes of (p, N), which read any
+    folded (p, N) matrix."""
+    return partial(search._classified, search._classes(p, N))
 
 
 def classified(p, N, matrices):
@@ -311,7 +319,7 @@ def test_walk_matches_classify_grid_on_every_leaf(config, batches):
     # all p^L leaves of each batch, read or not: N = 4 has one far row, p = 2
     # one-column mixed classes, p = 11 and 31 wide rows
     p, N, n = config.p, config.period, config.free_positions
-    L, step, leaves, _, join, matrices, _, _ = search._plan(p, N, n)
+    L, step, leaves, _, join, matrices, _ = search._plan(p, N, n)
     offsets = [j * N * 2 * p * _width(N)[0] // 8 for j in range(p**L)]
     batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
     prefixes = search._prefixes(p, n - 1 - L)
@@ -353,10 +361,10 @@ def test_walk_matches_classify_grid_on_planted_matrices(p, N):
     assert walk(p, N)(data, [k * stride for k in range(len(grids))], {}) == expected
 
 
-def test_roundtrip_classifies_only_the_leaves_the_walk_passes(monkeypatch):
-    # p = 5, N = 8 over the full space: one classification per leaf read
-    # that is rational or has all five classes constant, none for the rest
-    config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False)
+def classify_counts(monkeypatch, config):
+    """(calls, wanted, reads) of config's roundtrip: its calls of
+    `classify_grid`, and the profiles of the leaves it reads that have a type
+    or that `classify_grid` classifies, and of all the leaves it reads."""
     calls = []
 
     def counted(grid):
@@ -365,7 +373,62 @@ def test_roundtrip_classifies_only_the_leaves_the_walk_passes(monkeypatch):
 
     monkeypatch.setattr(search, "classify_grid", counted)
     assert verify_nps_pdpds_equivalence(config).violations == []
-    reads = {class_key(config, digits) for _, digits in candidates(config)}
-    profiles = [profile(AlmostParySequence(5, (None, None) + rep)) for rep in reads]
-    wanted = [prof for prof in profiles if prof.all_integral or classify_grid(prof.counts)]
+    reads = class_profiles(config)
+    wanted = [prof for prof in reads if prof.nps_type or classify_grid(prof.counts)]
+    return calls, wanted, reads
+
+
+def test_roundtrip_classifies_only_the_leaves_the_walk_passes(monkeypatch):
+    # p = 5, N = 8 over the full space: one classification per leaf read
+    # that has a type or all five classes constant, none for the rest
+    config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False)
+    calls, wanted, reads = classify_counts(monkeypatch, config)
     assert len(calls) == len(wanted) < len(reads)
+
+
+def test_p2_roundtrip_classifies_only_its_typed_leaves(monkeypatch):
+    # p = 2, N = 14 over the full space: every leaf read is rational, but
+    # only 2 of the 1,056 have a type, and no other has its classes constant
+    config = SearchConfig(p=2, period=14, zeros=2, normalize_phase=False)
+    calls, wanted, reads = classify_counts(monkeypatch, config)
+    assert all(prof.all_integral for prof in reads)
+    assert len(calls) == len(wanted) == 2 and len(reads) == 1056
+
+
+@pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
+def test_search_and_ell_show_only_typed_leaves(monkeypatch, config):
+    # each leaf read that has a type is shown its matrix, once, and no other
+    # leaf: the rest take the answer for no matrix, asked once per ell
+    profiles = class_profiles(config)
+    typed = Counter((prof.matrix, prof.ell, prof.nps_type) for prof in profiles if prof.nps_type)
+    scans = [(enumerate_and_classify, "_visit_classify")]
+    if config.zeros:
+        scans.append((verify_ell_bounds, "_visit_ell"))
+    for scan, name in scans:
+        calls = []
+
+        def spy(*args, visit=getattr(search, name)):
+            calls.append(args[-3:])  # (f, ell, nps)
+            return visit(*args)
+
+        monkeypatch.setattr(search, name, spy)
+        scan(config)
+        assert Counter(call for call in calls if call[0] is not None) == typed
+        unshown = Counter((ell, nps) for f, ell, nps in calls if f is None)
+        assert unshown == Counter({(prof.ell, None) for prof in profiles})
+
+
+@pytest.mark.parametrize("p,N", [(997, 4), (3, 7)])
+def test_only_the_roundtrip_builds_class_structs(monkeypatch, p, N):
+    # a two-zero search or ell scan builds no struct of the five classes;
+    # the roundtrip of the same space does, here through the refusing _cells
+    def refuse(*args):
+        raise AssertionError("a class struct was built")
+
+    search._classes.cache_clear()
+    monkeypatch.setattr(search, "_cells", refuse)
+    config = SearchConfig(p=p, period=N, zeros=2)
+    enumerate_and_classify(config)
+    verify_ell_bounds(config)
+    with pytest.raises(AssertionError, match="class struct"):
+        verify_nps_pdpds_equivalence(config)

@@ -70,6 +70,12 @@ def batch_count(config):
     return 1 + (p**r - 1) // (p - 1)
 
 
+def every_leaf(classes, data, picked, known):
+    """A batch walk (`search._classified`) that passes every leaf not in
+    known, so that a scan shows its visit every leaf it reads."""
+    return [k for k in range(len(picked)) if k not in known]
+
+
 def class_key(config, digits):
     """The least member of the space in the class of digits under b -> c*b + a
     and the reversal of the free digits (positions i -> s-1-i mod N); under
@@ -192,12 +198,10 @@ class TestEquivalence:
 
     @staticmethod
     def break_classification(monkeypatch, actual, walked=True):
-        # job_count 1 runs in this process, so the patches reach the scan
-        def walk(classes, data, picked, known):  # every leaf or none
-            return [k for k in range(len(picked)) if k not in known] if walked else []
-
+        # job_count 1 runs in this process, so the patches reach the scan;
+        # the walk passes every untyped leaf or none
         monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
-        monkeypatch.setattr(search, "_classified", walk)
+        monkeypatch.setattr(search, "_classified", every_leaf if walked else lambda *args: [])
 
     def expected_violations(self, actual):
         """The roundtrip's violations on BROKEN when every candidate's
@@ -227,7 +231,7 @@ class TestEquivalence:
         assert len(expected) == flagged
         assert report.matches == []
 
-    def test_rational_leaves_are_classified_whatever_the_walk(self, monkeypatch):
+    def test_typed_leaves_are_classified_whatever_the_walk(self, monkeypatch):
         # a walk that passes no leaf still leaves the typed ones to the visit
         self.break_classification(monkeypatch, None, walked=False)
         report = verify_nps_pdpds_equivalence(self.BROKEN)
@@ -270,18 +274,24 @@ class TestSingleScan:
     ]
 
     @pytest.mark.parametrize("scan,config", SCANS)
-    def test_one_profile_per_candidate(self, scan, config):
-        # a visit that is neither _visit_classify nor _visit_ell is asked
-        # once per leaf read, with the leaf's folded matrix and summary
-        reads = []
+    def test_one_profile_per_candidate(self, monkeypatch, scan, config):
+        # a walk that passes every leaf shows the visit each leaf read, once,
+        # with the leaf's folded matrix, ell and type; the visit is asked
+        # for no matrix once per distinct ell
+        reads, unshown = [], []
 
-        def recording(config, f, ell, ints):
-            reads.append((f, ell, ints))
+        def recording(config, f, ell, nps):
+            if f is None:
+                unshown.append((ell, nps))
+            else:
+                reads.append((f, ell, nps))
             return None, None
 
         assert scan(config).total_enumerated == config.space_size
-        report = search._scan(config, range(batch_count(config)), recording)
+        monkeypatch.setattr(search, "_classified", every_leaf)
+        report = search._scan(config, range(batch_count(config)), recording, walk=True)
         assert report.total_enumerated == config.space_size
+        assert Counter(unshown) == Counter({(ell, None) for _, ell, _ in reads})
         # one read per class of b -> c*b (+ a) and reversal, and no class
         # read twice: the reads are the profiles of the classes' least members
         reps = sorted({class_key(config, digits) for digits in free_digits(config)})
@@ -292,7 +302,7 @@ class TestSingleScan:
             sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)) for rep in reps
         ]
         assert Counter(reads) == Counter(
-            (prof.matrix, prof.ell, prof.integral_values) for prof in profiles
+            (prof.matrix, prof.ell, prof.nps_type) for prof in profiles
         )
         # and every candidate enters the histogram once, with its own ell
         ells = Counter(
@@ -336,12 +346,13 @@ class TestSingleScan:
             partial(search._visit_ell, (0, 0)),  # every candidate is a violation
             search._visit_roundtrip,
         ):
-            whole = search._scan(config, range(total), visit)
+            scan = partial(search._scan, visit=visit, walk=visit is search._visit_roundtrip)
+            whole = scan(config, range(total))
             assert whole.total_enumerated == config.space_size
             single = []
             for j in range(total):
-                assert search._scan(config, range(j, j), visit).total_enumerated == 0
-                single.append(search._scan(config, range(j, j + 1), visit))
+                assert scan(config, range(j, j)).total_enumerated == 0
+                single.append(scan(config, range(j, j + 1)))
             merged = SearchReport(config=config)
             for part in single:
                 search._merge(merged, part)
@@ -351,7 +362,7 @@ class TestSingleScan:
                 dealt = SearchReport(config=config)
                 for j in range(start, total, step):
                     search._merge(dealt, single[j])
-                assert search._scan(config, range(start, total, step), visit) == dealt
+                assert scan(config, range(start, total, step)) == dealt
 
     def test_ranges_past_sys_maxsize_stop_at_the_last_batch(self):
         # a range stop above sys.maxsize, which islice refuses, reads as the
@@ -455,13 +466,13 @@ def dealt_tasks(config):
     no scan run."""
     tasks = []
 
-    def scan(config, batches, visit):
+    def scan(config, batches, visit, walk=False):
         tasks.append(batches)
         return SearchReport(config=config)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_scan", scan)
-        patch.setattr(search, "_scan_in_pool", lambda c, t, v: [scan(c, b, v) for b in t])
+        patch.setattr(search, "_scan_in_pool", lambda c, t, v, w: [scan(c, b, v, w) for b in t])
         search._run_partitioned(config, search._visit_classify)
     return tasks
 
@@ -496,31 +507,33 @@ class TestDealing:
         # round-robin: batch i goes to task i mod the tasks
         assert owners == [i % len(tasks) for i in range(total)]
 
-    def test_roundtrip_reads_split_evenly(self):
+    def test_roundtrip_reads_split_evenly(self, monkeypatch):
         # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
         # reads bunch at low ordinals, so one run of batches per task, the
         # first four of its seven and the last three, would give the first
-        # task 76 % of them
+        # task 76 % of them; a walk that passes every leaf shows each read
         config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
         reads = []
 
-        def count(config, f, ell, ints):
-            reads[-1] += 1
+        def count(config, f, ell, nps):
+            reads[-1] += f is not None
             return None, None
 
-        for batches in dealt_tasks(config):
+        tasks = dealt_tasks(config)
+        monkeypatch.setattr(search, "_classified", every_leaf)
+        for batches in tasks:
             reads.append(0)
-            search._scan(config, batches, count)
+            search._scan(config, batches, count, walk=True)
         assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
 
 
-def _visit_refuse(config, f, ell, ints):
+def _visit_refuse(config, f, ell, nps):
     """Fail the scan, in whichever process reads the first leaf."""
     raise ValueError("visit refused")
 
 
-def _visit_pid(config, f, ell, ints):
+def _visit_pid(config, f, ell, nps):
     """Name the process that profiled the representative, as a violation."""
     return None, f"pid {os.getpid()}"
 
