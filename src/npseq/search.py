@@ -32,9 +32,9 @@ folds `sequence._stepper`, three big-int updates a digit, over the batch's
 prefix, the plan's kernel (`sequence._batch`) places the last L digits below
 that node, the p^L leaf matrices packed side by side in one int, S_j of
 digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ... (the packing order), and the
-kernel's reader gives every leaf read its ell, and its integral values when
-rational, from one K and one to_bytes, with no bytecode run per leaf but for
-the rational ones. No profile object is built.
+kernel's reader gives every leaf read its ell from one K and one to_bytes,
+with no bytecode run per leaf, and a leaf's integral values only when asked.
+No profile object is built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
 the zero run 0..s-1 in place and reverses the free digits. It sends C(t) =
@@ -82,11 +82,23 @@ Every scan visits its leaves by one rule. A leaf read is shown to the
 visitor, with its folded matrix and type, when it has a type and, in the
 roundtrip, when the batch walk (`_classified`) finds its five classes
 constant: one struct per class of PDPDS_CLASSES (`_classes`) reads its cells
-at each leaf's byte offset, each class, in table order, tested on the leaves
+from the leaf's matrix, each class, in table order, tested on the leaves
 that passed the one before. Every other leaf takes the answer for no matrix
 and no type, asked once per distinct ell: the search records an untyped leaf
 alike, rational or not, the ell check reads ell alone, and the roundtrip's
 sides are both None for an untyped leaf with a class that is not constant.
+
+Only the leaves with ell <= 2 (`_SHOWN_ELL`) are tested: their integral
+values read and typed and, in the roundtrip, their classes walked; a batch
+whose least ell is above 2 tests none. This loses nothing. A type makes
+C(1) = C(N-1) = gamma1 (conjugate symmetry, C(N-1) being the conjugate of
+C(1), makes them equal once integral) and every other C(t) = gamma2, so
+ell <= 2. Five constant classes make the near rows 1 and N-1 one count
+vector, (lambda3, mu2, ..., mu2), and the far rows 2 .. N-2 another,
+(lambda1, mu1, ..., mu1), so ell <= 2. Neither step uses the sequence <=>
+PDPDS equivalence, so the roundtrip still checks it independently: a leaf
+with ell > 2 has neither a type nor a classification, and both its sides
+are None without the theorem.
 """
 
 from __future__ import annotations
@@ -106,11 +118,13 @@ from operator import attrgetter
 
 from .cyclotomic import _require_grid
 from .diffset import PDPDS_CLASSES, PdpdsParams, _part_rows, classify_grid, expected_pdpds_params
-from .sequence import NpsType, _batch, _batch_depth, _cells, _counts, _nps_type, _stepper
+from .sequence import NpsType, _batch, _batch_depth, _cells, _counts, _nps_type, _row, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
 MAX_JOBS = 1024  # one task and one future per job
+# the most ell of a leaf with a type or five constant classes (module docstring)
+_SHOWN_ELL = 2
 # (workers, ProcessPoolExecutor) of parallel scans, made by the first one
 _pool: tuple[int, object] | None = None
 
@@ -348,9 +362,9 @@ def _depth(p: int, n: int, N: int) -> int:
 
 @lru_cache(maxsize=8)
 def _plan(p: int, N: int, n: int):
-    """(L, step, leaves, read, join, matrices, select): the setup of the
-    scans of (p, N) with n free positions, L (`_depth`), the stepper, the
-    batches' kernel (`sequence._batch`) and select(prefix), the leaves read
+    """(L, step, leaves, read, matrix, select): the setup of the scans of
+    (p, N) with n free positions, L (`_depth`), the stepper, the batches'
+    kernel (`sequence._batch`) and select(prefix), the leaves read
     below the free digits prefix (a str of chr(b)): (picked, names, ties),
     their byte offsets, those read with their twins first, their last L
     digits S, and (y, twin, nonzero) of the last len(ties), which the
@@ -369,7 +383,7 @@ def _plan(p: int, N: int, n: int):
     read, when Y(S) is above them, and above it, and skipped, when Y(S) is
     below."""
     L = _depth(p, n, N)
-    leaves, read, join, matrices, offsets = _batch(p, N, L)
+    leaves, read, matrix, offsets = _batch(p, N, L)
     canon = _canon(p)
     suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
     rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
@@ -402,7 +416,7 @@ def _plan(p: int, N: int, n: int):
                 tested.append((y, y != x, led or j > 0))
         return tuple(picked), tuple(names), tuple(tested)
 
-    return L, _stepper(p, N), leaves, read, join, matrices, select
+    return L, _stepper(p, N), leaves, read, matrix, select
 
 
 def _prefixes(p: int, r: int):
@@ -425,25 +439,36 @@ def _select(p: int, N: int, n: int, prefix: str):
 
 
 @lru_cache(maxsize=8)
-def _classes(p: int, N: int) -> tuple:
-    """The unpack_from of each class of PDPDS_CLASSES with more than one cell
-    of a folded (p, N) matrix, in table order, which `_classified` walks: a
-    mixed class has p - 1 columns, so only the roundtrip builds them."""
+def _classes(p: int, N: int) -> tuple[int, tuple]:
+    """(size, cells): the bytes of a folded (p, N) matrix and the unpack_from
+    of each class of PDPDS_CLASSES with more than one cell, in table order,
+    which `_classified` walks: a mixed class has p - 1 columns, so only the
+    roundtrip builds them."""
     rows = _part_rows(N)
     cells = (
         [(t, d) for t in range(N)[rows[cls.h_part]] for d in ((0,) if cls.pure else range(1, p))]
         for cls in PDPDS_CLASSES
     )
-    return tuple(_cells(p, N, c).unpack_from for c in cells if len(c) > 1)
+    size = N * _row(p, N).size
+    return size, tuple(_cells(p, N, c).unpack_from for c in cells if len(c) > 1)
 
 
-def _classified(classes, data: bytes, picked, known) -> list[int]:
-    """The k not in known whose leaf, at byte offset picked[k] of data, holds
-    one value at most in each class, the classes walked in order over the
-    leaves that passed the one before: those that `classify_grid` classifies."""
-    ks = [k for k in range(len(picked)) if k not in known]
-    for cells in classes:
-        ks = [k for k in ks if len(set(cells(data, picked[k]))) < 2]
+def _classified(classes, ells, known, leaf) -> list[int]:
+    """The k not in known with ells[k] <= _SHOWN_ELL whose folded matrix
+    leaf(k) holds one value at most in each class, the classes walked in
+    order over the leaves that passed the one before: those that
+    `classify_grid` classifies. Five constant classes make the near rows
+    one count vector and the far rows another, so ell <= 2: no leaf with a
+    larger ell classifies, and none is unpacked."""
+    size, structs = classes
+    grids = {
+        k: leaf(k).to_bytes(size, "little")
+        for k, ell in enumerate(ells)
+        if ell <= _SHOWN_ELL and k not in known
+    }
+    ks = list(grids)
+    for cells in structs:
+        ks = [k for k in ks if len(set(cells(grids[k]))) < 2]
     return ks
 
 
@@ -452,16 +477,18 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
     batch at a time, from the plan of (p, N, n) (`_plan`): each batch's
     node is its prefix (`_prefixes`) placed from (0, 0, 0), L digits above
     its leaves, its p^L leaf matrices are built at once, and the ell of
-    each leaf that is the least of its reversal pair (`_select`), with its
-    integral values when rational, is read in one call. visit(config, f,
-    ell, nps), a module-level function or a partial of one (workers
-    unpickle it), returns (record, violation): a match's (gamma1, gamma2,
-    pdpds) or None, and a violation text or None. It is shown the folded
-    matrix f and type nps of each leaf read that has a type and, when walk
-    is set, of each whose five classes are constant (`_classified`); every
-    other leaf takes its answer for f and nps None, asked once per distinct
-    ell. Both hold for every member of the pair's orbits, counted and
-    recorded one by one, and `_run_partitioned` sorts them."""
+    each leaf that is the least of its reversal pair (`_select`) is read in
+    one call, the integral values of those with ell <= 2 when the type test
+    asks. visit(config, f, ell, nps), a module-level function or a partial
+    of one (workers unpickle it), returns (record, violation): a match's
+    (gamma1, gamma2, pdpds) or None, and a violation text or None. It is
+    shown the folded matrix f and type nps of each leaf read that has a
+    type and, when walk is set, of each whose five classes are constant
+    (`_classified`), both tested on the leaves with ell <= 2 alone (see
+    the module docstring); every other leaf takes its answer for f and nps
+    None, asked once per distinct ell. Both hold for every member of the
+    pair's orbits, counted and recorded one by one, and `_run_partitioned`
+    sorts them."""
     p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -469,7 +496,7 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
     # an orbit's members, by whether its tail is nonzero
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
-    L, step, leaves, read, join, matrices, _ = _plan(p, N, n)
+    L, step, leaves, read, matrix, _ = _plan(p, N, n)
     classes = _classes(p, N) if walk else ()
     answers = {}  # ell -> the answer for a leaf shown no matrix
     loud = set()  # the ells whose answer records or flags
@@ -483,7 +510,7 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
             continue
         at = len(picked) - len(ties)
         blocks = leaves(reduce(step, map(ord, prefix), (0, 0, 0)))
-        ells, rational = read(blocks, picked)
+        ells, integral = read(blocks, picked)
         for ell, times in Counter(ells[:at]).items() if at else ():
             histogram[ell] = histogram.get(ell, 0) + times * pair
         for ell, (_, twin, nonzero) in zip(ells[at:], ties):
@@ -493,13 +520,15 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
             if answer != (None, None):
                 loud.add(ell)
         results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
-        # k -> type of the leaves shown their matrices
-        shown = {k: nps for k, ints in rational.items() if (nps := _nps_type(ints)) is not None}
-        data = join(blocks) if shown or walk else b""
+        shown = {}  # k -> type of the leaves shown their matrices
+        if min(ells) <= _SHOWN_ELL:
+            near = (k for k, ell in enumerate(ells) if ell <= _SHOWN_ELL)
+            shown = {k: nps for k in near if (nps := _nps_type(integral(k))) is not None}
         if walk:
-            shown.update(dict.fromkeys(_classified(classes, data, picked, shown)))
-        for k, f in zip(shown, matrices(data, [picked[k] for k in shown])):
-            results[k] = visit(config, f, ells[k], shown[k])
+            leaf = partial(matrix, blocks, picked)
+            shown.update(dict.fromkeys(_classified(classes, ells, shown, leaf)))
+        for k, nps in shown.items():
+            results[k] = visit(config, matrix(blocks, picked, k), ells[k], nps)
         for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue

@@ -26,7 +26,8 @@ f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
 whose row t is C(t)'s canonical vector plus 2^(w-1) in every column:
 ell counts its distinct rows 1 .. N-1, and C(t) is a rational integer,
 column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It reads
-any number of a batch's matrices in one pass; `profile` reads just one.
+the ells of any number of a batch's matrices in one pass, and the integral
+values of one of them when asked; `profile` reads one matrix and asks.
 `profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
 `cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
 inversion, so the classification reads the matrix as it is.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, count, repeat
+from itertools import repeat
 
 from .cyclotomic import CyclotomicInt, _canonicalize, _pair_counts, _require_grid
 
@@ -172,13 +173,13 @@ _CACHED_CELLS = 1 << 10  # the widest N * p whose reader is cached, masks and al
 
 
 def _new_reader(p: int, N: int, m: int):
-    """read(blocks, offsets=(0,)) -> (ells, rational): blocks holds folded
+    """read(blocks, offsets=(0,)) -> (ells, integral): blocks holds folded
     matrices, m in each, packed at a stride of N*R bits (the matrix at
     position i is at bit i*N*R of the blocks joined); ells[k] is the ell of
-    the matrix at byte offsets[k] of the join, and rational maps k to its
-    integral values when they are integers. Read from K (see the module
-    docstring), the one place K is formed, with no bytecode run per matrix
-    but for the rational ones."""
+    the matrix at byte offset offsets[k] of the join, all read in one pass
+    with no bytecode run per matrix, and integral(k) its integral values
+    when they are integers, else None, read from the same bytes when asked.
+    Read from K (see the module docstring), the one place K is formed."""
     w, code = _width(N)
     low, halfs, ones = _masks(p, N, m)
     top, bias, span, size = (p - 1) * w, 1 << w - 1, 2 * p * w // 8, w // 8
@@ -198,13 +199,17 @@ def _new_reader(p: int, N: int, m: int):
     biased = (1 << w - 1).to_bytes(size, "little") * (p - 1)
     unbiased = struct.unpack(f"<{rest}", biased.ljust(struct.calcsize(rest), b"\0")) * rows
 
-    def read(blocks, offsets=(0,)) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    def read(blocks, offsets=(0,)):
         # one K per block; bytes.join hands a lone block back uncopied
         Ks = [f + halfs - (f >> top & low) * ones for f in blocks]
         data = b"".join([K.to_bytes(length, "little") for K in Ks])
-        ells = [*map(len, map(set, map(keys, repeat(data), offsets)))]
-        found = compress(count(), map(unbiased.__eq__, map(rests, repeat(data), offsets)))
-        return ells, {k: tuple([c - bias for c in firsts(data, offsets[k])]) for k in found}
+
+        def integral(k: int) -> tuple[int, ...] | None:
+            if rests(data, offsets[k]) != unbiased:
+                return None
+            return tuple([c - bias for c in firsts(data, offsets[k])])
+
+        return [*map(len, map(set, map(keys, repeat(data), offsets)))], integral
 
     return read
 
@@ -264,14 +269,14 @@ def _batch_depth(p: int, N: int) -> int:
 
 
 def _batch(p: int, N: int, L: int):
-    """(leaves, read, join, matrices, offsets) of the batches placing L
-    digits: leaves(node), a node (M, H, G), is the folded matrices of its
-    p^L descendants L digits below, packed at a stride of N*R bits in blocks
-    of p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0
-    + s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of join(blocks),
-    the blocks' bytes; read(blocks, picked) (`_new_reader`) and
-    matrices(join(blocks), picked) give the ells and integral values, and
-    the folded matrices, of the leaves at the byte offsets picked.
+    """(leaves, read, matrix, offsets) of the batches placing L digits:
+    leaves(node), a node (M, H, G), is the folded matrices of its p^L
+    descendants L digits below, packed at a stride of N*R bits in blocks of
+    p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0 +
+    s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of the blocks' bytes
+    joined; read(blocks, picked) (`_new_reader`) gives the ells of the
+    leaves at the byte offsets picked, and their integral values on demand,
+    and matrix(blocks, picked, k) the folded matrix of the k-th of them.
 
     leaves places each digit on all the nodes of a level at once, packed:
     child b of parent i at position i + b*(the level's parents), which is
@@ -282,21 +287,28 @@ def _batch(p: int, N: int, L: int):
     slots 0 .. p-1. So H << (p-b)*w and G << b*w stay in slots 0 .. 2p-1
     of their rows, H << R reaches row k-s+1 <= N-1 when a digit follows (k
     <= N-2), and G >> R drops an empty row 0 (k <= N-1), so no row moves
-    into a neighbour's; the last digit updates M alone. The nodes are
-    packed by to_bytes, which fails rather than let a node past its
-    stride."""
+    into a neighbour's; the last digit updates M alone. A level's p copies
+    of a node are made by shifts and adds at p <= 3, where they are the
+    faster, and by one byte copy above, where the shifts cost more with
+    each copy (slower at p = 7, about 4 times the byte copy at p = 31, on a
+    2-core host). The byte copy's to_bytes fails rather than let a node
+    past its stride; at p <= 3 the bound above alone keeps each copy in
+    its own."""
     w = _width(N)[0]
     R, pw, size = 2 * p * w, p * w, w // 8
     top, stride = (N - 1) * R, N * R // 8
     per_block = p ** max(L - 1, 0)
-    low, block = _low(p, N, per_block), per_block * stride
+    low, block, mask = _low(p, N, per_block), per_block * stride, (1 << N * R) - 1
 
     def pack(parts, width: int) -> int:
         return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in parts]), "little")
 
     def rep(x: int, width: int) -> int:
         """p copies of x, width bytes apart."""
-        return int.from_bytes(x.to_bytes(width, "little") * p, "little")
+        if p > 3:
+            return int.from_bytes(x.to_bytes(width, "little") * p, "little")
+        bits = 8 * width
+        return x + (x << bits) if p == 2 else x + (x << bits) + (x << 2 * bits)
 
     # per level: the bytes of its parents, 1 in row 0 of each parent and of
     # each child, and the +1 terms of its children's H and G
@@ -327,14 +339,12 @@ def _batch(p: int, N: int, L: int):
             )
         return [fold(M)]
 
-    def join(blocks) -> bytes:
-        return b"".join([f.to_bytes(block, "little") for f in blocks])
-
-    def matrices(data: bytes, picked) -> list[int]:
-        return [int.from_bytes(data[at : at + stride], "little") for at in picked]
+    def matrix(blocks, picked, k: int) -> int:
+        at = picked[k]
+        return blocks[at // block] >> at % block * 8 & mask
 
     offsets = [j * stride for j in range(p**L)]
-    return leaves, _new_reader(p, N, per_block), join, matrices, offsets
+    return leaves, _new_reader(p, N, per_block), matrix, offsets
 
 
 def _cells(p: int, N: int, cells) -> struct.Struct:
@@ -378,9 +388,9 @@ class AutocorrelationProfile:
     integral_values: tuple[int, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        ells, rational = _reader(self.p, self.period)((self.matrix,))
+        ells, integral = _reader(self.p, self.period)((self.matrix,))
         object.__setattr__(self, "ell", ells[0])
-        object.__setattr__(self, "integral_values", rational.get(0))
+        object.__setattr__(self, "integral_values", integral(0))
 
     @property
     def all_integral(self) -> bool:

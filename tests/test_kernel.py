@@ -83,7 +83,7 @@ def test_siblings_step_from_one_parent(seq, data):
 def test_batch_leaves_are_the_subtree_matrices(seq, data):
     # a node with the L digits below it placed at once: its leaf with
     # digits s_0 .. s_{L-1} sits at position j = s_0 + s_1*p + ..., byte
-    # offsets[j], and the batch's reader and matrices read it as profile does
+    # offsets[j], and the batch's reader and matrix read it as profile does
     p, N = seq.p, seq.period
     zeros = data.draw(st.integers(0, N - 1))
     L = data.draw(st.integers(0, min(3, N - zeros)))
@@ -93,13 +93,12 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
     node = (0, 0, 0)
     for b in head:
         node = step(node, b)
-    leaves, read, join, matrices, offsets = _batch(p, N, L)
+    leaves, read, matrix, offsets = _batch(p, N, L)
     blocks = leaves(node)
     stride = N * 2 * p * _width(N)[0] // 8
     assert offsets == [j * stride for j in range(p**L)]
     joined = b"".join([f.to_bytes(p**L // len(blocks) * stride, "little") for f in blocks])
     assert len(joined) == p**L * stride
-    assert join(blocks) == joined
     picked, expected = [], []
     for tail in itertools.product(range(p), repeat=L):
         offset = offsets[sum(b * p**k for k, b in enumerate(tail))]
@@ -108,12 +107,12 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
         assert f == prof.matrix
         picked.append(offset)
         expected.append(prof)
-    assert matrices(joined, picked) == [prof.matrix for prof in expected]
-    ells, rational = read(blocks, picked)
+    assert [matrix(blocks, picked, k) for k in range(len(picked))] == [
+        prof.matrix for prof in expected
+    ]
+    ells, integral = read(blocks, picked)
     assert ells == [prof.ell for prof in expected]
-    assert rational == {
-        k: prof.integral_values for k, prof in enumerate(expected) if prof.all_integral
-    }
+    assert [integral(k) for k in range(len(picked))] == [prof.integral_values for prof in expected]
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,9 +143,9 @@ def test_reader_reads_the_profile_summary(seq):
     values = [autocorrelation(seq, t) for t in range(1, N)]
     ints = [v.as_int() for v in values]
     summary = (len(set(values)), None if None in ints else tuple(ints))
-    ints = prof.integral_values
-    assert _reader(p, N)((prof.matrix,)) == ([prof.ell], {} if ints is None else {0: ints})
-    assert (prof.ell, ints) == summary
+    ells, integral = _reader(p, N)((prof.matrix,))
+    assert (ells, integral(0)) == ([prof.ell], prof.integral_values)
+    assert (prof.ell, prof.integral_values) == summary
 
 
 def test_only_narrow_readers_are_cached():

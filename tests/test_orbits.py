@@ -7,10 +7,11 @@ classes under both maps, a candidate-by-candidate scan that calls the same
 visitors gives byte-identical reports on every configuration of acceptance
 criteria 5-8 and 10, and the batch scan over any range of batches reports
 what that scan does on the candidates those batches cover. The batch walk
-of the five PDPDS classes agrees with `classify_grid` on every leaf. Every
-scan shows its visit the matrix of the typed leaves it reads and, in the
-roundtrip, of those the walk lets through, and of no other leaf, and only
-the roundtrip builds the walk's class structs.
+of the five PDPDS classes agrees with `classify_grid` on every leaf, and no
+leaf or planted grid with ell above the scans' gate has a type or a
+classification. Every scan shows its visit the matrix of the typed leaves
+it reads and, in the roundtrip, of those the walk lets through, and of no
+other leaf, and only the roundtrip builds the walk's class structs.
 """
 
 import itertools
@@ -35,7 +36,14 @@ from npseq.search import (
     verify_nps_pdpds_equivalence,
 )
 from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
-from npseq.sequence import AlmostParySequence, _counts, _row, _width, profile
+from npseq.sequence import (
+    AlmostParySequence,
+    AutocorrelationProfile,
+    _counts,
+    _row,
+    _width,
+    profile,
+)
 from npseq.theory import ell_bounds
 from test_search import _visit_refuse, batch_count, class_key, every_leaf
 
@@ -245,7 +253,8 @@ def random_batch_cases(count, seed=20):
 # n = 1, 2 and 3 (L = 0 and 1), the zero prefix's batch alone (a zero tail
 # weighing 1, or p over the full space) and without it, p^L at the 2^10
 # cap, and wide p: p = 11 places L = 2, 121 leaves in packing order with
-# T(S) tables above p = 7, and p = 31 places L = 1, every S constant, so
+# T(S) tables above p = 7, p = 13 and 23 place L = 2 too, a level of 13 and
+# 23 byte copies of a node, and p = 31 places L = 1, every S constant, so
 # every leaf takes the digit-by-digit test
 EDGE_BATCH_CASES = [
     (SearchConfig(p=p, period=zeros + free, zeros=zeros, normalize_phase=normalize,
@@ -257,6 +266,8 @@ EDGE_BATCH_CASES = [
      range(0, 14, 3)),
     (SearchConfig(p=2, period=22, zeros=2), range(1, 512, 170)),
     (SearchConfig(p=11, period=6, zeros=2), range(2)),
+    (SearchConfig(p=13, period=7, zeros=2), range(2)),
+    (SearchConfig(p=23, period=6, zeros=2), range(2)),
     (SearchConfig(p=31, period=5, zeros=2), range(2)),
 ]
 
@@ -307,19 +318,17 @@ def classified(p, N, matrices):
 WALKED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.period >= 3}) + [
     (3, 130, 124),  # 16-bit columns
 ]
+WALKED_CASES = [
+    (SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in WALKED_SPACES
+] + [case for case in EDGE_BATCH_CASES if case[0].period >= 3]
 
 
-@pytest.mark.parametrize(
-    "config,batches",
-    [(SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in WALKED_SPACES]
-    + [case for case in EDGE_BATCH_CASES if case[0].period >= 3],
-    ids=str,
-)
-def test_walk_matches_classify_grid_on_every_leaf(config, batches):
-    # all p^L leaves of each batch, read or not: N = 4 has one far row, p = 2
-    # one-column mixed classes, p = 11 and 31 wide rows
+def batch_leaves(config, batches):
+    """(prefix, blocks, read, matrix, offsets) of each of the given batches
+    of config's space, with the byte offsets of all its p^L leaves, read or
+    not, in packing order."""
     p, N, n = config.p, config.period, config.free_positions
-    L, step, leaves, _, join, matrices, _ = search._plan(p, N, n)
+    L, step, leaves, read, matrix, _ = search._plan(p, N, n)
     offsets = [j * N * 2 * p * _width(N)[0] // 8 for j in range(p**L)]
     batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
     prefixes = search._prefixes(p, n - 1 - L)
@@ -327,15 +336,26 @@ def test_walk_matches_classify_grid_on_every_leaf(config, batches):
         node = (0, 0, 0)
         for b in map(ord, prefix):
             node = step(node, b)
-        data = join(leaves(node))
-        assert walk(p, N)(data, offsets, {}) == classified(p, N, matrices(data, offsets))
+        yield prefix, leaves(node), read, matrix, offsets
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
-@pytest.mark.parametrize("p", [2, 3, 5, 11])
-def test_walk_matches_classify_grid_on_planted_matrices(p, N):
-    # count grids with chosen classes constant, which no scan with two zeros
-    # reaches, packed at the batch stride; N = 130 has 16-bit columns
+@pytest.mark.parametrize("config,batches", WALKED_CASES, ids=str)
+def test_walk_matches_classify_grid_on_every_leaf(config, batches):
+    # all p^L leaves of each batch, read or not: N = 4 has one far row, p = 2
+    # one-column mixed classes, p = 11 and 31 wide rows. The walk as the
+    # scan runs it, on the leaves of ell <= 2, and on every leaf
+    p, N = config.p, config.period
+    for _, blocks, read, matrix, offsets in batch_leaves(config, batches):
+        leaf = partial(matrix, blocks, offsets)
+        expected = classified(p, N, map(leaf, range(len(offsets))))
+        ells, _ = read(blocks, offsets)
+        assert walk(p, N)(ells, {}, leaf) == expected
+        assert walk(p, N)([0] * len(offsets), {}, leaf) == expected
+
+
+def planted_grids(p, N):
+    """Count grids with chosen classes constant, which no scan with two
+    zeros reaches, their cells below 2^(w-1); N = 130 has 16-bit columns."""
     rng = random.Random(p * 1000 + N)
     w = _width(N)[0]
     rows = _part_rows(N)
@@ -353,12 +373,60 @@ def test_walk_matches_classify_grid_on_planted_matrices(p, N):
         if rng.random() < 0.2:  # one cell off
             grid[rng.randrange(N)][rng.randrange(p)] = rng.randrange(top)
         grids.append(grid)
+    return grids
+
+
+def packed(p, N, grid):
+    """The folded matrix of a count grid."""
     pack = _row(p, N).pack
-    data = b"".join(pack(*row) for grid in grids for row in grid)
-    stride = N * _row(p, N).size
+    return int.from_bytes(b"".join(pack(*row) for row in grid), "little")
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_walk_matches_classify_grid_on_planted_matrices(p, N):
+    # every planted grid walked, whatever its ell
+    grids = planted_grids(p, N)
+    matrices = [packed(p, N, grid) for grid in grids]
     expected = [k for k, grid in enumerate(grids) if classify_grid(grid) is not None]
     assert 0 < len(expected) < len(grids)
-    assert walk(p, N)(data, [k * stride for k in range(len(grids))], {}) == expected
+    assert walk(p, N)([0] * len(grids), {}, matrices.__getitem__) == expected
+
+
+@pytest.mark.parametrize("config,batches", WALKED_CASES, ids=str)
+def test_no_leaf_above_the_shown_ell_has_a_type_or_a_class(config, batches):
+    # the scans type and walk only the leaves of ell <= search._SHOWN_ELL:
+    # on all p^L leaves of each batch, every leaf above it has neither a
+    # type nor a classification, by profile and classify_grid
+    p, N = config.p, config.period
+    L = search._depth(p, config.free_positions, N)
+    for prefix, blocks, _, matrix, offsets in batch_leaves(config, batches):
+        for tail in itertools.product(range(p), repeat=L):
+            j = sum(b * p**k for k, b in enumerate(tail))
+            digits = (*map(ord, prefix), *tail)
+            prof = profile(AlmostParySequence(p, (None,) * config.zeros + digits))
+            assert prof.matrix == matrix(blocks, offsets, j)
+            shown = prof.nps_type is not None or classify_grid(prof.counts) is not None
+            assert not shown or prof.ell <= search._SHOWN_ELL, (digits, prof.ell)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_no_planted_grid_above_the_shown_ell_has_a_type_or_a_class(p, N):
+    # five constant classes make the near rows one count vector and the far
+    # rows another, in any grid; a type needs C(1) = C(N-1) too, which a
+    # count matrix's symmetry gives (row N-t is row t with column d at -d),
+    # so the type is checked on the planted grids made symmetric so
+    for grid in planted_grids(p, N):
+        mirrored = [
+            row if 2 * t <= N else [grid[N - t][-d % p] for d in range(p)]
+            for t, row in enumerate(grid)
+        ]
+        for cells, symmetric in ((grid, False), (mirrored, True)):
+            prof = AutocorrelationProfile(p, N, packed(p, N, cells))
+            if prof.ell > search._SHOWN_ELL:
+                assert classify_grid(cells) is None
+                assert not symmetric or prof.nps_type is None
 
 
 def classify_counts(monkeypatch, config):

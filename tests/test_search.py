@@ -70,10 +70,11 @@ def batch_count(config):
     return 1 + (p**r - 1) // (p - 1)
 
 
-def every_leaf(classes, data, picked, known):
+def every_leaf(classes, ells, known, leaf):
     """A batch walk (`search._classified`) that passes every leaf not in
-    known, so that a scan shows its visit every leaf it reads."""
-    return [k for k in range(len(picked)) if k not in known]
+    known, whatever its ell, so that a scan shows its visit every leaf it
+    reads."""
+    return [k for k in range(len(ells)) if k not in known]
 
 
 def class_key(config, digits):
