@@ -63,10 +63,13 @@ With job_count > 1 the batches are dealt round-robin, batch j to task j
 mod job_count, processed independently and merged, so reports are
 byte-identical for any job count. The leaves read bunch at low ordinals,
 so contiguous runs of batches, one per task, would leave the first task
-the most reads; dealing single batches spreads them. One pool of worker
-processes serves every parallel scan: the first one imports the pool
-modules (a process that runs none never loads them) and starts the pool,
-and the pool is shut down at exit.
+the most reads; dealing single batches spreads them. The tasks are dealt
+to min(job_count, usable CPUs) slots, task i to slot i mod slots: slot 0
+is the calling process, which scans its share itself, and every other
+slot is a worker process served over one pipe. The first scan with a
+worker imports `multiprocessing` (a process that runs none never loads
+it) and starts the workers, which serve every later scan and are stopped
+at exit.
 
 The roundtrip compares each representative's five-class classification with
 `expected_pdpds_params` of its type (None without one); for n >= 2 that is
@@ -109,6 +112,7 @@ import io
 import json
 import os
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -122,11 +126,12 @@ from .sequence import NpsType, _batch, _batch_depth, _cells, _counts, _nps_type,
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
-MAX_JOBS = 1024  # one task and one future per job
+MAX_JOBS = 1024  # one task per job, dealt over the caller and its workers
 # the most ell of a leaf with a type or five constant classes (module docstring)
 _SHOWN_ELL = 2
-# (workers, ProcessPoolExecutor) of parallel scans, made by the first one
-_pool: tuple[int, object] | None = None
+# [(process, pipe end)] of the parallel scans' workers, started by the first one
+_pool: list | None = None
+_pool_lock = threading.Lock()  # held through a scan's sends and replies
 
 # filter modes for enumerate_and_classify
 FILTER_ALL = "all"  # record every candidate
@@ -250,44 +255,112 @@ def _violation_index(text: str) -> int:
     return int(text.split(" ", 2)[1])  # "index 17 [...]: ..."
 
 
-def _shutdown_pool() -> None:
-    """Shut the parallel scans' pool down at exit. The pool modules are
-    imported after this one, so teardown clears their globals first, and a
-    pool still live then fails to collect without them."""
-    if _pool is not None:
-        _pool[1].shutdown()
+def _serve(conn, inherited) -> None:
+    """A worker: answer each list of tasks sent with their parts, or with
+    the exception a scan raised, until EOF. Ctrl-C is the caller's."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:  # the caller's ends, so that only the caller holds them
+        end.close()
+    try:
+        while True:
+            config, tasks, visit, walk = conn.recv()
+            try:
+                reply = True, [_scan(config, batches, visit, walk) for batches in tasks]
+            except Exception as exc:
+                reply = False, exc
+            try:
+                conn.send(reply)
+            except Exception:  # the exception does not pickle: send its type and text
+                conn.send((False, RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
+            reply = None
+    except (EOFError, OSError):  # the caller closed its end or died
+        pass
+
+
+def _start_pool(workers: int) -> list:
+    """Start the workers, one pipe each. Every end is held by one process
+    alone, so EOF reaches this process when a worker dies, and a worker when
+    this process closes its end or dies."""
+    import multiprocessing
+
+    pool = []
+    for _ in range(workers):
+        ours, theirs = multiprocessing.Pipe()
+        ends = [conn for _, conn in pool] + [ours]
+        proc = multiprocessing.Process(target=_serve, args=(theirs, ends), daemon=True)
+        proc.start()
+        theirs.close()
+        pool.append((proc, ours))
+    atexit.unregister(_stop_pool)  # one hook, however many pools are started
+    atexit.register(_stop_pool)
+    return pool
+
+
+def _stop_pool(timeout: float = 10.0) -> None:
+    """Close the workers' pipes, so that each stops on EOF, and join them,
+    killing any still running after the timeout."""
+    global _pool
+    pool, _pool = _pool or [], None
+    for _, conn in pool:
+        conn.close()
+    for proc, _ in pool:
+        proc.join(timeout)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
-    """Scan each task's batches on the one pool, grown to min(tasks, usable CPUs).
+    """Scan the tasks over min(tasks, usable CPUs) slots, task i in slot i
+    mod slots: slot 0 is this process, each other slot one worker of the
+    pool, grown as needed; with one slot nothing is started or imported.
 
-    The pool modules are imported here, by the first parallel scan, so that
-    a process that never runs one does not load them.
+    Each worker is sent its tasks in one message before this process scans
+    its own, and every reply is read before a visit's exception, here or in
+    a worker, is raised, so no scan reads another's. Any other failure
+    stops the pool; a dead worker's is BrokenProcessPool.
     """
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
     global _pool
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    workers = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if _pool is None or _pool[0] < workers:
-        if _pool is not None:
-            _pool[1].shutdown()
-        atexit.unregister(_shutdown_pool)  # one hook, however many pools are made
-        atexit.register(_shutdown_pool)
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    try:
-        futures = [_pool[1].submit(_scan, config, batches, visit, walk) for batches in tasks]
-        parts = []
-        for fut in futures:
-            parts.append(fut.result())
-        return parts
-    except BrokenProcessPool:  # a worker died: the next call starts a fresh pool
-        _pool = None
-        raise
-    finally:
-        # a raised result's traceback holds this frame: it must not hold the
-        # future that holds the exception
-        futures = fut = None
+    slots = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if slots == 1:
+        return [_scan(config, batches, visit, walk) for batches in tasks]
+    parts, failure = [None] * len(tasks), None
+    with _pool_lock:
+        if _pool is None or len(_pool) < slots - 1:
+            _stop_pool()
+            _pool = _start_pool(slots - 1)
+        try:
+            for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
+                conn.send((config, tasks[slot::slots], visit, walk))
+            try:
+                for i in range(0, len(tasks), slots):
+                    parts[i] = _scan(config, tasks[i], visit, walk)
+            except Exception as exc:
+                failure = exc
+            for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
+                ok, reply = conn.recv()
+                if ok:
+                    parts[slot::slots] = reply
+                elif failure is None:
+                    failure = reply
+            reply = None
+        except BaseException as exc:  # replies may be left in the pipes
+            _stop_pool(timeout=0)
+            if isinstance(exc, (EOFError, OSError)):  # a worker died
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool("a worker process of the parallel scans died") from None
+            raise
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            # the traceback holds this frame: it must not hold the exception
+            failure = None
+    return parts
 
 
 def _run_partitioned(config: SearchConfig, visit, walk: bool = False) -> SearchReport:
@@ -295,9 +368,10 @@ def _run_partitioned(config: SearchConfig, visit, walk: bool = False) -> SearchR
     batches), batch j to task j mod job_count, merge their reports and sort
     the expanded matches and violations into index order.
 
-    Each task is one future, scanned by one of at most min(job_count, usable
-    CPUs) workers, forked by the first parallel scan and reused for the rest
-    of the process, so a monkeypatch made after that scan does not reach them.
+    The tasks are dealt over this process and at most min(job_count, usable
+    CPUs) - 1 workers (`_scan_in_pool`), forked by the first parallel scan
+    and reused for the rest of the process, so a monkeypatch made after that
+    scan reaches this process's share but not theirs.
     """
     total = config.space_size
     if total > config.budget:

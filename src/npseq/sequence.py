@@ -235,7 +235,7 @@ def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
 def _nps_type(ints: tuple[int, ...] | None) -> NpsType | None:
     """The positional type of integral out-of-phase values C(1) .. C(N-1)
     (see AutocorrelationProfile.nps_type), or None."""
-    if ints is None or len(ints) < 2 or len(set(ints[1:-1])) > 1:
+    if ints is None or len(ints) < 2 or ints[0] != ints[-1] or len(set(ints[1:-1])) > 1:
         return None
     return NpsType(ints[0], ints[1])
 
@@ -411,10 +411,11 @@ class AutocorrelationProfile:
         """Positional nearly-perfect type, or None.
 
         Succeeds when every out-of-phase coefficient is a rational integer,
-        C(1) = C(N-1) (automatic once integral, by conjugate symmetry), and all
-        remaining shifts share one value gamma2. For N = 3 there are no
-        remaining shifts and the type degenerates to (gamma1, gamma1). None
-        for N = 2, which has no such split.
+        C(1) = C(N-1), and all remaining shifts share one value gamma2. A
+        sequence's matrix has C(1) = C(N-1) once integral, by conjugate
+        symmetry; a matrix made by hand need not, so it is checked. For
+        N = 3 there are no remaining shifts and the type degenerates to
+        (gamma1, gamma1). None for N = 2, which has no such split.
         """
         return _nps_type(self.integral_values)
 

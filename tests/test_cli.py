@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import textwrap
@@ -649,7 +650,7 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
 
 STARTUP_SCRIPT = textwrap.dedent(
     """
-    import contextlib, io, sys
+    import contextlib, io, os, sys
     from npseq import cli, search
 
     def call(*argv):
@@ -661,11 +662,16 @@ STARTUP_SCRIPT = textwrap.dedent(
     assert call("--version") == (0, "{version}\\n")
     print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
     scan = ("roundtrip", "--p", "3", "--period", "6", "--zeros", "2", "--format", "json")
-    serial, parallel = call(*scan, "--jobs", "1"), call(*scan, "--jobs", "2")
-    print(serial[0] == parallel[0] == 0, serial[1] == parallel[1])
-    print("concurrent.futures.process" in sys.modules)
+    serial = call(*scan, "--jobs", "1")
+    assert serial[0] == 0
+    # one usable CPU: this process scans every task, and starts and imports nothing
+    os.sched_getaffinity = lambda pid: {{0}}
+    print(call(*scan, "--jobs", "2") == serial, search._pool, "multiprocessing" in sys.modules)
+    # two: one worker beside this process
+    os.sched_getaffinity = lambda pid: {{0, 1}}
+    print(call(*scan, "--jobs", "2") == serial, len(search._pool), "multiprocessing" in sys.modules)
     # keep the scan module, and so its pool, alive through the collection at
-    # exit, as a test runner does: the pool must be shut down before teardown
+    # exit, as a test runner does: the pool must be stopped before teardown
     sys.npseq_search = search
     """
 )
@@ -679,15 +685,62 @@ def child_env():
 
 
 def test_cli_starts_without_the_pool_modules():
-    # a fresh process imports the pool modules with its first parallel scan,
-    # which prints the bytes of the jobs-1 scan, and exits without a message
+    # a fresh process imports multiprocessing with its first parallel scan
+    # that has a worker, which prints the bytes of the jobs-1 scan, as does
+    # one on a single CPU, and exits without a message
     env = child_env()
     script = STARTUP_SCRIPT.format(version=npseq.__version__)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == ["[]", "True True", "True"]
+    assert done.stdout.splitlines() == ["[]", "True None False", "True 1 True"]
+
+
+POOL_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, os, signal, sys
+    from npseq import cli, search
+
+    os.sched_getaffinity = lambda pid: {0, 1, 2}  # two workers beside this process
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--jobs", "3"])
+    print(code, *(proc.pid for proc, _ in search._pool), flush=True)
+    if sys.argv[1:] == ["kill"]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+def exited(pid):
+    """Whether process pid has ended: it is gone, or a zombie that no
+    process has reaped yet."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return os.path.isdir("/proc")  # gone since, or no /proc to tell
+
+
+@pytest.mark.parametrize("kill, wait", [(False, 10), (True, 30)], ids=["exit", "sigkill"])
+def test_pool_workers_end_with_their_caller(kill, wait):
+    # a process that exits stops and joins its workers; one that is killed
+    # leaves them EOF on their pipes, and they stop on their own
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT, *(["kill"] if kill else [])],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (-signal.SIGKILL if kill else 0, "")
+    code, *pids = map(int, done.stdout.split())
+    assert code == 0 and len(pids) == 2
+    deadline = time.monotonic() + wait
+    while not all(map(exited, pids)):
+        assert time.monotonic() < deadline, [pid for pid in pids if not exited(pid)]
+        time.sleep(0.05)
 
 
 # the CI's wide analyze: 998 nonzero symbols over p = 997, about 2.2 MB of JSON

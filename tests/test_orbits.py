@@ -414,19 +414,19 @@ def test_no_leaf_above_the_shown_ell_has_a_type_or_a_class(config, batches):
 @pytest.mark.parametrize("p", [2, 3, 5, 11])
 def test_no_planted_grid_above_the_shown_ell_has_a_type_or_a_class(p, N):
     # five constant classes make the near rows one count vector and the far
-    # rows another, in any grid; a type needs C(1) = C(N-1) too, which a
-    # count matrix's symmetry gives (row N-t is row t with column d at -d),
-    # so the type is checked on the planted grids made symmetric so
+    # rows another, in any grid, and a type makes C(1) = C(N-1) = gamma1 and
+    # C(2) .. C(N-2) = gamma2; each grid is also checked made symmetric as a
+    # sequence's count matrix is (row N-t is row t with column d at -d)
     for grid in planted_grids(p, N):
         mirrored = [
             row if 2 * t <= N else [grid[N - t][-d % p] for d in range(p)]
             for t, row in enumerate(grid)
         ]
-        for cells, symmetric in ((grid, False), (mirrored, True)):
+        for cells in (grid, mirrored):
             prof = AutocorrelationProfile(p, N, packed(p, N, cells))
             if prof.ell > search._SHOWN_ELL:
                 assert classify_grid(cells) is None
-                assert not symmetric or prof.nps_type is None
+                assert prof.nps_type is None
 
 
 def classify_counts(monkeypatch, config):

@@ -1,13 +1,10 @@
 """Exhaustive search driver: content, completeness, and determinism."""
 
-import concurrent.futures.process
 import gc
 import itertools
 import os
 import signal
-import time
 from collections import Counter
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
@@ -426,39 +423,26 @@ class TestSingleScan:
         assert len(report.violations) == 9
 
     @pytest.mark.parametrize(
-        "affinity,cpus,workers", [(3, 64, 3), (None, 3, 3), (None, None, 1)]
+        "affinity,cpus,slots", [(3, 64, 3), (None, 3, 3), (None, None, 1)]
     )
-    def test_pool_capped_at_cpu_count(self, monkeypatch, affinity, cpus, workers):
-        pools = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.submitted = 0
-                pools.append(self)
-
-            def submit(self, fn, *args):
-                self.submitted += 1
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        # an empty pool slot: the fake executor is dropped, and any live pool
-        # put back, on teardown
-        monkeypatch.setattr(search, "_pool", None)
-        # the name _scan_in_pool imports when it makes a pool
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
-        # the CPUs this process may use, else the host's CPUs, else 1
+    def test_pool_capped_at_cpu_count(self, monkeypatch, affinity, cpus, slots):
+        # the CPUs this process may use, else the host's CPUs, else 1: one
+        # slot is this process, and each other slot one worker
         if affinity is None:
             monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        search._stop_pool()
+        # one task per batch: 41 orbits of b -> c*b among the 81 candidates,
+        # read 9 at a time after the 5 with a zero prefix, dealt over the
+        # slots; with one slot no pool is started
+        pids = worker_pids(1024)
+        pool = search._pool or []
+        assert len(pool) == slots - 1
+        assert pids == {os.getpid(), *(proc.pid for proc, _ in pool)}
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(replace(base, job_count=1024))
-        # one task per batch: 41 orbits of b -> c*b among the 81 candidates,
-        # read 9 at a time after the 5 with a zero prefix
-        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(workers, 5)]
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
 
 
@@ -534,6 +518,28 @@ def _visit_refuse(config, f, ell, nps):
     raise ValueError("visit refused")
 
 
+def _visit_refuse_in(here, caller, config, f, ell, nps):
+    """Fail the scan in the caller's process alone when here is set, else
+    in its workers alone."""
+    if (os.getpid() == caller) == here:
+        raise ValueError("visit refused")
+    return None, None
+
+
+class UnpicklableError(ValueError):
+    def __init__(self):
+        super().__init__("visit refused")
+        self.hook = lambda: None  # pickle refuses a lambda
+
+
+def _visit_refuse_unpicklably(caller, config, f, ell, nps):
+    """Fail the scan in the caller's workers alone, with an exception that
+    does not pickle."""
+    if os.getpid() != caller:
+        raise UnpicklableError()
+    return None, None
+
+
 def _visit_pid(config, f, ell, nps):
     """Name the process that profiled the representative, as a violation."""
     return None, f"pid {os.getpid()}"
@@ -553,14 +559,20 @@ class TestWorkerPool:
         (verify_ell_bounds, SearchConfig(p=3, period=8, zeros=1)),
     ]
 
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs, so a parallel scan has one worker on any host."""
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def test_consecutive_scans_share_workers(self):
         first = worker_pids(2)
         pool = search._pool
         second = worker_pids(2)
         assert search._pool is pool
-        assert os.getpid() not in first | second
-        assert len(first | second) <= pool[0]
-        # the first scan's workers were not shut down after it
+        # this process scans a share of each, its workers the rest
+        assert os.getpid() in first & second
+        assert first | second <= {os.getpid(), *(proc.pid for proc, _ in pool or ())}
+        # the first scan's workers were not stopped after it
         for pid in first | second:
             os.kill(pid, 0)
 
@@ -568,7 +580,7 @@ class TestWorkerPool:
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         worker_pids(3)
         pool = search._pool
-        assert pool[0] >= 3
+        assert len(pool) >= 2
         worker_pids(2)
         assert search._pool is pool
 
@@ -582,21 +594,37 @@ class TestWorkerPool:
             for (scan, config), want in zip(self.SCANS, expected):
                 assert outputs(scan, replace(config, job_count=jobs)) == want, (scan, jobs)
 
-    def test_killed_worker_fails_one_call(self):
+    @pytest.mark.parametrize("here", [True, False], ids=["caller", "worker"])
+    def test_exception_leaves_no_reply_behind(self, two_cpus, here):
+        # a visit that refuses in one process alone: its ValueError reaches
+        # the caller, and every reply of the failed scan is read before it is
+        # raised, so the next scan on the same pool reads its own
         config = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False, job_count=2)
         expected = report_to_json(verify_nps_pdpds_equivalence(replace(config, job_count=1)))
-        victim = min(worker_pids(2))
+        worker_pids(2)
+        pool = search._pool
+        with pytest.raises(ValueError, match="^visit refused$"):
+            search._run_partitioned(config, partial(_visit_refuse_in, here, os.getpid()))
+        assert search._pool is pool
+        assert report_to_json(verify_nps_pdpds_equivalence(config)) == expected
+
+    def test_unpicklable_exception_reaches_the_caller_as_text(self, two_cpus):
+        # a worker sends the type and text of an exception that does not pickle
+        config = SearchConfig(p=3, period=7, zeros=2, job_count=2)
+        worker_pids(2)
+        pool = search._pool
+        with pytest.raises(RuntimeError, match="^UnpicklableError: visit refused$"):
+            search._run_partitioned(config, partial(_visit_refuse_unpicklably, os.getpid()))
+        assert search._pool is pool
+        assert worker_pids(2) == {os.getpid(), pool[0][0].pid}
+
+    def test_killed_worker_fails_one_call(self, two_cpus):
+        config = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False, job_count=2)
+        expected = report_to_json(verify_nps_pdpds_equivalence(replace(config, job_count=1)))
+        victim = min(worker_pids(2) - {os.getpid()})
         os.kill(victim, signal.SIGKILL)
-        # the pool marks itself broken before it reaps the dead worker
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.01)
-        else:
-            pytest.fail("the pool did not reap the killed worker")
+        # reaped, so that it is dead before the next scan sends to it
+        next(proc for proc, _ in search._pool if proc.pid == victim).join(30)
         with pytest.raises(BrokenProcessPool):
             verify_nps_pdpds_equivalence(config)
         assert search._pool is None

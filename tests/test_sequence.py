@@ -10,6 +10,8 @@ import pytest
 from npseq.cyclotomic import CyclotomicInt, _canonicalize
 from npseq.sequence import (
     AlmostParySequence,
+    AutocorrelationProfile,
+    _row,
     autocorrelation,
     classify_nps,
     normalize_leading_zeros,
@@ -135,6 +137,17 @@ class TestProfile:
         assert autocorrelation(seq, 0).as_int() == n
         with pytest.raises(ValueError):
             classify_nps(seq)
+
+    def test_type_needs_equal_near_values(self):
+        # a folded matrix made by hand, not a sequence's: p = 2, N = 4, count
+        # rows (2,0), (1,0), (1,1), (0,1) give C(1), C(2), C(3) = 1, 0, -1,
+        # so C(2) .. C(N-2) agree but C(1) != C(N-1): no type
+        rows = ((2, 0), (1, 0), (1, 1), (0, 1))
+        matrix = int.from_bytes(b"".join(_row(2, 4).pack(*row) for row in rows), "little")
+        prof = AutocorrelationProfile(2, 4, matrix)
+        assert prof.counts == rows
+        assert (prof.integral_values, prof.ell) == ((1, 0, -1), 3)
+        assert prof.nps_type is None
 
     def test_conjugate_symmetry_exhaustive(self):
         for seq in all_sequences(3, 5):
