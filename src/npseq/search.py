@@ -81,19 +81,16 @@ its expected tuple. Conversely, 1 + zeta + ... + zeta^(p-1) = 0 being the
 only relation among the powers of zeta, a type makes each row's nonzero
 columns equal, mu_t = (m_t - gamma)/p: the grid classifies as that tuple.
 
-Every scan visits its leaves by one rule. A leaf read is shown to the
-visitor, with its folded matrix and type, when it has a type and, in the
-roundtrip, when the batch walk (`_classified`) finds its five classes
-constant: one struct per class of PDPDS_CLASSES (`_classes`) reads its cells
-from the leaf's matrix, each class, in table order, tested on the leaves
-that passed the one before. Every other leaf takes the answer for no matrix
-and no type, asked once per distinct ell: the search records an untyped leaf
-alike, rational or not, the ell check reads ell alone, and the roundtrip's
-sides are both None for an untyped leaf with a class that is not constant.
+Every scan visits its leaves by one rule. A leaf read with ell <= 2
+(`_SHOWN_ELL`) is shown to the visitor with its folded matrix and its type,
+None when it has none. Every other leaf takes the answer for no matrix and
+no type, asked once per distinct ell: the search records an untyped leaf
+alike, shown or not, the ell check reads ell alone, and the roundtrip
+classifies each shown leaf's grid and compares it with its type's tuple, or
+with None for an untyped leaf.
 
-Only the leaves with ell <= 2 (`_SHOWN_ELL`) are tested: their integral
-values read and typed and, in the roundtrip, their classes walked; a batch
-whose least ell is above 2 tests none. This loses nothing. A type makes
+Only the leaves with ell <= 2 have their integral values read and typed and,
+in the roundtrip, their grids classified. This loses nothing. A type makes
 C(1) = C(N-1) = gamma1 (conjugate symmetry, C(N-1) being the conjugate of
 C(1), makes them equal once integral) and every other C(t) = gamma2, so
 ell <= 2. Five constant classes make the near rows 1 and N-1 one count
@@ -121,8 +118,8 @@ from itertools import islice, product
 from operator import attrgetter
 
 from .cyclotomic import _require_grid
-from .diffset import PDPDS_CLASSES, PdpdsParams, _part_rows, classify_grid, expected_pdpds_params
-from .sequence import NpsType, _batch, _batch_depth, _cells, _counts, _nps_type, _row, _stepper
+from .diffset import PdpdsParams, classify_grid, expected_pdpds_params
+from .sequence import NpsType, _batch, _batch_depth, _counts, _nps_type, _stepper
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
@@ -265,9 +262,9 @@ def _serve(conn, inherited) -> None:
         end.close()
     try:
         while True:
-            config, tasks, visit, walk = conn.recv()
+            config, tasks, visit = conn.recv()
             try:
-                reply = True, [_scan(config, batches, visit, walk) for batches in tasks]
+                reply = True, [_scan(config, batches, visit) for batches in tasks]
             except Exception as exc:
                 reply = False, exc
             try:
@@ -312,7 +309,7 @@ def _stop_pool(timeout: float = 10.0) -> None:
             proc.join()
 
 
-def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
+def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
     """Scan the tasks over min(tasks, usable CPUs) slots, task i in slot i
     mod slots: slot 0 is this process, each other slot one worker of the
     pool, grown as needed; with one slot nothing is started or imported.
@@ -326,7 +323,7 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     slots = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if slots == 1:
-        return [_scan(config, batches, visit, walk) for batches in tasks]
+        return [_scan(config, batches, visit) for batches in tasks]
     parts, failure = [None] * len(tasks), None
     with _pool_lock:
         if _pool is None or len(_pool) < slots - 1:
@@ -334,10 +331,10 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
             _pool = _start_pool(slots - 1)
         try:
             for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
-                conn.send((config, tasks[slot::slots], visit, walk))
+                conn.send((config, tasks[slot::slots], visit))
             try:
                 for i in range(0, len(tasks), slots):
-                    parts[i] = _scan(config, tasks[i], visit, walk)
+                    parts[i] = _scan(config, tasks[i], visit)
             except Exception as exc:
                 failure = exc
             for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
@@ -363,7 +360,7 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit, walk: bool):
     return parts
 
 
-def _run_partitioned(config: SearchConfig, visit, walk: bool = False) -> SearchReport:
+def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
     """Deal the batches round-robin to job_count tasks (no more tasks than
     batches), batch j to task j mod job_count, merge their reports and sort
     the expanded matches and violations into index order.
@@ -380,11 +377,11 @@ def _run_partitioned(config: SearchConfig, visit, walk: bool = False) -> SearchR
     batches = _representatives(config.p, n - 1 - _depth(config.p, n, config.period))
     jobs = min(config.job_count, batches)
     if jobs == 1:
-        report = _scan(config, range(batches), visit, walk)
+        report = _scan(config, range(batches), visit)
     else:
         report = SearchReport(config=config)
         tasks = [range(j, batches, jobs) for j in range(jobs)]
-        for part in _scan_in_pool(config, tasks, visit, walk):
+        for part in _scan_in_pool(config, tasks, visit):
             _merge(report, part)
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
@@ -512,41 +509,7 @@ def _select(p: int, N: int, n: int, prefix: str):
     return _plan(p, N, n)[-1](prefix)
 
 
-@lru_cache(maxsize=8)
-def _classes(p: int, N: int) -> tuple[int, tuple]:
-    """(size, cells): the bytes of a folded (p, N) matrix and the unpack_from
-    of each class of PDPDS_CLASSES with more than one cell, in table order,
-    which `_classified` walks: a mixed class has p - 1 columns, so only the
-    roundtrip builds them."""
-    rows = _part_rows(N)
-    cells = (
-        [(t, d) for t in range(N)[rows[cls.h_part]] for d in ((0,) if cls.pure else range(1, p))]
-        for cls in PDPDS_CLASSES
-    )
-    size = N * _row(p, N).size
-    return size, tuple(_cells(p, N, c).unpack_from for c in cells if len(c) > 1)
-
-
-def _classified(classes, ells, known, leaf) -> list[int]:
-    """The k not in known with ells[k] <= _SHOWN_ELL whose folded matrix
-    leaf(k) holds one value at most in each class, the classes walked in
-    order over the leaves that passed the one before: those that
-    `classify_grid` classifies. Five constant classes make the near rows
-    one count vector and the far rows another, so ell <= 2: no leaf with a
-    larger ell classifies, and none is unpacked."""
-    size, structs = classes
-    grids = {
-        k: leaf(k).to_bytes(size, "little")
-        for k, ell in enumerate(ells)
-        if ell <= _SHOWN_ELL and k not in known
-    }
-    ks = list(grids)
-    for cells in structs:
-        ks = [k for k in ks if len(set(cells(grids[k]))) < 2]
-    return ks
-
-
-def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> SearchReport:
+def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     """Read the orbit representatives of the given batches, in order, one
     batch at a time, from the plan of (p, N, n) (`_plan`): each batch's
     node is its prefix (`_prefixes`) placed from (0, 0, 0), L digits above
@@ -556,13 +519,11 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
     asks. visit(config, f, ell, nps), a module-level function or a partial
     of one (workers unpickle it), returns (record, violation): a match's
     (gamma1, gamma2, pdpds) or None, and a violation text or None. It is
-    shown the folded matrix f and type nps of each leaf read that has a
-    type and, when walk is set, of each whose five classes are constant
-    (`_classified`), both tested on the leaves with ell <= 2 alone (see
-    the module docstring); every other leaf takes its answer for f and nps
-    None, asked once per distinct ell. Both hold for every member of the
-    pair's orbits, counted and recorded one by one, and `_run_partitioned`
-    sorts them."""
+    shown the folded matrix f and type nps, which may be None, of each leaf
+    read with ell <= _SHOWN_ELL, read at run time (see the module
+    docstring); every other leaf takes its answer for f and nps None, asked
+    once per distinct ell. Both hold for every member of the pair's orbits,
+    counted and recorded one by one, and `_run_partitioned` sorts them."""
     p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -571,7 +532,6 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
     L, step, leaves, read, matrix, _ = _plan(p, N, n)
-    classes = _classes(p, N) if walk else ()
     answers = {}  # ell -> the answer for a leaf shown no matrix
     loud = set()  # the ells whose answer records or flags
     r = n - 1 - L  # the tail digits above a batch
@@ -594,15 +554,10 @@ def _scan(config: SearchConfig, batches: range, visit, walk: bool = False) -> Se
             if answer != (None, None):
                 loud.add(ell)
         results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
-        shown = {}  # k -> type of the leaves shown their matrices
-        if min(ells) <= _SHOWN_ELL:
-            near = (k for k, ell in enumerate(ells) if ell <= _SHOWN_ELL)
-            shown = {k: nps for k in near if (nps := _nps_type(integral(k))) is not None}
-        if walk:
-            leaf = partial(matrix, blocks, picked)
-            shown.update(dict.fromkeys(_classified(classes, ells, shown, leaf)))
-        for k, nps in shown.items():
-            results[k] = visit(config, matrix(blocks, picked, k), ells[k], nps)
+        for k, ell in enumerate(ells):
+            if ell <= _SHOWN_ELL:
+                nps = _nps_type(integral(k))
+                results[k] = visit(config, matrix(blocks, picked, k), ell, nps)
         for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue
@@ -652,7 +607,7 @@ def verify_ell_bounds(config: SearchConfig) -> SearchReport:
 def _visit_roundtrip(config: SearchConfig, f: int | None, ell: int, nps: NpsType | None):
     n = config.free_positions
     if n < 2 or f is None:
-        return None, None  # stated for n >= 2; no f: untyped and unclassified
+        return None, None  # stated for n >= 2; no f: ell > 2, untyped and unclassified
     actual = classify_grid(_counts(config.p, config.period, f))
     typed = nps is not None
     expected = expected_pdpds_params(n, config.p, nps.gamma1, nps.gamma2) if typed else None
@@ -668,7 +623,7 @@ def verify_nps_pdpds_equivalence(config: SearchConfig) -> SearchReport:
     type: one comparison covers both directions (see the module docstring)."""
     if config.zeros != 2:
         raise ValueError("equivalence check requires exactly two zero-symbols")
-    return _run_partitioned(config, _visit_roundtrip, walk=True)
+    return _run_partitioned(config, _visit_roundtrip)
 
 
 def _match_dict(m: Match) -> dict:

@@ -347,15 +347,6 @@ def _batch(p: int, N: int, L: int):
     return leaves, _new_reader(p, N, per_block), matrix, offsets
 
 
-def _cells(p: int, N: int, cells) -> struct.Struct:
-    """The struct that reads the given (row, column) cells of a folded matrix
-    as ints, the cells in increasing order."""
-    w, code = _width(N)
-    at = [t * 2 * p * w // 8 + d * w // 8 for t, d in cells]
-    gaps = [b - a - w // 8 for a, b in zip([-w // 8, *at], at)]
-    return struct.Struct("<" + "".join([f"{gap}x{code}" for gap in gaps]))
-
-
 def _count_matrix(seq: AlmostParySequence) -> int:
     """Pack rows 0, -1, ..., -(N-1) of R_a R_a^(-1), R_a the nonzero (i, b_i)."""
     nonzero = [(i, b) for i, b in enumerate(seq.symbols) if b is not None]

@@ -6,12 +6,11 @@ Here the expanded members cover the space exactly once, the reads are the
 classes under both maps, a candidate-by-candidate scan that calls the same
 visitors gives byte-identical reports on every configuration of acceptance
 criteria 5-8 and 10, and the batch scan over any range of batches reports
-what that scan does on the candidates those batches cover. The batch walk
-of the five PDPDS classes agrees with `classify_grid` on every leaf, and no
-leaf or planted grid with ell above the scans' gate has a type or a
-classification. Every scan shows its visit the matrix of the typed leaves
-it reads and, in the roundtrip, of those the walk lets through, and of no
-other leaf, and only the roundtrip builds the walk's class structs.
+what that scan does on the candidates those batches cover. No leaf or
+planted grid with ell above the scans' gate has a type or a
+classification, so every scan shows its visit the matrix and type of each
+leaf it reads with ell <= 2, and of no other leaf, and the roundtrip
+classifies those leaves alone.
 """
 
 import itertools
@@ -39,13 +38,12 @@ from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
-    _counts,
     _row,
     _width,
     profile,
 )
 from npseq.theory import ell_bounds
-from test_search import _visit_refuse, batch_count, class_key, every_leaf
+from test_search import _visit_refuse, batch_count, class_key
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -74,7 +72,7 @@ def class_profiles(config):
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
 def test_orbit_members_cover_the_space_once(monkeypatch, config):
-    # the representatives are the ones the walk expands: under FILTER_ALL
+    # the representatives are the ones the scan expands: under FILTER_ALL
     # every representative read, and its reversal twin, is passed to _orbit
     p, full = config.p, not config.normalize_phase
     reps = []
@@ -98,7 +96,7 @@ def test_orbit_members_cover_the_space_once(monkeypatch, config):
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
 def test_one_read_per_reversal_class(monkeypatch, config):
-    # a walk that passes every leaf shows the visit each leaf read: once
+    # a gate that passes every ell shows the visit each leaf read: once
     # per class, with its least member's matrix
     reads = []
 
@@ -107,8 +105,8 @@ def test_one_read_per_reversal_class(monkeypatch, config):
             reads.append(f)
         return None, None
 
-    monkeypatch.setattr(search, "_classified", every_leaf)
-    report = search._run_partitioned(config, recording, walk=True)
+    monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
+    report = search._run_partitioned(config, recording)
     assert Counter(reads) == Counter(prof.matrix for prof in class_profiles(config))
     assert report.total_enumerated == config.space_size
 
@@ -285,8 +283,7 @@ def test_batch_scan_matches_brute_force(config, batches):
         visits.append(search._visit_roundtrip)
     for visit in visits:
         reference = brute_force(config, visit, keep)
-        walk = visit is search._visit_roundtrip
-        assert_same_report(search._scan(config, batches, visit, walk), reference)
+        assert_same_report(search._scan(config, batches, visit), reference)
 
 
 def test_scan_past_the_recursion_limit_returns():
@@ -304,22 +301,11 @@ def test_scan_past_the_recursion_limit_returns():
         search._run_partitioned(config, _visit_refuse)
 
 
-def walk(p, N):
-    """`_classified` with the roundtrip's classes of (p, N), which read any
-    folded (p, N) matrix."""
-    return partial(search._classified, search._classes(p, N))
-
-
-def classified(p, N, matrices):
-    """The k of the matrices that `classify_grid` classifies."""
-    return [k for k, f in enumerate(matrices) if classify_grid(_counts(p, N, f)) is not None]
-
-
-WALKED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.period >= 3}) + [
+GATED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.period >= 3}) + [
     (3, 130, 124),  # 16-bit columns
 ]
-WALKED_CASES = [
-    (SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in WALKED_SPACES
+GATED_CASES = [
+    (SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in GATED_SPACES
 ] + [case for case in EDGE_BATCH_CASES if case[0].period >= 3]
 
 
@@ -337,20 +323,6 @@ def batch_leaves(config, batches):
         for b in map(ord, prefix):
             node = step(node, b)
         yield prefix, leaves(node), read, matrix, offsets
-
-
-@pytest.mark.parametrize("config,batches", WALKED_CASES, ids=str)
-def test_walk_matches_classify_grid_on_every_leaf(config, batches):
-    # all p^L leaves of each batch, read or not: N = 4 has one far row, p = 2
-    # one-column mixed classes, p = 11 and 31 wide rows. The walk as the
-    # scan runs it, on the leaves of ell <= 2, and on every leaf
-    p, N = config.p, config.period
-    for _, blocks, read, matrix, offsets in batch_leaves(config, batches):
-        leaf = partial(matrix, blocks, offsets)
-        expected = classified(p, N, map(leaf, range(len(offsets))))
-        ells, _ = read(blocks, offsets)
-        assert walk(p, N)(ells, {}, leaf) == expected
-        assert walk(p, N)([0] * len(offsets), {}, leaf) == expected
 
 
 def planted_grids(p, N):
@@ -382,20 +354,9 @@ def packed(p, N, grid):
     return int.from_bytes(b"".join(pack(*row) for row in grid), "little")
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
-@pytest.mark.parametrize("p", [2, 3, 5, 11])
-def test_walk_matches_classify_grid_on_planted_matrices(p, N):
-    # every planted grid walked, whatever its ell
-    grids = planted_grids(p, N)
-    matrices = [packed(p, N, grid) for grid in grids]
-    expected = [k for k, grid in enumerate(grids) if classify_grid(grid) is not None]
-    assert 0 < len(expected) < len(grids)
-    assert walk(p, N)([0] * len(grids), {}, matrices.__getitem__) == expected
-
-
-@pytest.mark.parametrize("config,batches", WALKED_CASES, ids=str)
+@pytest.mark.parametrize("config,batches", GATED_CASES, ids=str)
 def test_no_leaf_above_the_shown_ell_has_a_type_or_a_class(config, batches):
-    # the scans type and walk only the leaves of ell <= search._SHOWN_ELL:
+    # the scans type and classify only the leaves of ell <= search._SHOWN_ELL:
     # on all p^L leaves of each batch, every leaf above it has neither a
     # type nor a classification, by profile and classify_grid
     p, N = config.p, config.period
@@ -430,9 +391,9 @@ def test_no_planted_grid_above_the_shown_ell_has_a_type_or_a_class(p, N):
 
 
 def classify_counts(monkeypatch, config):
-    """(calls, wanted, reads) of config's roundtrip: its calls of
-    `classify_grid`, and the profiles of the leaves it reads that have a type
-    or that `classify_grid` classifies, and of all the leaves it reads."""
+    """(calls, shown, reads) of config's roundtrip: its calls of
+    `classify_grid`, and the profiles of the leaves it reads with
+    ell <= search._SHOWN_ELL, and of all the leaves it reads."""
     calls = []
 
     def counted(grid):
@@ -442,36 +403,48 @@ def classify_counts(monkeypatch, config):
     monkeypatch.setattr(search, "classify_grid", counted)
     assert verify_nps_pdpds_equivalence(config).violations == []
     reads = class_profiles(config)
-    wanted = [prof for prof in reads if prof.nps_type or classify_grid(prof.counts)]
-    return calls, wanted, reads
+    shown = [prof for prof in reads if prof.ell <= search._SHOWN_ELL]
+    return calls, shown, reads
 
 
-def test_roundtrip_classifies_only_the_leaves_the_walk_passes(monkeypatch):
-    # p = 5, N = 8 over the full space: one classification per leaf read
-    # that has a type or all five classes constant, none for the rest
-    config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False)
-    calls, wanted, reads = classify_counts(monkeypatch, config)
-    assert len(calls) == len(wanted) < len(reads)
+# (p, N, calls, untyped): over the full space, N = 8 reads one leaf with
+# ell <= 2, a typed one, and N = 9 four, three of them untyped
+@pytest.mark.parametrize("p,N,count,untyped", [(5, 8, 1, 0), (5, 9, 4, 3)])
+def test_roundtrip_classifies_each_leaf_up_to_the_shown_ell(monkeypatch, p, N, count, untyped):
+    # one classification per leaf read with ell <= 2, typed or not, and
+    # none for the rest
+    config = SearchConfig(p=p, period=N, zeros=2, normalize_phase=False)
+    calls, shown, reads = classify_counts(monkeypatch, config)
+    assert len(calls) == len(shown) == count < len(reads)
+    assert sum(prof.nps_type is None for prof in shown) == untyped
 
 
 def test_p2_roundtrip_classifies_only_its_typed_leaves(monkeypatch):
     # p = 2, N = 14 over the full space: every leaf read is rational, but
-    # only 2 of the 1,056 have a type, and no other has its classes constant
+    # only 2 of the 1,056 have ell <= 2, and both have a type
     config = SearchConfig(p=2, period=14, zeros=2, normalize_phase=False)
-    calls, wanted, reads = classify_counts(monkeypatch, config)
+    calls, shown, reads = classify_counts(monkeypatch, config)
     assert all(prof.all_integral for prof in reads)
-    assert len(calls) == len(wanted) == 2 and len(reads) == 1056
+    assert all(prof.nps_type for prof in shown)
+    assert len(calls) == len(shown) == 2 and len(reads) == 1056
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_search_and_ell_show_only_typed_leaves(monkeypatch, config):
-    # each leaf read that has a type is shown its matrix, once, and no other
-    # leaf: the rest take the answer for no matrix, asked once per ell
+def test_scans_show_every_leaf_up_to_the_shown_ell(monkeypatch, config):
+    # each leaf read with ell <= 2 is shown its matrix, ell and type (None
+    # or not), once, and no other leaf: the rest take the answer for no
+    # matrix, asked once per ell
     profiles = class_profiles(config)
-    typed = Counter((prof.matrix, prof.ell, prof.nps_type) for prof in profiles if prof.nps_type)
+    near = Counter(
+        (prof.matrix, prof.ell, prof.nps_type)
+        for prof in profiles
+        if prof.ell <= search._SHOWN_ELL
+    )
     scans = [(enumerate_and_classify, "_visit_classify")]
     if config.zeros:
         scans.append((verify_ell_bounds, "_visit_ell"))
+    if config.zeros == 2:
+        scans.append((verify_nps_pdpds_equivalence, "_visit_roundtrip"))
     for scan, name in scans:
         calls = []
 
@@ -481,22 +454,6 @@ def test_search_and_ell_show_only_typed_leaves(monkeypatch, config):
 
         monkeypatch.setattr(search, name, spy)
         scan(config)
-        assert Counter(call for call in calls if call[0] is not None) == typed
+        assert Counter(call for call in calls if call[0] is not None) == near
         unshown = Counter((ell, nps) for f, ell, nps in calls if f is None)
         assert unshown == Counter({(prof.ell, None) for prof in profiles})
-
-
-@pytest.mark.parametrize("p,N", [(997, 4), (3, 7)])
-def test_only_the_roundtrip_builds_class_structs(monkeypatch, p, N):
-    # a two-zero search or ell scan builds no struct of the five classes;
-    # the roundtrip of the same space does, here through the refusing _cells
-    def refuse(*args):
-        raise AssertionError("a class struct was built")
-
-    search._classes.cache_clear()
-    monkeypatch.setattr(search, "_cells", refuse)
-    config = SearchConfig(p=p, period=N, zeros=2)
-    enumerate_and_classify(config)
-    verify_ell_bounds(config)
-    with pytest.raises(AssertionError, match="class struct"):
-        verify_nps_pdpds_equivalence(config)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import os
 import signal
+import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -65,13 +66,6 @@ def batch_count(config):
     p, n = config.p, config.free_positions
     r = n - 1 - search._depth(p, n, config.period)
     return 1 + (p**r - 1) // (p - 1)
-
-
-def every_leaf(classes, ells, known, leaf):
-    """A batch walk (`search._classified`) that passes every leaf not in
-    known, whatever its ell, so that a scan shows its visit every leaf it
-    reads."""
-    return [k for k in range(len(ells)) if k not in known]
 
 
 def class_key(config, digits):
@@ -189,17 +183,18 @@ class TestEquivalence:
             verify_nps_pdpds_equivalence(SearchConfig(p=3, period=5, zeros=1))
 
     # the violation paths, reached by replacing the classification the
-    # roundtrip compares with each candidate's expected tuple, and the batch
-    # walk with one that passes every leaf on to it
+    # roundtrip compares with each candidate's expected tuple, and by
+    # showing the visit every leaf read, whatever its ell
     BROKEN = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)
     FIXED = PdpdsParams(7, 3, 5, 9, 9, 9, 9, 9)  # lambda2 = 9: no type's tuple
 
     @staticmethod
-    def break_classification(monkeypatch, actual, walked=True):
+    def break_classification(monkeypatch, actual, every=True):
         # job_count 1 runs in this process, so the patches reach the scan;
-        # the walk passes every untyped leaf or none
+        # every leaf read is shown its matrix, or those with ell <= 2 alone
         monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
-        monkeypatch.setattr(search, "_classified", every_leaf if walked else lambda *args: [])
+        if every:
+            monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
 
     def expected_violations(self, actual):
         """The roundtrip's violations on BROKEN when every candidate's
@@ -229,9 +224,10 @@ class TestEquivalence:
         assert len(expected) == flagged
         assert report.matches == []
 
-    def test_typed_leaves_are_classified_whatever_the_walk(self, monkeypatch):
-        # a walk that passes no leaf still leaves the typed ones to the visit
-        self.break_classification(monkeypatch, None, walked=False)
+    def test_typed_leaves_are_classified_under_the_shown_ell(self, monkeypatch):
+        # the scan's own gate shows the visit every typed leaf: the untyped
+        # leaves it also shows expect None, as the broken classification gives
+        self.break_classification(monkeypatch, None, every=False)
         report = verify_nps_pdpds_equivalence(self.BROKEN)
         assert report.violations == self.expected_violations(None)
         assert len(report.violations) == 15
@@ -273,7 +269,7 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_one_profile_per_candidate(self, monkeypatch, scan, config):
-        # a walk that passes every leaf shows the visit each leaf read, once,
+        # a gate that passes every ell shows the visit each leaf read, once,
         # with the leaf's folded matrix, ell and type; the visit is asked
         # for no matrix once per distinct ell
         reads, unshown = [], []
@@ -286,8 +282,8 @@ class TestSingleScan:
             return None, None
 
         assert scan(config).total_enumerated == config.space_size
-        monkeypatch.setattr(search, "_classified", every_leaf)
-        report = search._scan(config, range(batch_count(config)), recording, walk=True)
+        monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
+        report = search._scan(config, range(batch_count(config)), recording)
         assert report.total_enumerated == config.space_size
         assert Counter(unshown) == Counter({(ell, None) for _, ell, _ in reads})
         # one read per class of b -> c*b (+ a) and reversal, and no class
@@ -344,7 +340,7 @@ class TestSingleScan:
             partial(search._visit_ell, (0, 0)),  # every candidate is a violation
             search._visit_roundtrip,
         ):
-            scan = partial(search._scan, visit=visit, walk=visit is search._visit_roundtrip)
+            scan = partial(search._scan, visit=visit)
             whole = scan(config, range(total))
             assert whole.total_enumerated == config.space_size
             single = []
@@ -451,13 +447,13 @@ def dealt_tasks(config):
     no scan run."""
     tasks = []
 
-    def scan(config, batches, visit, walk=False):
+    def scan(config, batches, visit):
         tasks.append(batches)
         return SearchReport(config=config)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_scan", scan)
-        patch.setattr(search, "_scan_in_pool", lambda c, t, v, w: [scan(c, b, v, w) for b in t])
+        patch.setattr(search, "_scan_in_pool", lambda c, t, v: [scan(c, b, v) for b in t])
         search._run_partitioned(config, search._visit_classify)
     return tasks
 
@@ -496,7 +492,7 @@ class TestDealing:
         # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
         # reads bunch at low ordinals, so one run of batches per task, the
         # first four of its seven and the last three, would give the first
-        # task 76 % of them; a walk that passes every leaf shows each read
+        # task 76 % of them; a gate that passes every ell shows each read
         config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
         reads = []
 
@@ -505,10 +501,10 @@ class TestDealing:
             return None, None
 
         tasks = dealt_tasks(config)
-        monkeypatch.setattr(search, "_classified", every_leaf)
+        monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
         for batches in tasks:
             reads.append(0)
-            search._scan(config, batches, count, walk=True)
+            search._scan(config, batches, count)
         assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
 
