@@ -10,7 +10,10 @@ what that scan does on the candidates those batches cover. No leaf or
 planted grid with ell above the scans' gate has a type or a
 classification, so every scan shows its visit the matrix and type of each
 leaf it reads with ell <= 2, and of no other leaf, and the roundtrip
-classifies those leaves alone.
+classifies those leaves alone. Shown any leaf, the search and roundtrip
+visits answer as profile and classify_grid do, the roundtrip flags each
+planted grid that classifies as an untyped leaf's, and only the roundtrip
+classifies an untyped leaf.
 """
 
 import itertools
@@ -38,6 +41,8 @@ from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
+    _counts,
+    _nps_type,
     _row,
     _width,
     profile,
@@ -369,6 +374,77 @@ def test_no_leaf_above_the_shown_ell_has_a_type_or_a_class(config, batches):
             assert prof.matrix == matrix(blocks, offsets, j)
             shown = prof.nps_type is not None or classify_grid(prof.counts) is not None
             assert not shown or prof.ell <= search._SHOWN_ELL, (digits, prof.ell)
+
+
+@pytest.mark.parametrize("config,batches", GATED_CASES, ids=str)
+def test_every_leaf_shown_is_visited_as_its_profile(config, batches):
+    # what a scan shows a leaf, and the tests' seam _SHOWN_ELL = sys.maxsize
+    # shows any leaf: on all p^L leaves of each batch, read or not, the
+    # batch's reader gives the profile's ell and type, the folded matrix
+    # unpacks to the profile's count grid, and the search and roundtrip
+    # visits answer as profile and classify_grid do
+    p, N, zeros = config.p, config.period, config.zeros
+    L = search._depth(p, config.free_positions, N)
+    every = replace(config, filter_mode=FILTER_ALL)
+    for prefix, blocks, read, matrix, offsets in batch_leaves(config, batches):
+        ells, integral = read(blocks, offsets)
+        for tail in itertools.product(range(p), repeat=L):
+            j = sum(b * p**k for k, b in enumerate(tail))
+            digits = (*map(ord, prefix), *tail)
+            prof = profile(AlmostParySequence(p, (None,) * zeros + digits))
+            f, nps = matrix(blocks, offsets, j), _nps_type(integral(j))
+            assert (ells[j], nps) == (prof.ell, prof.nps_type), digits
+            assert _counts(p, N, f) == prof.counts
+            pdpds = classify_grid(prof.counts) if zeros == 2 else None
+            record = (nps.gamma1, nps.gamma2, pdpds) if nps else (None, None, None)
+            assert search._visit_classify(every, f, prof.ell, nps) == (record, None)
+            if zeros == 2:
+                # no violation: an untyped leaf's grid classifies as None
+                typed = nps and config.free_positions >= 2
+                expected = (record if typed else None), None
+                assert search._visit_roundtrip(config, f, prof.ell, nps) == expected
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_roundtrip_flags_each_planted_untyped_grid_it_classifies(p, N):
+    # a planted grid shown to the roundtrip as an untyped leaf, whatever its
+    # ell, unpacks to its cells, and is flagged just when classify_grid
+    # classifies it; N = 3 leaves one free position, below the n >= 2 the
+    # roundtrip checks
+    config = SearchConfig(p=p, period=N, zeros=2)
+    grids = planted_grids(p, N)
+    classified = 0
+    for grid in grids:
+        f = packed(p, N, grid)
+        assert _counts(p, N, f) == tuple(map(tuple, grid))
+        actual = classify_grid(grid)
+        classified += actual is not None
+        ell = AutocorrelationProfile(p, N, f).ell
+        record, violation = search._visit_roundtrip(config, f, ell, None)
+        assert record is None
+        if actual is None or N == 3:
+            assert violation is None
+        else:
+            assert violation == f"type none but difference set classified as {actual!r}, expected None"
+    assert 0 < classified < len(grids)
+
+
+# (p, N, search, roundtrip): the calls of classify_grid; p = 997, N = 4
+# shows one leaf, a typed one, and p = 5, N = 5 two, one of them untyped
+@pytest.mark.parametrize("p,N,searched,roundtrip", [(997, 4, 1, 1), (5, 5, 1, 2)])
+def test_only_the_roundtrip_classifies_untyped_leaves(monkeypatch, p, N, searched, roundtrip):
+    # the three scans of a two-zero space show the same leaves: the search
+    # classifies the typed ones, the ell check none, the roundtrip all
+    calls = []
+    monkeypatch.setattr(search, "classify_grid", lambda grid: calls.append(grid) or classify_grid(grid))
+    config = SearchConfig(p=p, period=N, zeros=2)
+    counts = []
+    for scan in (enumerate_and_classify, verify_ell_bounds, verify_nps_pdpds_equivalence):
+        del calls[:]
+        scan(config)
+        counts.append(len(calls))
+    assert counts == [searched, 0, roundtrip]
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
