@@ -25,12 +25,14 @@ the slots, leaving slots p .. 2p-1 zero. `_new_reader(p, N, m)` owns K =
 f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
 whose row t is C(t)'s canonical vector plus 2^(w-1) in every column:
 ell counts its distinct rows 1 .. N-1, and C(t) is a rational integer,
-column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It reads
-the ells of any number of a batch's matrices in one pass, and the integral
-values of one of them when asked; `profile` reads one matrix and asks.
+column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It
+serves the scans' batches alone: the ells of any number of a batch's
+matrices in one pass, and the integral values of one of them when asked.
 `profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
 `cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
-inversion, so the classification reads the matrix as it is.
+inversion, so the classification reads the matrix as it is. A profile reads
+ell and the integral values from its own count rows, each canonicalised
+once and kept for `values`.
 """
 
 from __future__ import annotations
@@ -169,11 +171,8 @@ def _masks(p: int, N: int, m: int = 1) -> tuple[int, int, int]:
     return _low(p, N, m), int.from_bytes(row * (N * m), "little"), ones
 
 
-_CACHED_CELLS = 1 << 10  # the widest N * p whose reader is cached, masks and all
-
-
 def _new_reader(p: int, N: int, m: int):
-    """read(blocks, offsets=(0,)) -> (ells, integral): blocks holds folded
+    """read(blocks, offsets) -> (ells, integral): blocks holds folded
     matrices, m in each, packed at a stride of N*R bits (the matrix at
     position i is at bit i*N*R of the blocks joined); ells[k] is the ell of
     the matrix at byte offset offsets[k] of the join, all read in one pass
@@ -199,7 +198,7 @@ def _new_reader(p: int, N: int, m: int):
     biased = (1 << w - 1).to_bytes(size, "little") * (p - 1)
     unbiased = struct.unpack(f"<{rest}", biased.ljust(struct.calcsize(rest), b"\0")) * rows
 
-    def read(blocks, offsets=(0,)):
+    def read(blocks, offsets):
         # one K per block; bytes.join hands a lone block back uncopied
         Ks = [f + halfs - (f >> top & low) * ones for f in blocks]
         data = b"".join([K.to_bytes(length, "little") for K in Ks])
@@ -212,18 +211,6 @@ def _new_reader(p: int, N: int, m: int):
         return [*map(len, map(set, map(keys, repeat(data), offsets)))], integral
 
     return read
-
-
-_cached_reader = lru_cache(maxsize=64)(_new_reader)
-
-
-def _reader(p: int, N: int):
-    """The reader of one of (p, N)'s matrices, as `profile` reads it: cached,
-    64 at most, up to _CACHED_CELLS cells, so the cache holds a few MB of
-    masks, else built per call, so it holds none as wide as a long matrix. A
-    batch's reader, as wide as the batch, is `_batch`'s, held by the scan's
-    plan (`search._plan`, eight at most)."""
-    return (_cached_reader if N * p <= _CACHED_CELLS else _new_reader)(p, N, 1)
 
 
 def _counts(p: int, N: int, f: int) -> tuple[tuple[int, ...], ...]:
@@ -369,19 +356,25 @@ def autocorrelation(seq: AlmostParySequence, t: int) -> CyclotomicInt:
 @dataclass(frozen=True)
 class AutocorrelationProfile:
     """The folded count matrix f of a sequence (see the module docstring) and
-    the summary of its out-of-phase coefficients C(1) .. C(N-1), read from K;
-    `counts` and `values` (CyclotomicInt) are unpacked on demand."""
+    the summary of its out-of-phase coefficients C(1) .. C(N-1), read from
+    the canonical vectors of count rows 1 .. N-1; `values` (CyclotomicInt)
+    are made from those vectors on demand."""
 
     p: int
     period: int
     matrix: int
     ell: int = field(init=False)
     integral_values: tuple[int, ...] | None = field(init=False)
+    _canonical: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ells, integral = _reader(self.p, self.period)((self.matrix,))
-        object.__setattr__(self, "ell", ells[0])
-        object.__setattr__(self, "integral_values", integral(0))
+        rows = tuple([_canonicalize(row) for row in self.counts[1:]])
+        # C(t) is rational exactly when its canonical vector is 0 past column 0
+        rational = not any([any(row[1:]) for row in rows])
+        object.__setattr__(self, "_canonical", rows)
+        object.__setattr__(self, "ell", len(set(rows)))
+        integral = tuple([row[0] for row in rows]) if rational else None
+        object.__setattr__(self, "integral_values", integral)
 
     @property
     def all_integral(self) -> bool:
@@ -395,7 +388,7 @@ class AutocorrelationProfile:
     @cached_property
     def values(self) -> tuple[CyclotomicInt, ...]:
         """C(1) .. C(N-1)."""
-        return tuple([CyclotomicInt(self.p, _canonicalize(row)) for row in self.counts[1:]])
+        return tuple([CyclotomicInt(self.p, row) for row in self._canonical])
 
     @property
     def nps_type(self) -> NpsType | None:

@@ -661,15 +661,16 @@ STARTUP_SCRIPT = textwrap.dedent(
 
     assert call("--version") == (0, "{version}\\n")
     print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
+    from scanhooks import workers
     scan = ("roundtrip", "--p", "3", "--period", "6", "--zeros", "2", "--format", "json")
     serial = call(*scan, "--jobs", "1")
     assert serial[0] == 0
     # one usable CPU: this process scans every task, and starts and imports nothing
     os.sched_getaffinity = lambda pid: {{0}}
-    print(call(*scan, "--jobs", "2") == serial, search._pool, "multiprocessing" in sys.modules)
+    print(call(*scan, "--jobs", "2") == serial, workers(), "multiprocessing" in sys.modules)
     # two: one worker beside this process
     os.sched_getaffinity = lambda pid: {{0, 1}}
-    print(call(*scan, "--jobs", "2") == serial, len(search._pool), "multiprocessing" in sys.modules)
+    print(call(*scan, "--jobs", "2") == serial, len(workers()), "multiprocessing" in sys.modules)
     # keep the scan module, and so its pool, alive through the collection at
     # exit, as a test runner does: the pool must be stopped before teardown
     sys.npseq_search = search
@@ -678,10 +679,10 @@ STARTUP_SCRIPT = textwrap.dedent(
 
 
 def child_env():
-    """os.environ with this checkout's src first on PYTHONPATH, for a child python."""
-    src = str(Path(npseq.__file__).resolve().parents[1])
+    """os.environ with this checkout's src and tests first on PYTHONPATH."""
+    dirs = [str(Path(npseq.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(dirs + ([path] if path else []))}
 
 
 def test_cli_starts_without_the_pool_modules():
@@ -700,12 +701,13 @@ def test_cli_starts_without_the_pool_modules():
 POOL_SCRIPT = textwrap.dedent(
     """
     import contextlib, io, os, signal, sys
-    from npseq import cli, search
+    from npseq import cli
+    from scanhooks import workers
 
     os.sched_getaffinity = lambda pid: {0, 1, 2}  # two workers beside this process
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--jobs", "3"])
-    print(code, *(proc.pid for proc, _ in search._pool), flush=True)
+    print(code, *(proc.pid for proc in workers()), flush=True)
     if sys.argv[1:] == ["kill"]:
         os.kill(os.getpid(), signal.SIGKILL)
     """

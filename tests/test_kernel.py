@@ -9,24 +9,21 @@ count columns and reversal with negation keeps the matrix, and every value
 matches the definitional sum, at the edges of the column width too."""
 
 import itertools
-import tracemalloc
 
 import pytest
+from scanhooks import leaves_below, place, read_matrix
 
-from npseq import cyclotomic, sequence
+from npseq import cyclotomic
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt, _canonicalize
 from npseq.diffset import GroupSubset, build_ra, classify_grid, difference_multiset
 from npseq.search import SearchConfig
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
-    _batch,
     _count_matrix,
     _low,
     _masks,
-    _reader,
     _row,
-    _stepper,
     _width,
     autocorrelation,
     profile,
@@ -55,8 +52,7 @@ def test_siblings_step_from_one_parent(seq, data):
     digit = st.integers(0, p - 1)
     head = data.draw(st.lists(digit, max_size=N - zeros))
     rest = N - zeros - len(head)
-    step, low = _stepper(p, N), _low(p, N)
-    w = _width(N)[0]
+    low, w = _low(p, N), _width(N)[0]
 
     def fold(M):
         return (M & low) + (M >> p * w & low)
@@ -64,14 +60,10 @@ def test_siblings_step_from_one_parent(seq, data):
     def matrix(digits):
         return _count_matrix(AlmostParySequence(p, (None,) * zeros + tuple(digits)))
 
-    parent = (0, 0, 0)
-    for b in head:
-        parent = step(parent, b)
+    parent = place(p, N, head)
     before = parent
     for tail in (data.draw(st.lists(digit, min_size=rest, max_size=rest)) for _ in range(2)):
-        node = parent
-        for b in tail:
-            node = step(node, b)
+        node = place(p, N, tail, parent)
         assert parent == before
         # the parent holds the pairs of the digits placed, the rest zero-symbols
         assert fold(parent[0]) == matrix(head + [None] * rest)
@@ -83,36 +75,23 @@ def test_siblings_step_from_one_parent(seq, data):
 def test_batch_leaves_are_the_subtree_matrices(seq, data):
     # a node with the L digits below it placed at once: its leaf with
     # digits s_0 .. s_{L-1} sits at position j = s_0 + s_1*p + ..., byte
-    # offsets[j], and the batch's reader and matrix read it as profile does
+    # j*stride of its blocks joined, and the batch's reader and matrix read
+    # it as profile does, the leaves picked in any order
     p, N = seq.p, seq.period
     zeros = data.draw(st.integers(0, N - 1))
     L = data.draw(st.integers(0, min(3, N - zeros)))
     depth = N - zeros - L
     head = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth))
-    step = _stepper(p, N)
-    node = (0, 0, 0)
-    for b in head:
-        node = step(node, b)
-    leaves, read, matrix, offsets = _batch(p, N, L)
-    blocks = leaves(node)
+    order = [sum(b * p**k for k, b in enumerate(t)) for t in itertools.product(range(p), repeat=L)]
+    blocks, leaves = leaves_below(p, N, place(p, N, head), L, order)
     stride = N * 2 * p * _width(N)[0] // 8
-    assert offsets == [j * stride for j in range(p**L)]
     joined = b"".join([f.to_bytes(p**L // len(blocks) * stride, "little") for f in blocks])
     assert len(joined) == p**L * stride
-    picked, expected = [], []
-    for tail in itertools.product(range(p), repeat=L):
-        offset = offsets[sum(b * p**k for k, b in enumerate(tail))]
-        f = int.from_bytes(joined[offset : offset + stride], "little")
-        prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + tail))
-        assert f == prof.matrix
-        picked.append(offset)
-        expected.append(prof)
-    assert [matrix(blocks, picked, k) for k in range(len(picked))] == [
-        prof.matrix for prof in expected
-    ]
-    ells, integral = read(blocks, picked)
-    assert ells == [prof.ell for prof in expected]
-    assert [integral(k) for k in range(len(picked))] == [prof.integral_values for prof in expected]
+    for leaf in leaves:
+        f = int.from_bytes(joined[leaf.j * stride : (leaf.j + 1) * stride], "little")
+        prof = profile(AlmostParySequence(p, (None,) * zeros + tuple(head) + leaf.digits))
+        assert f == leaf.matrix == prof.matrix
+        assert (leaf.ell, leaf.integral) == (prof.ell, prof.integral_values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,48 +117,14 @@ def test_keys_are_biased_canonical_vectors(seq):
 @settings(max_examples=200, deadline=None)
 @given(sequences())
 def test_reader_reads_the_profile_summary(seq):
+    # the batches' reader at a batch of one, profile from its own count rows,
+    # and the coefficients one at a time agree on ell and the integral values
     p, N = seq.p, seq.period
     prof = profile(seq)
     values = [autocorrelation(seq, t) for t in range(1, N)]
     ints = [v.as_int() for v in values]
     summary = (len(set(values)), None if None in ints else tuple(ints))
-    ells, integral = _reader(p, N)((prof.matrix,))
-    assert (ells, integral(0)) == ([prof.ell], prof.integral_values)
-    assert (prof.ell, prof.integral_values) == summary
-
-
-def test_only_narrow_readers_are_cached():
-    # a reader holds masks as wide as the matrix: past 2^10 cells it is built per call
-    assert _reader(3, 12) is _reader(3, 12)
-    assert _reader(2, 512) is _reader(2, 512)
-    assert _reader(2, 513) is not _reader(2, 513)
-
-
-def test_short_readers_are_built_once():
-    # the paper's short sequences over three primes: 51 (p, N), each read twice
-    sequence._cached_reader.cache_clear()
-    pairs = [(p, N) for p in (3, 5, 7) for N in range(4, 21)]
-    for _ in range(2):
-        for p, N in pairs:
-            profile(AlmostParySequence(p, (None, None) + (1,) * (N - 2)))
-    info = sequence._cached_reader.cache_info()
-    assert (info.misses, info.hits) == (51, 51)
-
-
-def test_reader_cache_holds_bounded_memory():
-    # at most 2^10 cells, the widest readers have the most rows (struct codes
-    # per row) at 16-bit columns: p = 2 and the 64 largest N fill the cache
-    sequence._cached_reader.cache_clear()
-    tracemalloc.start()
-    try:
-        for N in range(449, 513):
-            _reader(2, N)
-        held = tracemalloc.get_traced_memory()[0]
-        assert sequence._cached_reader.cache_info().currsize == 64
-    finally:
-        tracemalloc.stop()
-        sequence._cached_reader.cache_clear()
-    assert held <= 4 * 2**20
+    assert read_matrix(p, N, prof.matrix) == (prof.ell, prof.integral_values) == summary
 
 
 @pytest.mark.parametrize("p, N", [(3, 12), (7, 20), (499979, 2), (997, 1000), (2, 32768)])

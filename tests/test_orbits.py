@@ -16,39 +16,48 @@ planted grid that classifies as an untyped leaf's, and only the roundtrip
 classifies an untyped leaf.
 """
 
-import itertools
 import random
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import pytest
+from scanhooks import (
+    SHOWN_ELL,
+    batch_count,
+    batch_leaves,
+    brute_force,
+    candidates,
+    class_profiles,
+    classified,
+    covered,
+    every_leaf_shown,
+    expansions,
+    refusing,
+    run_scan,
+    visited,
+    visits,
+)
 
 from npseq import search
+from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
 from npseq.search import (
     FILTER_ALL,
     FILTER_NPS,
-    Match,
     SearchConfig,
-    SearchReport,
     enumerate_and_classify,
     report_to_json,
     verify_ell_bounds,
     verify_nps_pdpds_equivalence,
 )
-from npseq.diffset import PDPDS_CLASSES, _part_rows, classify_grid
 from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
     _counts,
-    _nps_type,
     _row,
     _width,
     profile,
 )
-from npseq.theory import ell_bounds
-from test_search import _visit_refuse, batch_count, class_key
 
 SMALL_SPACES = [
     SearchConfig(p=p, period=period, zeros=zeros, normalize_phase=normalize)
@@ -59,60 +68,24 @@ SMALL_SPACES = [
 ]
 
 
-def candidates(config):
-    """(index, free digits) of every candidate, in index order."""
-    p, free = config.p, config.free_positions
-    if config.normalize_phase:
-        tails = itertools.product(range(p), repeat=free - 1)
-        return enumerate((0, *tail) for tail in tails)
-    return enumerate(itertools.product(range(p), repeat=free))
-
-
-def class_profiles(config):
-    """The profiles of the least members of the classes under b -> c*b (+ a)
-    and reversal: the leaves a scan reads."""
-    reps = {class_key(config, digits) for _, digits in candidates(config)}
-    return [profile(AlmostParySequence(config.p, (None,) * config.zeros + rep)) for rep in reps]
-
-
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_orbit_members_cover_the_space_once(monkeypatch, config):
+def test_orbit_members_cover_the_space_once(config):
     # the representatives are the ones the scan expands: under FILTER_ALL
-    # every representative read, and its reversal twin, is passed to _orbit
-    p, full = config.p, not config.normalize_phase
-    reps = []
-    expand = search._orbit
-
-    def recording_orbit(p, rep, full):
-        reps.append(rep)
-        return expand(p, rep, full)
-
-    monkeypatch.setattr(search, "_orbit", recording_orbit)
-    enumerate_and_classify(replace(config, filter_mode=FILTER_ALL))
-    assert len(reps) == config.orbit_count
-    by_index = dict(candidates(config))
-    seen = []
-    for rep in reps:
-        for index, digits in expand(p, rep, full):
-            assert by_index[index] == digits
-            seen.append(index)
-    assert sorted(seen) == list(range(config.space_size))
+    # every representative read, and its reversal twin, is expanded
+    orbits = expansions(config)
+    assert len(orbits) == config.orbit_count
+    members = sorted(member for orbit in orbits for member in orbit)
+    assert members == list(enumerate(candidates(config)))
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_one_read_per_reversal_class(monkeypatch, config):
+def test_one_read_per_reversal_class(config):
     # a gate that passes every ell shows the visit each leaf read: once
     # per class, with its least member's matrix
-    reads = []
-
-    def recording(config, f, ell, nps):
-        if f is not None:
-            reads.append(f)
-        return None, None
-
-    monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
-    report = search._run_partitioned(config, recording)
-    assert Counter(reads) == Counter(prof.matrix for prof in class_profiles(config))
+    with every_leaf_shown():
+        report, shown, _ = visited(config)
+    reads = Counter(f for f, _, _ in shown)
+    assert reads == Counter(prof.matrix for prof in class_profiles(config))
     assert report.total_enumerated == config.space_size
 
 
@@ -121,108 +94,41 @@ def test_expanded_report_counts_every_candidate(monkeypatch, config):
     every = replace(config, filter_mode=FILTER_ALL)
     report = enumerate_and_classify(every)
     assert report.total_enumerated == sum(report.ell_histogram.values()) == config.space_size
-    assert [m.exponents for m in report.matches] == [d for _, d in candidates(config)]
+    assert [m.exponents for m in report.matches] == candidates(config)
     if config.zeros:
         monkeypatch.setattr(search, "ell_bounds", lambda n, s, p: (0, 0))
         indices = [int(v.split()[1]) for v in verify_ell_bounds(config).violations]
         assert indices == list(range(config.space_size))
 
 
-def brute_force(config, visit, keep=None):
-    """Profile and visit every candidate (in keep, if given) in index order,
-    with no reduction."""
-    report = SearchReport(config=config)
-    chosen = candidates(config) if keep is None else sorted(
-        (sum(b * config.p**k for k, b in enumerate(digits[::-1])), digits) for digits in keep
-    )
-    for index, digits in chosen:
-        seq = AlmostParySequence(config.p, (None,) * config.zeros + tuple(digits))
-        prof = profile(seq)
-        report.total_enumerated += 1
-        report.ell_histogram[prof.ell] = report.ell_histogram.get(prof.ell, 0) + 1
-        record, violation = visit(config, prof.matrix, prof.ell, prof.nps_type)
-        if record is not None:
-            report.matches.append(Match(tuple(digits), *record))
-        if violation is not None:
-            symbols = ",".join("Z" if b is None else str(b) for b in seq.symbols)
-            report.violations.append(f"index {index} [{symbols}]: {violation}")
-    return report
-
-
 EQUIVALENCE = [(3, 5), (3, 6), (3, 7), (3, 8), (5, 5), (5, 6), (5, 7)]
 ACCEPTANCE_SCANS = sorted(
     # criteria 5 and 10: the round trip over the full space
-    {(verify_nps_pdpds_equivalence, "_visit_roundtrip", p, period, 2, False, FILTER_NPS)
+    {(verify_nps_pdpds_equivalence, p, period, 2, False, FILTER_NPS)
      for p, period in EQUIVALENCE}
     # criterion 6: the NPS search, p = 3, periods 4-10
-    | {(enumerate_and_classify, "_visit_classify", 3, period, 2, True, FILTER_NPS)
-       for period in range(4, 11)}
+    | {(enumerate_and_classify, 3, period, 2, True, FILTER_NPS) for period in range(4, 11)}
     # criterion 7: the ell bounds, p = 3 and 5, zero runs 1-3, periods up to 9
-    | {(verify_ell_bounds, "_visit_ell", p, period, zeros, True, FILTER_NPS)
+    | {(verify_ell_bounds, p, period, zeros, True, FILTER_NPS)
        for p in (3, 5) for zeros in (1, 2, 3) for period in range(zeros + 1, 10)}
     # criterion 8: the NPS search, normalised phase
-    | {(enumerate_and_classify, "_visit_classify", p, period, 2, True, FILTER_NPS)
-       for p, period in EQUIVALENCE},
-    key=lambda case: (case[1],) + case[2:],
+    | {(enumerate_and_classify, p, period, 2, True, FILTER_NPS) for p, period in EQUIVALENCE},
+    key=lambda case: (case[0].__name__,) + case[1:],
 )
 
 
 @pytest.mark.parametrize(
-    "scan,visit,p,period,zeros,normalize,mode",
+    "scan,p,period,zeros,normalize,mode",
     ACCEPTANCE_SCANS,
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
-def test_reports_match_brute_force(scan, visit, p, period, zeros, normalize, mode):
+def test_reports_match_brute_force(scan, p, period, zeros, normalize, mode):
     config = SearchConfig(
         p=p, period=period, zeros=zeros, normalize_phase=normalize, filter_mode=mode
     )
-    visitor = getattr(search, visit)
-    if visit == "_visit_ell":  # the scan fixes the bounds once per call
-        visitor = partial(visitor, ell_bounds(period - zeros, zeros, p))
-    reference = report_to_json(brute_force(config, visitor))
+    reference = report_to_json(brute_force(config, visits(config)[scan]))
     for jobs in (1, 3):
         assert report_to_json(scan(replace(config, job_count=jobs))) == reference
-
-
-def representative(p, r, i):
-    """The i-th tail of length r, in lexicographic order, that is zero or led
-    by 1 after its zeros: zero, then the base-p values in [p^e, 2*p^e) for
-    e = 0, 1, ..., r-1."""
-    value, e = 0, 0
-    if i:
-        i -= 1
-        while i >= p**e:
-            i, e = i - p**e, e + 1
-        value = p**e + i
-    digits = []
-    for _ in range(r):
-        value, digit = divmod(value, p)
-        digits.append(digit)
-    return tuple(digits[::-1])
-
-
-def covered(config, batches):
-    """The candidates a scan of the given batches counts: the classes (under
-    b -> c*b (+ a) and reversal) whose least member is a leaf of one of
-    them, batch j's leaves being 0, the j-th tail of r = n - 1 - L digits,
-    then any L digits."""
-    p, n = config.p, config.free_positions
-    L = search._depth(p, n, config.period)
-    members = set()
-    for j in batches:
-        prefix = (0, *representative(p, n - 1 - L, j))
-        for last in itertools.product(range(p), repeat=L):
-            rep = prefix + last
-            if class_key(config, rep) == rep:
-                members |= {
-                    m
-                    for z in (rep, rep[::-1])
-                    for c in range(1, p)
-                    for a in range(p)
-                    for m in [tuple((c * b + a) % p for b in z)]
-                    if not config.normalize_phase or m[0] == 0
-                }
-    return members
 
 
 def assert_same_report(report, reference):
@@ -281,14 +187,10 @@ def test_batch_scan_matches_brute_force(config, batches):
     # that of profiling, one by one, every candidate those batches cover
     batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
     keep = covered(config, batches)
-    visits = [search._visit_classify]
-    if config.zeros:
-        visits.append(partial(search._visit_ell, (2, 3)))  # some candidates violate it
-    if config.zeros == 2:
-        visits.append(search._visit_roundtrip)
-    for visit in visits:
+    # the visits of the scans config admits; some candidates violate ell bounds (2, 3)
+    for visit in visits(config, bounds=(2, 3)).values():
         reference = brute_force(config, visit, keep)
-        assert_same_report(search._scan(config, batches, visit), reference)
+        assert_same_report(run_scan(config, visit, batches), reference)
 
 
 def test_scan_past_the_recursion_limit_returns():
@@ -296,14 +198,14 @@ def test_scan_past_the_recursion_limit_returns():
     # calls: each batch's prefix is placed in a loop
     config = SearchConfig(p=2, period=1100, zeros=2, budget=10**400, filter_mode=FILTER_ALL)
     assert config.free_positions > sys.getrecursionlimit()
-    report = search._scan(config, range(3), search._visit_classify)
+    report = run_scan(config, visits(config)[enumerate_and_classify], range(3))
     keep = covered(config, range(3))
     assert report.total_enumerated == len(keep) == len(report.matches)
     assert sorted(m.exponents for m in report.matches) == sorted(keep)
     # the whole space, 2^1093 batches, more than len() and islice take,
     # starts as any other: the first leaf read reaches the visit
     with pytest.raises(ValueError, match="visit refused"):
-        search._run_partitioned(config, _visit_refuse)
+        run_scan(config, refusing())
 
 
 GATED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.period >= 3}) + [
@@ -312,22 +214,6 @@ GATED_SPACES = sorted({(c.p, c.period, c.zeros) for c in SMALL_SPACES if c.perio
 GATED_CASES = [
     (SearchConfig(p=p, period=N, zeros=zeros), range(10**9)) for p, N, zeros in GATED_SPACES
 ] + [case for case in EDGE_BATCH_CASES if case[0].period >= 3]
-
-
-def batch_leaves(config, batches):
-    """(prefix, blocks, read, matrix, offsets) of each of the given batches
-    of config's space, with the byte offsets of all its p^L leaves, read or
-    not, in packing order."""
-    p, N, n = config.p, config.period, config.free_positions
-    L, step, leaves, read, matrix, _ = search._plan(p, N, n)
-    offsets = [j * N * 2 * p * _width(N)[0] // 8 for j in range(p**L)]
-    batches = range(batches.start, min(batches.stop, batch_count(config)), batches.step)
-    prefixes = search._prefixes(p, n - 1 - L)
-    for prefix in itertools.islice(prefixes, batches.start, batches.stop, batches.step):
-        node = (0, 0, 0)
-        for b in map(ord, prefix):
-            node = step(node, b)
-        yield prefix, leaves(node), read, matrix, offsets
 
 
 def planted_grids(p, N):
@@ -361,48 +247,39 @@ def packed(p, N, grid):
 
 @pytest.mark.parametrize("config,batches", GATED_CASES, ids=str)
 def test_no_leaf_above_the_shown_ell_has_a_type_or_a_class(config, batches):
-    # the scans type and classify only the leaves of ell <= search._SHOWN_ELL:
-    # on all p^L leaves of each batch, every leaf above it has neither a
-    # type nor a classification, by profile and classify_grid
-    p, N = config.p, config.period
-    L = search._depth(p, config.free_positions, N)
-    for prefix, blocks, _, matrix, offsets in batch_leaves(config, batches):
-        for tail in itertools.product(range(p), repeat=L):
-            j = sum(b * p**k for k, b in enumerate(tail))
-            digits = (*map(ord, prefix), *tail)
-            prof = profile(AlmostParySequence(p, (None,) * config.zeros + digits))
-            assert prof.matrix == matrix(blocks, offsets, j)
-            shown = prof.nps_type is not None or classify_grid(prof.counts) is not None
-            assert not shown or prof.ell <= search._SHOWN_ELL, (digits, prof.ell)
+    # the scans type and classify only the leaves of ell <= SHOWN_ELL: on all
+    # p^L leaves of each batch, every leaf above it has neither a type nor a
+    # classification, by profile and classify_grid
+    for leaf in batch_leaves(config, batches):
+        prof = profile(AlmostParySequence(config.p, (None,) * config.zeros + leaf.digits))
+        assert prof.matrix == leaf.matrix
+        shown = prof.nps_type is not None or classify_grid(prof.counts) is not None
+        assert not shown or prof.ell <= SHOWN_ELL, (leaf.digits, prof.ell)
 
 
 @pytest.mark.parametrize("config,batches", GATED_CASES, ids=str)
 def test_every_leaf_shown_is_visited_as_its_profile(config, batches):
-    # what a scan shows a leaf, and the tests' seam _SHOWN_ELL = sys.maxsize
-    # shows any leaf: on all p^L leaves of each batch, read or not, the
-    # batch's reader gives the profile's ell and type, the folded matrix
-    # unpacks to the profile's count grid, and the search and roundtrip
-    # visits answer as profile and classify_grid do
+    # what a scan shows a leaf, and every_leaf_shown shows any leaf: on all
+    # p^L leaves of each batch, read or not, the batch's reader gives the
+    # profile's ell and type, the folded matrix unpacks to the profile's
+    # count grid, and the search and roundtrip visits answer as profile and
+    # classify_grid do
     p, N, zeros = config.p, config.period, config.zeros
-    L = search._depth(p, config.free_positions, N)
     every = replace(config, filter_mode=FILTER_ALL)
-    for prefix, blocks, read, matrix, offsets in batch_leaves(config, batches):
-        ells, integral = read(blocks, offsets)
-        for tail in itertools.product(range(p), repeat=L):
-            j = sum(b * p**k for k, b in enumerate(tail))
-            digits = (*map(ord, prefix), *tail)
-            prof = profile(AlmostParySequence(p, (None,) * zeros + digits))
-            f, nps = matrix(blocks, offsets, j), _nps_type(integral(j))
-            assert (ells[j], nps) == (prof.ell, prof.nps_type), digits
-            assert _counts(p, N, f) == prof.counts
-            pdpds = classify_grid(prof.counts) if zeros == 2 else None
-            record = (nps.gamma1, nps.gamma2, pdpds) if nps else (None, None, None)
-            assert search._visit_classify(every, f, prof.ell, nps) == (record, None)
-            if zeros == 2:
-                # no violation: an untyped leaf's grid classifies as None
-                typed = nps and config.free_positions >= 2
-                expected = (record if typed else None), None
-                assert search._visit_roundtrip(config, f, prof.ell, nps) == expected
+    classify = visits(every)[enumerate_and_classify]
+    roundtrip = visits(config).get(verify_nps_pdpds_equivalence)
+    for leaf in batch_leaves(config, batches):
+        prof = profile(AlmostParySequence(p, (None,) * zeros + leaf.digits))
+        f, nps = leaf.matrix, leaf.nps
+        assert (leaf.ell, nps) == (prof.ell, prof.nps_type), leaf.digits
+        assert _counts(p, N, f) == prof.counts
+        pdpds = classify_grid(prof.counts) if zeros == 2 else None
+        record = (nps.gamma1, nps.gamma2, pdpds) if nps else (None, None, None)
+        assert classify(every, f, prof.ell, nps) == (record, None)
+        if roundtrip:
+            # no violation: an untyped leaf's grid classifies as None
+            typed = nps and config.free_positions >= 2
+            assert roundtrip(config, f, prof.ell, nps) == ((record if typed else None), None)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 8, 130])
@@ -413,37 +290,36 @@ def test_roundtrip_flags_each_planted_untyped_grid_it_classifies(p, N):
     # classifies it; N = 3 leaves one free position, below the n >= 2 the
     # roundtrip checks
     config = SearchConfig(p=p, period=N, zeros=2)
+    visit = visits(config)[verify_nps_pdpds_equivalence]
     grids = planted_grids(p, N)
-    classified = 0
+    flagged = 0
     for grid in grids:
         f = packed(p, N, grid)
         assert _counts(p, N, f) == tuple(map(tuple, grid))
         actual = classify_grid(grid)
-        classified += actual is not None
+        flagged += actual is not None
         ell = AutocorrelationProfile(p, N, f).ell
-        record, violation = search._visit_roundtrip(config, f, ell, None)
+        record, violation = visit(config, f, ell, None)
         assert record is None
         if actual is None or N == 3:
             assert violation is None
         else:
             assert violation == f"type none but difference set classified as {actual!r}, expected None"
-    assert 0 < classified < len(grids)
+    assert 0 < flagged < len(grids)
 
 
 # (p, N, search, roundtrip): the calls of classify_grid; p = 997, N = 4
 # shows one leaf, a typed one, and p = 5, N = 5 two, one of them untyped
 @pytest.mark.parametrize("p,N,searched,roundtrip", [(997, 4, 1, 1), (5, 5, 1, 2)])
-def test_only_the_roundtrip_classifies_untyped_leaves(monkeypatch, p, N, searched, roundtrip):
+def test_only_the_roundtrip_classifies_untyped_leaves(p, N, searched, roundtrip):
     # the three scans of a two-zero space show the same leaves: the search
     # classifies the typed ones, the ell check none, the roundtrip all
-    calls = []
-    monkeypatch.setattr(search, "classify_grid", lambda grid: calls.append(grid) or classify_grid(grid))
     config = SearchConfig(p=p, period=N, zeros=2)
     counts = []
     for scan in (enumerate_and_classify, verify_ell_bounds, verify_nps_pdpds_equivalence):
-        del calls[:]
-        scan(config)
-        counts.append(len(calls))
+        with classified() as grids:
+            scan(config)
+        counts.append(len(grids))
     assert counts == [searched, 0, roundtrip]
 
 
@@ -461,75 +337,53 @@ def test_no_planted_grid_above_the_shown_ell_has_a_type_or_a_class(p, N):
         ]
         for cells in (grid, mirrored):
             prof = AutocorrelationProfile(p, N, packed(p, N, cells))
-            if prof.ell > search._SHOWN_ELL:
+            if prof.ell > SHOWN_ELL:
                 assert classify_grid(cells) is None
                 assert prof.nps_type is None
 
 
-def classify_counts(monkeypatch, config):
-    """(calls, shown, reads) of config's roundtrip: its calls of
-    `classify_grid`, and the profiles of the leaves it reads with
-    ell <= search._SHOWN_ELL, and of all the leaves it reads."""
-    calls = []
-
-    def counted(grid):
-        calls.append(grid)
-        return classify_grid(grid)
-
-    monkeypatch.setattr(search, "classify_grid", counted)
-    assert verify_nps_pdpds_equivalence(config).violations == []
+def classify_counts(config):
+    """(calls, shown, reads) of config's roundtrip: its calls of `classify_grid`,
+    and the profiles of the leaves it reads with ell <= SHOWN_ELL and of all."""
+    with classified() as calls:
+        assert verify_nps_pdpds_equivalence(config).violations == []
     reads = class_profiles(config)
-    shown = [prof for prof in reads if prof.ell <= search._SHOWN_ELL]
+    shown = [prof for prof in reads if prof.ell <= SHOWN_ELL]
     return calls, shown, reads
 
 
 # (p, N, calls, untyped): over the full space, N = 8 reads one leaf with
 # ell <= 2, a typed one, and N = 9 four, three of them untyped
 @pytest.mark.parametrize("p,N,count,untyped", [(5, 8, 1, 0), (5, 9, 4, 3)])
-def test_roundtrip_classifies_each_leaf_up_to_the_shown_ell(monkeypatch, p, N, count, untyped):
+def test_roundtrip_classifies_each_leaf_up_to_the_shown_ell(p, N, count, untyped):
     # one classification per leaf read with ell <= 2, typed or not, and
     # none for the rest
     config = SearchConfig(p=p, period=N, zeros=2, normalize_phase=False)
-    calls, shown, reads = classify_counts(monkeypatch, config)
+    calls, shown, reads = classify_counts(config)
     assert len(calls) == len(shown) == count < len(reads)
     assert sum(prof.nps_type is None for prof in shown) == untyped
 
 
-def test_p2_roundtrip_classifies_only_its_typed_leaves(monkeypatch):
+def test_p2_roundtrip_classifies_only_its_typed_leaves():
     # p = 2, N = 14 over the full space: every leaf read is rational, but
     # only 2 of the 1,056 have ell <= 2, and both have a type
     config = SearchConfig(p=2, period=14, zeros=2, normalize_phase=False)
-    calls, shown, reads = classify_counts(monkeypatch, config)
+    calls, shown, reads = classify_counts(config)
     assert all(prof.all_integral for prof in reads)
     assert all(prof.nps_type for prof in shown)
     assert len(calls) == len(shown) == 2 and len(reads) == 1056
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES, ids=str)
-def test_scans_show_every_leaf_up_to_the_shown_ell(monkeypatch, config):
+def test_scans_show_every_leaf_up_to_the_shown_ell(config):
     # each leaf read with ell <= 2 is shown its matrix, ell and type (None
     # or not), once, and no other leaf: the rest take the answer for no
-    # matrix, asked once per ell
+    # matrix, asked once per ell; so in every scan config admits
     profiles = class_profiles(config)
     near = Counter(
-        (prof.matrix, prof.ell, prof.nps_type)
-        for prof in profiles
-        if prof.ell <= search._SHOWN_ELL
+        (prof.matrix, prof.ell, prof.nps_type) for prof in profiles if prof.ell <= SHOWN_ELL
     )
-    scans = [(enumerate_and_classify, "_visit_classify")]
-    if config.zeros:
-        scans.append((verify_ell_bounds, "_visit_ell"))
-    if config.zeros == 2:
-        scans.append((verify_nps_pdpds_equivalence, "_visit_roundtrip"))
-    for scan, name in scans:
-        calls = []
-
-        def spy(*args, visit=getattr(search, name)):
-            calls.append(args[-3:])  # (f, ell, nps)
-            return visit(*args)
-
-        monkeypatch.setattr(search, name, spy)
-        scan(config)
-        assert Counter(call for call in calls if call[0] is not None) == near
-        unshown = Counter((ell, nps) for f, ell, nps in calls if f is None)
-        assert unshown == Counter({(prof.ell, None) for prof in profiles})
+    for visit in visits(config).values():
+        _, shown, unshown = visited(config, visit)
+        assert Counter(shown) == near
+        assert Counter(unshown) == Counter({(prof.ell, None) for prof in profiles})

@@ -4,24 +4,40 @@ import gc
 import itertools
 import os
 import signal
-import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
 
 import pytest
+from scanhooks import (
+    batch_count,
+    brute_force,
+    candidates,
+    class_profiles,
+    classified,
+    dealt_tasks,
+    every_leaf_shown,
+    merged,
+    orbit_key,
+    plan_caches,
+    refusing,
+    run_scan,
+    stop_workers,
+    visited,
+    visits,
+    worker_pids,
+    workers,
+)
 
-from npseq import cli, search, sequence
+from npseq import cli, search
 from npseq.diffset import PdpdsParams, expected_pdpds_params
 from npseq.search import (
     FILTER_ALL,
     FILTER_NPS,
     FILTER_TYPE,
     BudgetExceededError,
-    Match,
     SearchConfig,
-    SearchReport,
     enumerate_and_classify,
     report_to_csv,
     report_to_json,
@@ -41,45 +57,6 @@ def cycles_left(run):
         return gc.collect()
     finally:
         gc.enable()
-
-
-def free_digits(config):
-    """The free digits of every candidate, in index order."""
-    p, free = config.p, config.free_positions
-    if config.normalize_phase:
-        return [(0, *tail) for tail in itertools.product(range(p), repeat=free - 1)]
-    return list(itertools.product(range(p), repeat=free))
-
-
-def orbit_key(config, digits):
-    """The least member of the orbit of digits under b -> c*b (+ a)."""
-    p = config.p
-    shifts = (0,) if config.normalize_phase else range(p)
-    return min(
-        tuple((c * b + a) % p for b in digits) for c in range(1, p) for a in shifts
-    )
-
-
-def batch_count(config):
-    """The batches of config's space: one per tail of r = n - 1 - L free
-    digits that is zero or led by 1 after its zeros."""
-    p, n = config.p, config.free_positions
-    r = n - 1 - search._depth(p, n, config.period)
-    return 1 + (p**r - 1) // (p - 1)
-
-
-def class_key(config, digits):
-    """The least member of the space in the class of digits under b -> c*b + a
-    and the reversal of the free digits (positions i -> s-1-i mod N); under
-    phase normalisation the space holds the members that start with 0."""
-    p = config.p
-    members = (
-        tuple((c * b + a) % p for b in z)
-        for z in (digits, digits[::-1])
-        for c in range(1, p)
-        for a in range(p)
-    )
-    return min(m for m in members if not config.normalize_phase or m[0] == 0)
 
 
 class TestEnumeration:
@@ -184,24 +161,17 @@ class TestEquivalence:
 
     # the violation paths, reached by replacing the classification the
     # roundtrip compares with each candidate's expected tuple, and by
-    # showing the visit every leaf read, whatever its ell
+    # showing the visit every leaf read, whatever its ell; job_count 1 runs
+    # in this process, so the spies reach the scan
     BROKEN = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False)
     FIXED = PdpdsParams(7, 3, 5, 9, 9, 9, 9, 9)  # lambda2 = 9: no type's tuple
-
-    @staticmethod
-    def break_classification(monkeypatch, actual, every=True):
-        # job_count 1 runs in this process, so the patches reach the scan;
-        # every leaf read is shown its matrix, or those with ell <= 2 alone
-        monkeypatch.setattr(search, "classify_grid", lambda grid: actual)
-        if every:
-            monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
 
     def expected_violations(self, actual):
         """The roundtrip's violations on BROKEN when every candidate's
         classification is actual: one per candidate whose type (or none)
         expects another tuple."""
         lines = []
-        for index, digits in enumerate(free_digits(self.BROKEN)):
+        for index, digits in enumerate(candidates(self.BROKEN)):
             nps = classify_nps(AlmostParySequence(3, (None, None) + digits))
             expected = nps and expected_pdpds_params(5, 3, nps.gamma1, nps.gamma2)
             if expected == actual:
@@ -216,27 +186,27 @@ class TestEquivalence:
 
     # None flags the 15 typed candidates of the 243; FIXED flags all of them
     @pytest.mark.parametrize("actual,flagged", [(None, 15), (FIXED, 243)], ids=["none", "fixed"])
-    def test_mismatch_is_a_violation(self, monkeypatch, actual, flagged):
-        self.break_classification(monkeypatch, actual)
-        report = verify_nps_pdpds_equivalence(self.BROKEN)
+    def test_mismatch_is_a_violation(self, actual, flagged):
+        with every_leaf_shown(), classified(lambda grid: actual):
+            report = verify_nps_pdpds_equivalence(self.BROKEN)
         expected = self.expected_violations(actual)
         assert report.violations == expected
         assert len(expected) == flagged
         assert report.matches == []
 
-    def test_typed_leaves_are_classified_under_the_shown_ell(self, monkeypatch):
+    def test_typed_leaves_are_classified_under_the_shown_ell(self):
         # the scan's own gate shows the visit every typed leaf: the untyped
         # leaves it also shows expect None, as the broken classification gives
-        self.break_classification(monkeypatch, None, every=False)
-        report = verify_nps_pdpds_equivalence(self.BROKEN)
+        with classified(lambda grid: None):
+            report = verify_nps_pdpds_equivalence(self.BROKEN)
         assert report.violations == self.expected_violations(None)
         assert len(report.violations) == 15
 
     @pytest.mark.parametrize("actual", [None, FIXED], ids=["none", "fixed"])
-    def test_cli_exits_1_on_mismatch(self, monkeypatch, capsys, actual):
-        self.break_classification(monkeypatch, actual)
+    def test_cli_exits_1_on_mismatch(self, capsys, actual):
         argv = ["roundtrip", "--p", "3", "--period", "7", "--zeros", "2", "--full-space"]
-        assert cli.main([*argv, "--jobs", "1"]) == 1
+        with every_leaf_shown(), classified(lambda grid: actual):
+            assert cli.main([*argv, "--jobs", "1"]) == 1
         printed = capsys.readouterr().out.splitlines()
         violations = self.expected_violations(actual)
         assert printed[-len(violations) - 1:] == [
@@ -268,42 +238,24 @@ class TestSingleScan:
     ]
 
     @pytest.mark.parametrize("scan,config", SCANS)
-    def test_one_profile_per_candidate(self, monkeypatch, scan, config):
+    def test_one_profile_per_candidate(self, scan, config):
         # a gate that passes every ell shows the visit each leaf read, once,
         # with the leaf's folded matrix, ell and type; the visit is asked
         # for no matrix once per distinct ell
-        reads, unshown = [], []
-
-        def recording(config, f, ell, nps):
-            if f is None:
-                unshown.append((ell, nps))
-            else:
-                reads.append((f, ell, nps))
-            return None, None
-
         assert scan(config).total_enumerated == config.space_size
-        monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
-        report = search._scan(config, range(batch_count(config)), recording)
+        with every_leaf_shown():
+            report, reads, unshown = visited(config)
         assert report.total_enumerated == config.space_size
         assert Counter(unshown) == Counter({(ell, None) for _, ell, _ in reads})
         # one read per class of b -> c*b (+ a) and reversal, and no class
         # read twice: the reads are the profiles of the classes' least members
-        reps = sorted({class_key(config, digits) for digits in free_digits(config)})
-        assert len(reads) == len(reps) < config.orbit_count
-        orbits = {orbit_key(config, digits) for digits in free_digits(config)}
-        assert len(orbits) == config.orbit_count
-        profiles = [
-            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + rep)) for rep in reps
-        ]
-        assert Counter(reads) == Counter(
-            (prof.matrix, prof.ell, prof.nps_type) for prof in profiles
-        )
+        profiles = class_profiles(config)
+        assert len(reads) == len(profiles) < config.orbit_count
+        assert len({orbit_key(config, d) for d in candidates(config)}) == config.orbit_count
+        assert Counter(reads) == Counter((p.matrix, p.ell, p.nps_type) for p in profiles)
         # and every candidate enters the histogram once, with its own ell
-        ells = Counter(
-            sequence.profile(AlmostParySequence(3, (None,) * config.zeros + digits)).ell
-            for digits in free_digits(config)
-        )
-        assert report.ell_histogram == dict(ells)
+        quiet = brute_force(config, lambda config, f, ell, nps: (None, None))
+        assert report.ell_histogram == quiet.ell_histogram
 
     @pytest.mark.parametrize("scan,config", SCANS)
     def test_scan_leaves_no_cycles(self, scan, config):
@@ -313,8 +265,8 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("job_count", [1, 2])
     def test_worker_exception_leaves_no_cycles(self, job_count):
-        # a worker's exception reaches the caller through its future: the pool
-        # must not keep that future in a frame the exception's traceback holds
+        # a worker's exception reaches the caller as its reply over the pipe:
+        # the caller must not keep it in a frame the exception's traceback holds
         config = SearchConfig(p=3, period=7, zeros=2, job_count=job_count)
         # the first parallel scan imports the pool modules, whose import
         # leaves garbage of its own, and starts the pool
@@ -322,7 +274,7 @@ class TestSingleScan:
 
         def refused():
             with pytest.raises(ValueError, match="visit refused"):
-                search._run_partitioned(config, _visit_refuse)
+                run_scan(config, refusing())
 
         assert cycles_left(refused) == 0
 
@@ -335,28 +287,20 @@ class TestSingleScan:
             p=p, period=free + 2, zeros=2, normalize_phase=normalize, filter_mode=FILTER_ALL
         )
         total = batch_count(config)
-        for visit in (
-            search._visit_classify,
-            partial(search._visit_ell, (0, 0)),  # every candidate is a violation
-            search._visit_roundtrip,
-        ):
-            scan = partial(search._scan, visit=visit)
-            whole = scan(config, range(total))
+        # the three scans' visits; under bounds (0, 0) every candidate is a violation
+        for visit in visits(config, bounds=(0, 0)).values():
+            scan = partial(run_scan, config, visit)
+            whole = scan(range(total))
             assert whole.total_enumerated == config.space_size
             single = []
             for j in range(total):
-                assert scan(config, range(j, j)).total_enumerated == 0
-                single.append(scan(config, range(j, j + 1)))
-            merged = SearchReport(config=config)
-            for part in single:
-                search._merge(merged, part)
-            assert merged == whole
+                assert scan(range(j, j)).total_enumerated == 0
+                single.append(scan(range(j, j + 1)))
+            assert merged(config, single) == whole
             # each task of a dealt scan reads its batches as they read alone
             for start, step in ((0, 2), (1, 2), (2, 3)):
-                dealt = SearchReport(config=config)
-                for j in range(start, total, step):
-                    search._merge(dealt, single[j])
-                assert scan(config, range(start, total, step)) == dealt
+                dealt = merged(config, single[start:total:step])
+                assert scan(range(start, total, step)) == dealt
 
     def test_ranges_past_sys_maxsize_stop_at_the_last_batch(self):
         # a range stop above sys.maxsize, which islice refuses, reads as the
@@ -364,23 +308,22 @@ class TestSingleScan:
         config = SearchConfig(p=3, period=12, zeros=2)
         total = batch_count(config)
         assert total == 41
-        visit = search._visit_classify
-        whole = search._scan(config, range(total), visit)
-        assert search._scan(config, range(0, 2**70), visit) == whole
-        dealt = search._scan(config, range(1, total, 3), visit)
-        assert search._scan(config, range(1, 2**70, 3), visit) == dealt
+        scan = partial(run_scan, config, visits(config)[enumerate_and_classify])
+        whole = scan(range(total))
+        assert scan(range(0, 2**70)) == whole
+        dealt = scan(range(1, total, 3))
+        assert scan(range(1, 2**70, 3)) == dealt
 
     def test_plans_hold_bounded_memory(self):
         # nine distinct (p, N), 64 batches each: eight plans stay, and the
         # cached selections of all of them, 576 asked, total at most 256
-        search._plan.cache_clear()
-        search._select.cache_clear()
+        plan_caches(clear=True)
         for period in range(40, 49):
             config = SearchConfig(p=2, period=period, zeros=period - 14)
             assert batch_count(config) == 64
-            search._scan(config, range(64), search._visit_classify)
-        assert search._plan.cache_info().currsize == 8
-        selections = search._select.cache_info()
+            run_scan(config, visits(config)[enumerate_and_classify], range(64))
+        plans, selections = plan_caches()
+        assert plans.currsize == 8
         assert selections.misses == 9 * 64
         assert selections.currsize <= 256
 
@@ -389,16 +332,8 @@ class TestSingleScan:
         # 16- and 32-bit columns: every candidate against its own profile
         config = SearchConfig(p=p, period=period, zeros=zeros, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(config)
-        histogram, matches = {}, []
-        for digits in free_digits(config):
-            prof = sequence.profile(AlmostParySequence(p, (None,) * zeros + digits))
-            histogram[prof.ell] = histogram.get(prof.ell, 0) + 1
-            nps = prof.nps_type
-            types = (nps.gamma1, nps.gamma2) if nps else (None, None)
-            matches.append(Match(digits, *types, None))
-        assert report.total_enumerated == len(matches) == config.space_size
-        assert report.ell_histogram == histogram
-        assert report.matches == matches
+        assert report.total_enumerated == len(report.matches) == config.space_size
+        assert report == brute_force(config, visits(config)[enumerate_and_classify])
 
     def test_scan_types_match_classify_nps(self):
         for zeros in range(7):
@@ -429,33 +364,17 @@ class TestSingleScan:
         else:
             monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        search._stop_pool()
+        stop_workers()
         # one task per batch: 41 orbits of b -> c*b among the 81 candidates,
         # read 9 at a time after the 5 with a zero prefix, dealt over the
         # slots; with one slot no pool is started
         pids = worker_pids(1024)
-        pool = search._pool or []
+        pool = workers() or []
         assert len(pool) == slots - 1
-        assert pids == {os.getpid(), *(proc.pid for proc, _ in pool)}
+        assert pids == {os.getpid(), *(proc.pid for proc in pool)}
         base = SearchConfig(p=3, period=7, zeros=2, filter_mode=FILTER_ALL)
         report = enumerate_and_classify(replace(base, job_count=1024))
         assert report_to_json(report) == report_to_json(enumerate_and_classify(base))
-
-
-def dealt_tasks(config):
-    """The batches _run_partitioned gives each task of config's scan, with
-    no scan run."""
-    tasks = []
-
-    def scan(config, batches, visit):
-        tasks.append(batches)
-        return SearchReport(config=config)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_scan", scan)
-        patch.setattr(search, "_scan_in_pool", lambda c, t, v: [scan(c, b, v) for b in t])
-        search._run_partitioned(config, search._visit_classify)
-    return tasks
 
 
 # (p, period, zeros): from one batch (n = 1) to thousands, at L = 0 .. 10
@@ -488,64 +407,16 @@ class TestDealing:
         # round-robin: batch i goes to task i mod the tasks
         assert owners == [i % len(tasks) for i in range(total)]
 
-    def test_roundtrip_reads_split_evenly(self, monkeypatch):
+    def test_roundtrip_reads_split_evenly(self):
         # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
         # reads bunch at low ordinals, so one run of batches per task, the
         # first four of its seven and the last three, would give the first
         # task 76 % of them; a gate that passes every ell shows each read
         config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
-        reads = []
-
-        def count(config, f, ell, nps):
-            reads[-1] += f is not None
-            return None, None
-
-        tasks = dealt_tasks(config)
-        monkeypatch.setattr(search, "_SHOWN_ELL", sys.maxsize)
-        for batches in tasks:
-            reads.append(0)
-            search._scan(config, batches, count)
+        with every_leaf_shown():
+            reads = [len(visited(config, batches=batches)[1]) for batches in dealt_tasks(config)]
         assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
-
-
-def _visit_refuse(config, f, ell, nps):
-    """Fail the scan, in whichever process reads the first leaf."""
-    raise ValueError("visit refused")
-
-
-def _visit_refuse_in(here, caller, config, f, ell, nps):
-    """Fail the scan in the caller's process alone when here is set, else
-    in its workers alone."""
-    if (os.getpid() == caller) == here:
-        raise ValueError("visit refused")
-    return None, None
-
-
-class UnpicklableError(ValueError):
-    def __init__(self):
-        super().__init__("visit refused")
-        self.hook = lambda: None  # pickle refuses a lambda
-
-
-def _visit_refuse_unpicklably(caller, config, f, ell, nps):
-    """Fail the scan in the caller's workers alone, with an exception that
-    does not pickle."""
-    if os.getpid() != caller:
-        raise UnpicklableError()
-    return None, None
-
-
-def _visit_pid(config, f, ell, nps):
-    """Name the process that profiled the representative, as a violation."""
-    return None, f"pid {os.getpid()}"
-
-
-def worker_pids(job_count):
-    """The processes that served one scan."""
-    config = SearchConfig(p=3, period=7, zeros=2, job_count=job_count)
-    report = search._run_partitioned(config, _visit_pid)
-    return {int(text.rsplit(" ", 1)[1]) for text in report.violations}
 
 
 class TestWorkerPool:
@@ -562,12 +433,12 @@ class TestWorkerPool:
 
     def test_consecutive_scans_share_workers(self):
         first = worker_pids(2)
-        pool = search._pool
+        pool = workers()
         second = worker_pids(2)
-        assert search._pool is pool
+        assert workers() == pool
         # this process scans a share of each, its workers the rest
         assert os.getpid() in first & second
-        assert first | second <= {os.getpid(), *(proc.pid for proc, _ in pool or ())}
+        assert first | second <= {os.getpid(), *(proc.pid for proc in pool or ())}
         # the first scan's workers were not stopped after it
         for pid in first | second:
             os.kill(pid, 0)
@@ -575,10 +446,10 @@ class TestWorkerPool:
     def test_smaller_need_reuses_larger_pool(self, monkeypatch):
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         worker_pids(3)
-        pool = search._pool
+        pool = workers()
         assert len(pool) >= 2
         worker_pids(2)
-        assert search._pool is pool
+        assert workers() == pool
 
     def test_interleaved_scans_match_jobs_1(self):
         def outputs(scan, config):
@@ -598,21 +469,21 @@ class TestWorkerPool:
         config = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False, job_count=2)
         expected = report_to_json(verify_nps_pdpds_equivalence(replace(config, job_count=1)))
         worker_pids(2)
-        pool = search._pool
+        pool = workers()
         with pytest.raises(ValueError, match="^visit refused$"):
-            search._run_partitioned(config, partial(_visit_refuse_in, here, os.getpid()))
-        assert search._pool is pool
+            run_scan(config, refusing(os.getpid(), here))
+        assert workers() == pool
         assert report_to_json(verify_nps_pdpds_equivalence(config)) == expected
 
     def test_unpicklable_exception_reaches_the_caller_as_text(self, two_cpus):
         # a worker sends the type and text of an exception that does not pickle
         config = SearchConfig(p=3, period=7, zeros=2, job_count=2)
         worker_pids(2)
-        pool = search._pool
+        pool = workers()
         with pytest.raises(RuntimeError, match="^UnpicklableError: visit refused$"):
-            search._run_partitioned(config, partial(_visit_refuse_unpicklably, os.getpid()))
-        assert search._pool is pool
-        assert worker_pids(2) == {os.getpid(), pool[0][0].pid}
+            run_scan(config, refusing(os.getpid(), here=False, unpicklable=True))
+        assert workers() == pool
+        assert worker_pids(2) == {os.getpid(), pool[0].pid}
 
     def test_killed_worker_fails_one_call(self, two_cpus):
         config = SearchConfig(p=3, period=7, zeros=2, normalize_phase=False, job_count=2)
@@ -620,10 +491,10 @@ class TestWorkerPool:
         victim = min(worker_pids(2) - {os.getpid()})
         os.kill(victim, signal.SIGKILL)
         # reaped, so that it is dead before the next scan sends to it
-        next(proc for proc, _ in search._pool if proc.pid == victim).join(30)
+        next(proc for proc in workers() if proc.pid == victim).join(30)
         with pytest.raises(BrokenProcessPool):
             verify_nps_pdpds_equivalence(config)
-        assert search._pool is None
+        assert workers() is None
         assert report_to_json(verify_nps_pdpds_equivalence(config)) == expected
         assert victim not in worker_pids(2)
 
