@@ -254,12 +254,13 @@ def definitional_counts(seq):
     return tuple(map(tuple, counts))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
 @pytest.mark.parametrize("N", [126, 127, 128, 129])
 def test_width_boundary(N, p):
     # N = 127 is the last period with 8-bit columns. Constant exponents fill
     # column 0 of every row (N with no zero run); b_i = i mod p fills column
-    # p - 1 of row 1 when p divides N, so its canonical entries reach -N.
+    # p - 1 of row 1 when p divides N, so its canonical entries reach -N. The
+    # batches' reader agrees with profile on each side, at p = 11 past 2^10 cells.
     assert _width(N)[0] == (8 if N <= 127 else 16)
     extremes = set()
     for symbols in (
@@ -277,6 +278,7 @@ def test_width_boundary(N, p):
         assert prof.values == values
         assert prof.ell == len(set(values))
         assert prof.integral_values == (None if None in ints else tuple(ints))
+        assert read_matrix(p, N, prof.matrix) == (prof.ell, prof.integral_values)
         extremes.update(c for row in counts for c in row)
         extremes.update(c for v in values for c in v.coeffs)
     assert N in extremes and (-N in extremes) == (N % p == 0)
