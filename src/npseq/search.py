@@ -32,8 +32,8 @@ folds `sequence._stepper`, three big-int updates a digit, over the batch's
 prefix, the plan's kernel (`sequence._batch`) places the last L digits below
 that node, the p^L leaf matrices packed side by side in one int, S_j of
 digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ... (the packing order), and the
-kernel's reader gives every leaf read its ell from one K and one to_bytes,
-with no bytecode run per leaf, and a leaf's integral values only when asked.
+kernel's reader reads every leaf's ell from the folded rows' bytes, with no
+bytecode run per leaf, and a leaf's integral values only when asked.
 No profile object is built.
 
 Orbits also pair up under reversal rho: b_i -> b_{s-1-i mod N}, which keeps
@@ -454,7 +454,7 @@ def _plan(p: int, N: int, n: int):
     read, when Y(S) is above them, and above it, and skipped, when Y(S) is
     below."""
     L = _depth(p, n, N)
-    leaves, read, matrix, offsets = _batch(p, N, L)
+    leaves, read, matrix, offsets = _batch(p, N, L, N - n)
     canon = _canon(p)
     suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
     rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
@@ -554,10 +554,11 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
             if answer != (None, None):
                 loud.add(ell)
         results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
-        for k, ell in enumerate(ells):
-            if ell <= _SHOWN_ELL:
-                nps = _nps_type(integral(k))
-                results[k] = visit(config, matrix(blocks, picked, k), ell, nps)
+        if min(ells) <= _SHOWN_ELL:  # rare: most batches show no leaf
+            for k, ell in enumerate(ells):
+                if ell <= _SHOWN_ELL:
+                    nps = _nps_type(integral(k))
+                    results[k] = visit(config, matrix(blocks, picked, k), ell, nps)
         for k, (record, violation) in results.items():
             if record is None and violation is None:
                 continue

@@ -21,13 +21,21 @@ H = sum over j < k of 2^((k-j)*R + b_j*w) and G = sum over j < k of
 makes the same updates on all the nodes of a level at once, packed side
 by side at a stride of N*R bits, leaf s_0 .. s_{L-1} at position s_0 +
 s_1*p + ... (the packing order). f = (M & LOW) + ((M >> p*w) & LOW) folds
-the slots, leaving slots p .. 2p-1 zero. `_new_reader(p, N, m)` owns K =
-f + HALFS - ((f >> (p-1)*w) & LOW) * ONES, for blocks of m matrices,
-whose row t is C(t)'s canonical vector plus 2^(w-1) in every column:
-ell counts its distinct rows 1 .. N-1, and C(t) is a rational integer,
-column 0 less 2^(w-1), when the other columns hold just 2^(w-1). It
-serves the scans' batches alone: the ells of any number of a batch's
-matrices in one pass, and the integral values of one of them when asked.
+the slots, leaving slots p .. 2p-1 zero. `_new_reader(p, N, m, pairs)`
+reads those rows given their pair counts m_t, the row sums. 1 + zeta + ...
++ zeta^(p-1) = 0 is the only relation among the powers of zeta, so C(t) =
+C(u) exactly when rows t and u differ by c*(1, ..., 1), and then m_t = m_u
++ p*c. Rows lifted by k_t = (M - m_t) // p in every column, M the most of
+m_1 .. m_{N-1}, are thus equal exactly when their values are: rows that
+differ by c*(1, ..., 1) have k_t = k_u - c, and equal lifted rows differ by
+(k_u - k_t)*(1, ..., 1). So ell counts the distinct lifted rows 1 .. N-1,
+and C(t) is a rational integer, column 0 less column 1, exactly when
+columns 1 .. p-1 of its row are equal. A lifted column is at most m_t + k_t
+<= M < 2^(w-1), so rows keep to their slots. Below a run of s zeros, m_t =
+max(0, n-t) + max(0, t-s) (`_run_pairs`), so 0 <= M - m_t < max(s, 1) and
+every k_t is 0 when s <= p. The reader serves the scans' batches alone:
+the ells of any number of a batch's matrices in one pass, and the integral
+values of one of them when asked.
 `profile` packs counts[t] from row -t of R_a R_a^(-1), R_a = {(i, b_i)}, as
 `cyclotomic._pair_counts` counts it; every PDPDS class is closed under that
 inversion, so the classification reads the matrix as it is. A profile reads
@@ -160,53 +168,53 @@ def _low(p: int, N: int, m: int = 1) -> int:
     return int.from_bytes((b"\xff" * half + bytes(half)) * (N * m), "little")
 
 
-def _masks(p: int, N: int, m: int = 1) -> tuple[int, int, int]:
-    """(LOW, HALFS, ONES), built afresh: LOW covers slots 0 .. p-1 of every
-    row of m matrices, HALFS holds 2^(w-1) in each of them and ONES is 1 in
-    slots 0 .. p-1 of row 0."""
-    w = _width(N)[0]
-    size, half = w // 8, (1 << w - 1).to_bytes(w // 8, "little")
-    row = (half * p).ljust(2 * p * size, b"\0")
-    ones = int.from_bytes((1).to_bytes(size, "little") * p, "little")
-    return _low(p, N, m), int.from_bytes(row * (N * m), "little"), ones
+def _run_pairs(N: int, s: int) -> tuple[int, ...]:
+    """m_t, t = 0 .. N-1: the pairs i, i+t of nonzero positions when the s
+    zero-symbols are one run, the rest n = N - s in a cyclic interval."""
+    n = N - s
+    return tuple([max(0, n - t) + max(0, t - s) for t in range(N)])
 
 
-def _new_reader(p: int, N: int, m: int):
+def _lift(p: int, N: int, pairs, m: int = 1) -> int:
+    """k_t = (M - m_t) // p in slots 0 .. p-1 of row t of each of m matrices,
+    M the most of the pair counts pairs[1 .. N-1], built afresh."""
+    M = max(pairs[1:], default=0)
+    ks = [0] + [(M - m_t) // p for m_t in pairs[1:]]
+    size = _width(N)[0] // 8
+    rows = b"".join([k.to_bytes(size, "little") * p + bytes(p * size) for k in ks])
+    return int.from_bytes(rows * m, "little")
+
+
+def _new_reader(p: int, N: int, m: int, pairs):
     """read(blocks, offsets) -> (ells, integral): blocks holds folded
-    matrices, m in each, packed at a stride of N*R bits (the matrix at
-    position i is at bit i*N*R of the blocks joined); ells[k] is the ell of
-    the matrix at byte offset offsets[k] of the join, all read in one pass
-    with no bytecode run per matrix, and integral(k) its integral values
-    when they are integers, else None, read from the same bytes when asked.
-    Read from K (see the module docstring), the one place K is formed."""
+    matrices, m in each, packed at a stride of N*R bits, row t of each
+    holding pairs[t] pairs; ells[k] is the ell of the matrix at byte offset
+    offsets[k] of the blocks joined, all read in one pass with no bytecode
+    run per matrix, and integral(k) its integral values, or None, read from
+    the same bytes when asked. Rows are read lifted (module docstring), by
+    one add per block when some k_t is not 0."""
     w, code = _width(N)
-    low, halfs, ones = _masks(p, N, m)
-    top, bias, span, size = (p - 1) * w, 1 << w - 1, 2 * p * w // 8, w // 8
-    length = m * N * span
-    # K's slots p .. 2p-1 are 0, so a row's key, slots 0 .. p-1, and its
-    # rest, slots 1 .. p-1, may each be read as one int of up to 2p slots
-    key, rest = (
-        next((c for c in "BHIQ" if struct.calcsize(c) >= slots * size), f"{slots * size}s")
-        for slots in (p, p - 1)
-    )
+    span, size = 2 * p * w // 8, w // 8
+    length, lift = m * N * span, _lift(p, N, pairs, m)
+    # slots p .. 2p-1 are 0, so a row's key, slots 0 .. p-1, may be read as
+    # one int of up to 2p slots
+    key = next((c for c in "BHIQ" if struct.calcsize(c) >= p * size), f"{p * size}s")
     rows = N - 1  # rows 1 .. N-1 of a matrix
     keys = struct.Struct(f"<{span}x" + f"{key}{span - struct.calcsize(key)}x" * rows).unpack_from
-    firsts = struct.Struct(f"<{span}x" + f"{code}{span - size}x" * rows).unpack_from
-    # rational exactly when slots 1 .. p-1 of rows 1 .. N-1 hold just the bias
-    gap = span - size - struct.calcsize(rest)
-    rests = struct.Struct(f"<{span}x" + f"{size}x{rest}{gap}x" * rows).unpack_from
-    biased = (1 << w - 1).to_bytes(size, "little") * (p - 1)
-    unbiased = struct.unpack(f"<{rest}", biased.ljust(struct.calcsize(rest), b"\0")) * rows
+    cells = struct.Struct(f"<{span}x" + f"{p}{code}{span - p * size}x" * rows).unpack_from
 
     def read(blocks, offsets):
-        # one K per block; bytes.join hands a lone block back uncopied
-        Ks = [f + halfs - (f >> top & low) * ones for f in blocks]
-        data = b"".join([K.to_bytes(length, "little") for K in Ks])
+        if lift:
+            blocks = [f + lift for f in blocks]
+        # bytes.join hands a lone block back uncopied
+        data = b"".join([f.to_bytes(length, "little") for f in blocks])
 
         def integral(k: int) -> tuple[int, ...] | None:
-            if rests(data, offsets[k]) != unbiased:
+            grid = cells(data, offsets[k])  # rows 1 .. N-1, p columns each
+            column1 = grid[1::p]
+            if any([grid[d::p] != column1 for d in range(2, p)]):
                 return None
-            return tuple([c - bias for c in firsts(data, offsets[k])])
+            return tuple([c0 - c1 for c0, c1 in zip(grid[::p], column1)])
 
         return [*map(len, map(set, map(keys, repeat(data), offsets)))], integral
 
@@ -255,15 +263,16 @@ def _batch_depth(p: int, N: int) -> int:
     return L
 
 
-def _batch(p: int, N: int, L: int):
-    """(leaves, read, matrix, offsets) of the batches placing L digits:
-    leaves(node), a node (M, H, G), is the folded matrices of its p^L
-    descendants L digits below, packed at a stride of N*R bits in blocks of
-    p^(L-1), one per last digit, leaf j of digits s_0 .. s_{L-1}, j = s_0 +
-    s_1*p + ... + s_{L-1}*p^(L-1), at byte offsets[j] of the blocks' bytes
-    joined; read(blocks, picked) (`_new_reader`) gives the ells of the
-    leaves at the byte offsets picked, and their integral values on demand,
-    and matrix(blocks, picked, k) the folded matrix of the k-th of them.
+def _batch(p: int, N: int, L: int, zeros: int):
+    """(leaves, read, matrix, offsets) of the batches placing the last L
+    digits after a run of zeros zero-symbols: leaves(node), a node (M, H,
+    G), is the folded matrices of its p^L descendants L digits below,
+    packed at a stride of N*R bits in blocks of p^(L-1), one per last digit,
+    leaf j of digits s_0 .. s_{L-1}, j = s_0 + s_1*p + ..., at byte
+    offsets[j] of the blocks' bytes joined; read(blocks, picked), the
+    `_new_reader` of the run's `_run_pairs`, gives the ells of the leaves at
+    the byte offsets picked, and their integral values on demand, and
+    matrix(blocks, picked, k) the folded matrix of the k-th of them.
 
     leaves places each digit on all the nodes of a level at once, packed:
     child b of parent i at position i + b*(the level's parents), which is
@@ -331,7 +340,7 @@ def _batch(p: int, N: int, L: int):
         return blocks[at // block] >> at % block * 8 & mask
 
     offsets = [j * stride for j in range(p**L)]
-    return leaves, _new_reader(p, N, per_block), matrix, offsets
+    return leaves, _new_reader(p, N, per_block, _run_pairs(N, zeros)), matrix, offsets
 
 
 def _count_matrix(seq: AlmostParySequence) -> int:

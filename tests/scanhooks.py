@@ -55,8 +55,14 @@ def _class(config, digits):
 
 def class_profiles(config):
     """The profiles of the least members of the classes under b -> c*b (+ a)
-    and reversal: the leaves a scan reads."""
-    reps = {min(_class(config, digits)) for digits in candidates(config)}
+    and reversal: the leaves a scan reads. Each class is made once, from
+    the first candidate it holds."""
+    seen, reps = set(), []
+    for digits in candidates(config):
+        if digits not in seen:
+            members = _class(config, digits)
+            seen |= members
+            reps.append(min(members))
     return [profile(AlmostParySequence(config.p, (None,) * config.zeros + rep)) for rep in reps]
 
 
@@ -246,13 +252,14 @@ def place(p, N, digits, node=(0, 0, 0)):
     return reduce(sequence._stepper(p, N), digits, node)
 
 
-def leaves_below(p, N, node, L, order=None):
+def leaves_below(p, N, node, L, zeros, order=None):
     """(blocks, leaves): the blocks of the p^L leaf matrices L digits below
-    node, built at once by the batches' kernel, and the Leaf of each packing
-    index j in order (all of them, in packing order, by default), digits
-    s_0 .. s_{L-1} those of j = s_0 + s_1*p + ..., picked and read in that
-    order by the kernel's matrix and reader."""
-    leaves, read, matrix, offsets = sequence._batch(p, N, L)
+    node, a run of zeros zero-symbols before its digits, built at once by
+    the batches' kernel, and the Leaf of each packing index j in order (all
+    of them, in packing order, by default), digits s_0 .. s_{L-1} those of
+    j = s_0 + s_1*p + ..., picked and read in that order by the kernel's
+    matrix and reader."""
+    leaves, read, matrix, offsets = sequence._batch(p, N, L, zeros)
     blocks = leaves(node)
     order = range(p**L) if order is None else order
     picked = [offsets[j] for j in order]
@@ -272,14 +279,24 @@ def batch_leaves(config, batches):
     stop = min(batches.stop, batch_count(config))
     for prefix in itertools.islice(prefixes, batches.start, stop, batches.step):
         head = tuple(map(ord, prefix))
-        for leaf in leaves_below(p, N, place(p, N, head), L)[1]:
+        for leaf in leaves_below(p, N, place(p, N, head), L, config.zeros)[1]:
             yield leaf._replace(digits=head + leaf.digits)
 
 
-def read_matrix(p, N, f):
-    """(ell, integral values) of the folded matrix f, read by the batches'
-    reader as a batch of one."""
-    ells, integral = sequence._new_reader(p, N, 1)([f], [0])
+def pair_counts(seq):
+    """m_t, t = 0 .. N-1: the positions i with a_i and a_{i+t} both nonzero."""
+    symbols, N = seq.symbols, seq.period
+    return tuple(
+        sum(a is not None and b is not None for a, b in zip(symbols, symbols[t:] + symbols[:t]))
+        for t in range(N)
+    )
+
+
+def read_matrix(seq):
+    """(ell, integral values) of seq's folded matrix, read by the batches'
+    reader as a batch of one, given seq's pair counts."""
+    reader = sequence._new_reader(seq.p, seq.period, 1, pair_counts(seq))
+    ells, integral = reader([profile(seq).matrix], [0])
     return ells[0], integral(0)
 
 

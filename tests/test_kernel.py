@@ -1,17 +1,18 @@
 """The packed count-matrix kernel behind profile(): two siblings stepped from
 one node of the walk leave it alone and fold to the matrices of the
 sequences placed, the leaves of a batch of nodes built at once are the
-matrices of their subtrees and read as profile reads them, the row slices
-of K are the biased canonical vectors, the reflected rows are the
-difference multiset of R_a, its shifts sum to |S|^2, decimation and phase
-leave the profile's invariants and classes alone, reversal negates the
-count columns and reversal with negation keeps the matrix, and every value
-matches the definitional sum, at the edges of the column width too."""
+matrices of their subtrees and read as profile reads them, rows lifted by
+their pair counts are equal exactly when their values are, the reflected
+rows are the difference multiset of R_a, its shifts sum to |S|^2,
+decimation and phase leave the profile's invariants and classes alone,
+reversal negates the count columns and reversal with negation keeps the
+matrix, and every value matches the definitional sum, at the edges of the
+column width too."""
 
 import itertools
 
 import pytest
-from scanhooks import leaves_below, place, read_matrix
+from scanhooks import leaves_below, pair_counts, place, read_matrix
 
 from npseq import cyclotomic
 from npseq.cyclotomic import MAX_CELLS, CyclotomicInt, _canonicalize
@@ -21,9 +22,10 @@ from npseq.sequence import (
     AlmostParySequence,
     AutocorrelationProfile,
     _count_matrix,
+    _lift,
     _low,
-    _masks,
     _row,
+    _run_pairs,
     _width,
     autocorrelation,
     profile,
@@ -83,7 +85,7 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
     depth = N - zeros - L
     head = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth))
     order = [sum(b * p**k for k, b in enumerate(t)) for t in itertools.product(range(p), repeat=L)]
-    blocks, leaves = leaves_below(p, N, place(p, N, head), L, order)
+    blocks, leaves = leaves_below(p, N, place(p, N, head), L, zeros, order)
     stride = N * 2 * p * _width(N)[0] // 8
     joined = b"".join([f.to_bytes(p**L // len(blocks) * stride, "little") for f in blocks])
     assert len(joined) == p**L * stride
@@ -94,24 +96,32 @@ def test_batch_leaves_are_the_subtree_matrices(seq, data):
         assert (leaf.ell, leaf.integral) == (prof.ell, prof.integral_values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(sequences())
-def test_keys_are_biased_canonical_vectors(seq):
+@st.composite
+def zeros_anywhere(draw):
+    """A sequence with s zero-symbols anywhere, s up to N, so often s > p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(2, 24))
+    zeros = set(draw(st.lists(st.integers(0, N - 1), max_size=N)))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=N, max_size=N))
+    return AlmostParySequence(p, tuple(None if i in zeros else b for i, b in enumerate(digits)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros_anywhere())
+def test_lifted_rows_are_equal_exactly_when_their_values_are(seq):
+    # row t lifted by k_t = (M - m_t) // p in every column, m_t its pair
+    # count: two rows' keys are equal exactly when their canonical vectors
+    # are, and the reader reads profile's ell and integral values
     p, N = seq.p, seq.period
     prof = profile(seq)
-    w, (low, halfs, ones) = _width(N)[0], _masks(p, N)
-    f = prof.matrix
-    K = f + halfs - (f >> (p - 1) * w & low) * ones
-    half = 1 << (w - 1)
-    canonical = [_canonicalize(row) for row in prof.counts[1:]]
-    rows = list(_row(p, N).iter_unpack(K.to_bytes(N * 2 * p * w // 8, "little")))
-    assert [tuple(c - half for c in row) for row in rows[1:]] == canonical
-    assert prof.ell == len(set(canonical))
-    # rational exactly when the nonzero columns hold the bias, and then C(t) is
-    # column 0: slots 1 .. p-1 of K, shifted to 0 .. p-2 (slot p is 0), less the bias
-    integral = all(vector[1:] == (0,) * (p - 1) for vector in canonical)
-    assert ((K ^ halfs) >> w & low == 0) == integral
-    assert prof.integral_values == (tuple(v[0] for v in canonical) if integral else None)
+    pairs = pair_counts(seq)
+    assert pairs == tuple(map(sum, prof.counts))
+    size = N * 2 * p * _width(N)[0] // 8
+    keys = list(_row(p, N).iter_unpack((prof.matrix + _lift(p, N, pairs)).to_bytes(size, "little")))
+    canonical = [_canonicalize(row) for row in prof.counts]
+    for t, u in itertools.combinations(range(1, N), 2):
+        assert (keys[t] == keys[u]) == (canonical[t] == canonical[u]), (t, u)
+    assert read_matrix(seq) == (prof.ell, prof.integral_values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,22 +134,30 @@ def test_reader_reads_the_profile_summary(seq):
     values = [autocorrelation(seq, t) for t in range(1, N)]
     ints = [v.as_int() for v in values]
     summary = (len(set(values)), None if None in ints else tuple(ints))
-    assert read_matrix(p, N, prof.matrix) == (prof.ell, prof.integral_values) == summary
+    assert read_matrix(seq) == (prof.ell, prof.integral_values) == summary
 
 
-@pytest.mark.parametrize("p, N", [(3, 12), (7, 20), (499979, 2), (997, 1000), (2, 32768)])
-def test_masks_match_a_slot_by_slot_build(p, N):
-    # one to_bytes per slot: LOW covers slots 0 .. p-1 of every row, HALFS
-    # holds 2^(w-1) in each and ONES is 1 in slots 0 .. p-1 of row 0
+@pytest.mark.parametrize(
+    "p, N, s", [(2, 9, 2), (3, 12, 5), (7, 20, 9), (5, 130, 100), (2, 32768, 32760), (997, 40, 20)]
+)
+def test_lift_matches_a_slot_by_slot_build(p, N, s):
+    # the pair counts of a zero run of s, counted from each nonzero position
+    # i = s .. N-1, and the lift, k_t in slots 0 .. p-1 of row t, built one
+    # to_bytes per slot; it is 0 exactly when s or n is at most p
     w = _width(N)[0]
-    size, full, half = w // 8, (1 << w) - 1, 1 << w - 1
-
-    def rows(slots, count=N):
-        row = b"".join([c.to_bytes(size, "little") for c in slots]) + bytes(p * size)
-        return int.from_bytes(row * count, "little")
-
-    expected = rows([full] * p), rows([half] * p), rows([1] * p, count=1)
-    assert _masks(p, N) == expected
+    size = w // 8
+    pairs = _run_pairs(N, s)
+    assert pairs == tuple(sum((i + t) % N >= s for i in range(s, N)) for t in range(N))
+    M = max(pairs[1:])
+    ks = [0] + [(M - m) // p for m in pairs[1:]]
+    built = bytearray()
+    for k in ks:
+        for _ in range(p):
+            built += k.to_bytes(size, "little")
+        built += bytes(p * size)  # slots p .. 2p-1
+    expected = int.from_bytes(built, "little")
+    assert _lift(p, N, pairs) == expected
+    assert (expected == 0) == (min(s, N - s) <= p)
 
 
 @pytest.mark.parametrize(
@@ -278,7 +296,7 @@ def test_width_boundary(N, p):
         assert prof.values == values
         assert prof.ell == len(set(values))
         assert prof.integral_values == (None if None in ints else tuple(ints))
-        assert read_matrix(p, N, prof.matrix) == (prof.ell, prof.integral_values)
+        assert read_matrix(seq) == (prof.ell, prof.integral_values)
         extremes.update(c for row in counts for c in row)
         extremes.update(c for v in values for c in v.coeffs)
     assert N in extremes and (-N in extremes) == (N % p == 0)
