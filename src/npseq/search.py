@@ -23,7 +23,7 @@ of orbits under reversal (below). This loses nothing:
 So a match or a violation found for the representative holds for every
 member of its orbit. The representatives are the free digits [0] + tail,
 where the tail is zero or has 1 as its first nonzero digit. In ordinal order
-they fall into batches that share all but their last L digits (`_depth`:
+they fall into batches that share all but their last L digits (`_plan`:
 p^L <= 2^10 leaves, 2L <= n): batch j's leaves are its prefix, 0 and the
 j-th such tail of r = n - 1 - L digits (`_prefixes`), then every S of L
 digits, or under the zero prefix the S that are representatives. A scan
@@ -46,30 +46,29 @@ the representative of rho(-x)'s orbit (reverse x, subtract its last digit,
 scale the first nonzero one to 1), share one result. A leaf is read only
 when x <= y; y < x is read at y's own ordinal, in whatever batch holds it.
 rho is an involution that commutes with b -> c*b + a, so canon(rho y) = x
-and each pair is read once. For a leaf x = prefix + S whose last L digits
-S are not constant, the canon map, and so y's first L-1 digits Y(S),
-depend on S alone, while x's are the prefix's: a table of the Y(S),
-sorted once per plan, is bisected once per batch (`_select`, which keeps
-the byte offsets of the leaves it picks), so the S with Y(S) above are
-read with their twins, those below are skipped, and only the ties and the
-p constant S take the digit-by-digit test.
+and each pair is read once. One map, `_mirror`, gives every y. For a leaf
+x = prefix + S whose last L digits S are not constant, rho x starts with S
+reversed, so y's first L-1 digits Y(S) depend on S alone, while x's are
+the prefix's: a table of the Y(S), sorted once per plan, is bisected once
+per batch (`_select`, which keeps the byte offsets of the leaves it picks),
+so the S with Y(S) above are read with their twins, those below are
+skipped, and only the ties and the p constant S are compared with their
+whole y.
 
 An orbit has (p - 1 if the tail is nonzero, else 1) times (p over the full
 space, else 1) members, as does its twin, and the report is expanded over
 the orbits of x and, when y != x, y: every member is counted and recorded
 with its own exponents and index, and matches and violations are sorted
 into index order, so a report equals that of a candidate-by-candidate scan.
-With job_count > 1 the batches are dealt round-robin, batch j to task j
-mod job_count, processed independently and merged, so reports are
-byte-identical for any job count. The leaves read bunch at low ordinals,
-so contiguous runs of batches, one per task, would leave the first task
-the most reads; dealing single batches spreads them. The tasks are dealt
-to min(job_count, usable CPUs) slots, task i to slot i mod slots: slot 0
-is the calling process, which scans its share itself, and every other
-slot is a worker process served over one pipe. The first scan with a
-worker imports `multiprocessing` (a process that runs none never loads
-it) and starts the workers, which serve every later scan and are stopped
-at exit.
+The batches are dealt round-robin to P = min(job_count, batches, usable
+CPUs) processes, batch j to process j mod P, scanned independently and
+merged, so reports are byte-identical for any job count. The leaves read
+bunch at low ordinals, so contiguous runs of batches, one per process,
+would leave the first the most reads; dealing single batches spreads them.
+Process 0 is the caller, which scans its share itself, and every other is
+a worker process served over one pipe. The first scan with a worker
+imports `multiprocessing` (a process that runs none never loads it) and
+starts the workers, which serve every later scan and are stopped at exit.
 
 The roundtrip compares each representative's five-class classification with
 `expected_pdpds_params` of its type (None without one); for n >= 2 that is
@@ -83,11 +82,11 @@ columns equal, mu_t = (m_t - gamma)/p: the grid classifies as that tuple.
 
 Every scan visits its leaves by one rule. A leaf read with ell <= 2
 (`_SHOWN_ELL`) is shown to the visitor with its folded matrix and its type,
-None when it has none. Every other leaf takes the answer for no matrix and
-no type, asked once per distinct ell: the search records an untyped leaf
-alike, shown or not, the ell check reads ell alone, and the roundtrip
-classifies each shown leaf's grid and compares it with its type's tuple, or
-with None for an untyped leaf.
+None when it has none. Every other leaf takes the answer to its ell for no
+matrix and no type, asked of each ell 0 .. N-1 before a scan's first batch:
+the search records an untyped leaf alike, shown or not, the ell check reads
+ell alone, and the roundtrip classifies each shown leaf's grid and compares
+it with its type's tuple, or with None for an untyped leaf.
 
 Only the leaves with ell <= 2 have their integral values read and typed and,
 in the roundtrip, their grids classified. This loses nothing. A type makes
@@ -123,7 +122,7 @@ from .sequence import NpsType, _batch, _batch_depth, _counts, _nps_type, _steppe
 from .theory import ell_bounds
 
 DEFAULT_BUDGET = 10**8
-MAX_JOBS = 1024  # one task per job, dealt over the caller and its workers
+MAX_JOBS = 1024  # job_count caps a scan's processes, the caller and its workers
 # the most ell of a leaf with a type or five constant classes (module docstring)
 _SHOWN_ELL = 2
 # [(process, pipe end)] of the parallel scans' workers, started by the first one
@@ -253,8 +252,8 @@ def _violation_index(text: str) -> int:
 
 
 def _serve(conn, inherited) -> None:
-    """A worker: answer each list of tasks sent with their parts, or with
-    the exception a scan raised, until EOF. Ctrl-C is the caller's."""
+    """A worker: answer each range of batches sent with its part, or with
+    the exception its scan raised, until EOF. Ctrl-C is the caller's."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -262,9 +261,9 @@ def _serve(conn, inherited) -> None:
         end.close()
     try:
         while True:
-            config, tasks, visit = conn.recv()
+            config, batches, visit = conn.recv()
             try:
-                reply = True, [_scan(config, batches, visit) for batches in tasks]
+                reply = True, _scan(config, batches, visit)
             except Exception as exc:
                 reply = False, exc
             try:
@@ -309,38 +308,34 @@ def _stop_pool(timeout: float = 10.0) -> None:
             proc.join()
 
 
-def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
-    """Scan the tasks over min(tasks, usable CPUs) slots, task i in slot i
-    mod slots: slot 0 is this process, each other slot one worker of the
-    pool, grown as needed; with one slot nothing is started or imported.
+def _scan_in_pool(config: SearchConfig, batches: int, processes: int, visit):
+    """Scan the batches over this process and processes - 1 workers of the
+    pool, grown as needed, batch j in process j mod processes, this process
+    being 0, and return their parts.
 
-    Each worker is sent its tasks in one message before this process scans
+    Each worker is sent its batches in one message before this process scans
     its own, and every reply is read before a visit's exception, here or in
     a worker, is raised, so no scan reads another's. Any other failure
     stops the pool; a dead worker's is BrokenProcessPool.
     """
     global _pool
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    slots = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if slots == 1:
-        return [_scan(config, batches, visit) for batches in tasks]
-    parts, failure = [None] * len(tasks), None
+    parts, failure = [], None
     with _pool_lock:
-        if _pool is None or len(_pool) < slots - 1:
+        if _pool is None or len(_pool) < processes - 1:
             _stop_pool()
-            _pool = _start_pool(slots - 1)
+            _pool = _start_pool(processes - 1)
+        workers = _pool[: processes - 1]
         try:
-            for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
-                conn.send((config, tasks[slot::slots], visit))
+            for slot, (_, conn) in enumerate(workers, 1):
+                conn.send((config, range(slot, batches, processes), visit))
             try:
-                for i in range(0, len(tasks), slots):
-                    parts[i] = _scan(config, tasks[i], visit)
+                parts.append(_scan(config, range(0, batches, processes), visit))
             except Exception as exc:
                 failure = exc
-            for slot, (_, conn) in enumerate(_pool[: slots - 1], 1):
+            for _, conn in workers:
                 ok, reply = conn.recv()
                 if ok:
-                    parts[slot::slots] = reply
+                    parts.append(reply)
                 elif failure is None:
                     failure = reply
             reply = None
@@ -361,27 +356,28 @@ def _scan_in_pool(config: SearchConfig, tasks: list[range], visit):
 
 
 def _run_partitioned(config: SearchConfig, visit) -> SearchReport:
-    """Deal the batches round-robin to job_count tasks (no more tasks than
-    batches), batch j to task j mod job_count, merge their reports and sort
-    the expanded matches and violations into index order.
+    """Deal the batches round-robin to P = min(job_count, batches, usable
+    CPUs) processes, batch j to process j mod P, merge their reports and
+    sort the expanded matches and violations into index order.
 
-    The tasks are dealt over this process and at most min(job_count, usable
-    CPUs) - 1 workers (`_scan_in_pool`), forked by the first parallel scan
-    and reused for the rest of the process, so a monkeypatch made after that
-    scan reaches this process's share but not theirs.
+    With P > 1 this process scans its share beside P - 1 workers
+    (`_scan_in_pool`), forked by the first parallel scan and reused for the
+    rest of the process, so a monkeypatch made after that scan reaches this
+    process's share but not theirs.
     """
     total = config.space_size
     if total > config.budget:
         raise BudgetExceededError(total, config.budget)
-    n = config.free_positions
-    batches = _representatives(config.p, n - 1 - _depth(config.p, n, config.period))
-    jobs = min(config.job_count, batches)
-    if jobs == 1:
+    p, N, n = config.p, config.period, config.free_positions
+    batches = _representatives(p, n - 1 - _plan(p, N, n)[0])
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    processes = min(config.job_count, batches, cpus)
+    if processes == 1:
         report = _scan(config, range(batches), visit)
     else:
         report = SearchReport(config=config)
-        tasks = [range(j, batches, jobs) for j in range(jobs)]
-        for part in _scan_in_pool(config, tasks, visit):
+        for part in _scan_in_pool(config, batches, processes, visit):
             _merge(report, part)
     # exponents (all free digits, zero-padded) sort in index order
     report.matches.sort(key=attrgetter("exponents"))
@@ -425,48 +421,42 @@ def _mirror(canon: _Lazy, digits: str) -> str:
     return rho.translate(canon[ord(b)][rest[0]]) if rest else digits[1:]
 
 
-def _depth(p: int, n: int, N: int) -> int:
-    """L, the digits a batch places: at most `sequence._batch_depth` (p^L <=
-    2^10 leaves in 2^21 bits), and 2L <= n, so digits 1 .. L-1 lie above it."""
-    return min(n // 2, _batch_depth(p, N))
-
-
 @lru_cache(maxsize=8)
 def _plan(p: int, N: int, n: int):
     """(L, step, leaves, read, matrix, select): the setup of the scans of
-    (p, N) with n free positions, L (`_depth`), the stepper, the batches'
-    kernel (`sequence._batch`) and select(prefix), the leaves read
-    below the free digits prefix (a str of chr(b)): (picked, names, ties),
-    their byte offsets, those read with their twins first, their last L
-    digits S, and (y, twin, nonzero) of the last len(ties), which the
-    digit-by-digit test reads: y = canon(rho x), whether y is another orbit
-    and whether the tail is nonzero.
+    (p, N) with n free positions. L, the digits a batch places, is at most
+    `sequence._batch_depth` (p^L <= 2^10 leaves in 2^21 bits), and 2L <= n,
+    so digits 1 .. L-1 lie above it. Then the stepper, the batches' kernel
+    (`sequence._batch`) and select(prefix), the leaves read below the free
+    digits prefix (a str of chr(b)): (picked, names, ties), their byte
+    offsets, those read with their twins first, their last L digits S, and
+    (twin, nonzero) of the last len(ties), each compared with its whole
+    y = canon(rho x): whether y is another orbit and whether the tail is
+    nonzero.
 
     The tables list the p^L strings S in the kernel's packing order, S_j of
-    digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ...: for S not constant, the
-    translate table T(S) of its canon map and Y(S); then the Y(S), sorted,
-    with the byte offsets and S of their leaves, the j of the constant S and
-    the j of the tails an unled batch holds (zero, or led by 1 after their
-    zeros). For x = prefix + S with S not constant, rho x starts with S
-    reversed, so S alone fixes b and v: y = canon(rho x) is Y(S), the canon
-    of S's first L-1 digits reversed, then the prefix reversed translated by
-    T(S). x's digits 1 .. L-1 are the prefix's, so x is below its twin, and
-    read, when Y(S) is above them, and above it, and skipped, when Y(S) is
-    below."""
-    L = _depth(p, n, N)
+    digits s_0 .. s_{L-1} at j = s_0 + s_1*p + ...: Y(S) for S not constant,
+    sorted, with the byte offsets and S of their leaves, the j of the
+    constant S and the j of the tails an unled batch holds (zero, or led by
+    1 after their zeros). For x = prefix + S with S not constant, rho x
+    starts with S reversed, so S alone fixes y's first L-1 digits: Y(S),
+    the first L-1 that `_mirror` gives 0 + S. x's digits 1 .. L-1 are the
+    prefix's, so x is below its twin, and read, when Y(S) is above them,
+    and above it, and skipped, when Y(S) is below."""
+    L = min(n // 2, _batch_depth(p, N))
     leaves, read, matrix, offsets = _batch(p, N, L, N - n)
     canon = _canon(p)
     suffixes = ["".join(map(chr, reversed(s))) for s in product(range(p), repeat=L)]
-    rests = [s[-2::-1].lstrip(s[-1:]) for s in suffixes]  # empty: S is constant
-    tables = [canon[ord(s[-1])][rest[0]] if rest else None for s, rest in zip(suffixes, rests)]
-    mirrors = [s[-2::-1].translate(t) if t is not None else None for s, t in zip(suffixes, tables)]
-    js = sorted((j for j, y in enumerate(mirrors) if y is not None), key=mirrors.__getitem__)
+    mirrors = {
+        j: _mirror(canon, "\0" + s)[: L - 1] for j, s in enumerate(suffixes) if s.strip(s[:1])
+    }
+    js = sorted(mirrors, key=mirrors.__getitem__)
     ys, ranked, named = ([table[j] for j in js] for table in (mirrors, offsets, suffixes))
-    constants = [j for j, table in enumerate(tables) if table is None]
+    constants = [j for j in range(p**L) if j not in mirrors]
     unled = [j for j, s in enumerate(suffixes) if s.lstrip("\0")[:1] in ("", "\1")]
 
     def select(prefix: str):
-        tail, back, led = prefix[1:], prefix[::-1], prefix.strip("\0") != ""
+        tail, led = prefix[1:], prefix.strip("\0") != ""
         if led:
             # Y(S) above x's digits 1 .. L-1: read with its twin; equal: a tie
             below = bisect_left(ys, tail[: L - 1])
@@ -476,15 +466,11 @@ def _plan(p: int, N: int, n: int):
             above, ties = len(ys), unled
         picked, names, tested = ranked[above:], named[above:], []
         for j in ties:
-            x = tail + suffixes[j]
-            if tables[j] is not None:
-                y = mirrors[j] + back.translate(tables[j])
-            else:
-                y = _mirror(canon, prefix + suffixes[j])
+            x, y = tail + suffixes[j], _mirror(canon, prefix + suffixes[j])
             if y >= x:
                 picked.append(offsets[j])
                 names.append(suffixes[j])
-                tested.append((y, y != x, led or j > 0))
+                tested.append((y != x, led or j > 0))
         return tuple(picked), tuple(names), tuple(tested)
 
     return L, _stepper(p, N), leaves, read, matrix, select
@@ -521,9 +507,10 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     (gamma1, gamma2, pdpds) or None, and a violation text or None. It is
     shown the folded matrix f and type nps, which may be None, of each leaf
     read with ell <= _SHOWN_ELL, read at run time (see the module
-    docstring); every other leaf takes its answer for f and nps None, asked
-    once per distinct ell. Both hold for every member of the pair's orbits,
-    counted and recorded one by one, and `_run_partitioned` sorts them."""
+    docstring); every other leaf takes its ell's answer for f and nps None,
+    asked of each ell 0 .. N-1 before the first batch. Both hold for every
+    member of the pair's orbits, counted and recorded one by one, and
+    `_run_partitioned` sorts them."""
     p, zeros, N, n = config.p, config.zeros, config.period, config.free_positions
     full = not config.normalize_phase
     part = SearchReport(config=config)
@@ -532,8 +519,10 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
     weights = (p if full else 1, (p - 1) * (p if full else 1))
     pair = weights[1] << 1  # a led leaf read for itself and its twin
     L, step, leaves, read, matrix, _ = _plan(p, N, n)
-    answers = {}  # ell -> the answer for a leaf shown no matrix
-    loud = set()  # the ells whose answer records or flags
+    canon = _canon(p)
+    # ell -> the answer for a leaf shown no matrix; rows 1 .. N-1 give ell < N
+    answers = {ell: visit(config, None, ell, None) for ell in range(N)}
+    loud = {ell for ell, answer in answers.items() if answer != (None, None)}
     r = n - 1 - L  # the tail digits above a batch
     # batches may hold more than sys.maxsize, too many for islice
     prefixes = islice(_prefixes(p, r), batches.start, min(batches.stop, sys.maxsize), batches.step)
@@ -547,13 +536,11 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
         ells, integral = read(blocks, picked)
         for ell, times in Counter(ells[:at]).items() if at else ():
             histogram[ell] = histogram.get(ell, 0) + times * pair
-        for ell, (_, twin, nonzero) in zip(ells[at:], ties):
+        for ell, (twin, nonzero) in zip(ells[at:], ties):
             histogram[ell] = histogram.get(ell, 0) + (weights[nonzero] << twin)
-        for ell in set(ells).difference(answers):
-            answers[ell] = answer = visit(config, None, ell, None)
-            if answer != (None, None):
-                loud.add(ell)
-        results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud else {}
+        # loud ells, such as those outside the ell check's bounds, may hold no leaf
+        loud_here = not loud.isdisjoint(ells)
+        results = {k: answers[ell] for k, ell in enumerate(ells) if ell in loud} if loud_here else {}
         if min(ells) <= _SHOWN_ELL:  # rare: most batches show no leaf
             for k, ell in enumerate(ells):
                 if ell <= _SHOWN_ELL:
@@ -563,7 +550,7 @@ def _scan(config: SearchConfig, batches: range, visit) -> SearchReport:
             if record is None and violation is None:
                 continue
             digits = prefix + names[k]
-            y = _mirror(_canon(p), digits) if k < at else ties[k - at][0]
+            y = _mirror(canon, digits)
             for rep in (digits, "\0" + y) if y != digits[1:] else (digits,):
                 for index, exponents in _orbit(p, tuple(map(ord, rep)), full):
                     if record is not None:

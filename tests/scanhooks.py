@@ -88,8 +88,9 @@ def brute_force(config, visit, keep=None):
 
 
 def _depth(config):
-    """L, the digits each batch of config's space places below its prefix."""
-    return search._depth(config.p, config.free_positions, config.period)
+    """L, the digits each batch of config's space places below its prefix,
+    as its scans' plan gives it."""
+    return search._plan(config.p, config.period, config.free_positions)[0]
 
 
 def batch_count(config):
@@ -141,9 +142,9 @@ def visits(config, bounds=None):
 
 
 def run_scan(config, visit, batches=None):
-    """config's report with visit: of all its batches, dealt to job_count
-    tasks and merged, as the public scans run, or of one task that scans
-    the given batches in this process, its matches and violations unsorted."""
+    """config's report with visit: of all its batches, dealt to its
+    processes and merged, as the public scans run, or of one scan of the
+    given batches in this process, its matches and violations unsorted."""
     if batches is None:
         return search._run_partitioned(config, visit)
     return search._scan(config, batches, visit)
@@ -157,19 +158,32 @@ def merged(config, parts):
     return report
 
 
-def dealt_tasks(config):
-    """The batches a scan of config gives each of its tasks, with no scan run."""
+def dealt_tasks(config, cpus=None):
+    """The batches a scan of config gives each of its processes, in process
+    order, with cpus usable CPUs (by default its job_count) and no scan run:
+    the pool's share of process k of P is range(k, batches, P)."""
     tasks = []
 
     def fake(config, batches, visit):
         tasks.append(batches)
         return SearchReport(config=config)
 
+    def pool(config, batches, processes, visit):
+        return [fake(config, range(k, batches, processes), visit) for k in range(processes)]
+
+    usable = set(range(cpus or config.job_count))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_scan", fake)
-        patch.setattr(search, "_scan_in_pool", lambda c, t, v: [fake(c, b, v) for b in t])
+        patch.setattr(search, "_scan_in_pool", pool)
+        patch.setattr(search.os, "sched_getaffinity", lambda pid: usable, raising=False)
         run_scan(config, search._visit_classify)
     return tasks
+
+
+def twin(p, digits):
+    """y = canon(rho x) of the representative x = digits (free digits, the
+    first 0, the first nonzero 1), as the scans' one twin map gives it."""
+    return (0, *map(ord, search._mirror(search._canon(p), "".join(map(chr, digits)))))
 
 
 def plan_caches(clear=False):

@@ -665,7 +665,7 @@ STARTUP_SCRIPT = textwrap.dedent(
     scan = ("roundtrip", "--p", "3", "--period", "6", "--zeros", "2", "--format", "json")
     serial = call(*scan, "--jobs", "1")
     assert serial[0] == 0
-    # one usable CPU: this process scans every task, and starts and imports nothing
+    # one usable CPU: this process scans every batch, and starts and imports nothing
     os.sched_getaffinity = lambda pid: {{0}}
     print(call(*scan, "--jobs", "2") == serial, workers(), "multiprocessing" in sys.modules)
     # two: one worker beside this process

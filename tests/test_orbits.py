@@ -16,6 +16,7 @@ planted grid that classifies as an untyped leaf's, and only the roundtrip
 classifies an untyped leaf.
 """
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -35,6 +36,7 @@ from scanhooks import (
     expansions,
     refusing,
     run_scan,
+    twin,
     visited,
     visits,
 )
@@ -87,6 +89,35 @@ def test_one_read_per_reversal_class(config):
     reads = Counter(f for f, _, _ in shown)
     assert reads == Counter(prof.matrix for prof in class_profiles(config))
     assert report.total_enumerated == config.space_size
+
+
+def representatives(p, n):
+    """The n free digits led by 0 whose first nonzero digit, if any, is 1."""
+    for digits in itertools.product(range(p), repeat=n):
+        if digits[0] == 0 and next((b for b in digits if b), 1) == 1:
+            yield digits
+
+
+def brute_canon(p, digits):
+    """The member of the orbit of digits under b -> c*b + a that starts with
+    0 and whose first nonzero digit, if any, is 1."""
+    members = {tuple((c * b + a) % p for b in digits) for c in range(1, p) for a in range(p)}
+    (canon,) = (m for m in members if m[0] == 0 and next((b for b in m if b), 1) == 1)
+    return canon
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twin_is_the_canon_of_the_reversal(p):
+    # on every representative with n <= 6 free digits, the scans' twin map
+    # gives the representative of its reversal's orbit, and is an involution
+    seen = 0
+    for n in range(1, 7):
+        for x in representatives(p, n):
+            y = twin(p, x)
+            assert y == brute_canon(p, x[::-1]), (x, y)
+            assert y == brute_canon(p, y) and twin(p, y) == x, (x, y)
+            seen += 1
+    assert seen == {2: 63, 3: 185, 5: 981, 7: 3273}[p]
 
 
 @pytest.mark.parametrize("config", SMALL_SPACES[::3], ids=str)
@@ -378,7 +409,7 @@ def test_p2_roundtrip_classifies_only_its_typed_leaves():
 def test_scans_show_every_leaf_up_to_the_shown_ell(config):
     # each leaf read with ell <= 2 is shown its matrix, ell and type (None
     # or not), once, and no other leaf: the rest take the answer for no
-    # matrix, asked once per ell; so in every scan config admits
+    # matrix, asked once of each ell 0 .. N-1; so in every scan config admits
     profiles = class_profiles(config)
     near = Counter(
         (prof.matrix, prof.ell, prof.nps_type) for prof in profiles if prof.ell <= SHOWN_ELL
@@ -386,4 +417,4 @@ def test_scans_show_every_leaf_up_to_the_shown_ell(config):
     for visit in visits(config).values():
         _, shown, unshown = visited(config, visit)
         assert Counter(shown) == near
-        assert Counter(unshown) == Counter({(prof.ell, None) for prof in profiles})
+        assert Counter(unshown) == Counter((ell, None) for ell in range(config.period))

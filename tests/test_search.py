@@ -241,12 +241,13 @@ class TestSingleScan:
     def test_one_profile_per_candidate(self, scan, config):
         # a gate that passes every ell shows the visit each leaf read, once,
         # with the leaf's folded matrix, ell and type; the visit is asked
-        # for no matrix once per distinct ell
+        # for no matrix once of each ell 0 .. N-1, every ell a row set has
         assert scan(config).total_enumerated == config.space_size
         with every_leaf_shown():
             report, reads, unshown = visited(config)
         assert report.total_enumerated == config.space_size
-        assert Counter(unshown) == Counter({(ell, None) for _, ell, _ in reads})
+        assert Counter(unshown) == Counter((ell, None) for ell in range(config.period))
+        assert {ell for _, ell, _ in reads} <= set(range(config.period))
         # one read per class of b -> c*b (+ a) and reversal, and no class
         # read twice: the reads are the profiles of the classes' least members
         profiles = class_profiles(config)
@@ -297,7 +298,7 @@ class TestSingleScan:
                 assert scan(range(j, j)).total_enumerated == 0
                 single.append(scan(range(j, j + 1)))
             assert merged(config, single) == whole
-            # each task of a dealt scan reads its batches as they read alone
+            # each process of a dealt scan reads its batches as they read alone
             for start, step in ((0, 2), (1, 2), (2, 3)):
                 dealt = merged(config, single[start:total:step])
                 assert scan(range(start, total, step)) == dealt
@@ -365,9 +366,9 @@ class TestSingleScan:
             monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         stop_workers()
-        # one task per batch: 41 orbits of b -> c*b among the 81 candidates,
-        # read 9 at a time after the 5 with a zero prefix, dealt over the
-        # slots; with one slot no pool is started
+        # 1024 jobs: 41 orbits of b -> c*b among the 81 candidates, read 9
+        # at a time after the 5 with a zero prefix, in 5 batches dealt over
+        # min(jobs, batches, CPUs) processes; with one no pool is started
         pids = worker_pids(1024)
         pool = workers() or []
         assert len(pool) == slots - 1
@@ -388,14 +389,16 @@ DEALT_SPACES = [
 
 
 class TestDealing:
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
     @pytest.mark.parametrize("jobs", range(1, 10))
     @pytest.mark.parametrize("p,period,zeros", DEALT_SPACES)
-    def test_tasks_partition_the_batches(self, jobs, p, period, zeros):
+    def test_tasks_partition_the_batches(self, jobs, cpus, p, period, zeros):
+        # cpus None: as many usable CPUs as jobs
         config = SearchConfig(p=p, period=period, zeros=zeros, job_count=jobs)
         total = batch_count(config)
-        tasks = dealt_tasks(config)
-        # no more tasks than batches, each task at least one batch, in order
-        assert len(tasks) == min(jobs, total)
+        tasks = dealt_tasks(config, cpus)
+        # P = min(jobs, batches, CPUs) processes, each at least one batch, in order
+        assert len(tasks) == min(jobs, total, cpus or jobs)
         owners = [None] * total
         for j, batches in enumerate(tasks):
             assert batches
@@ -404,17 +407,19 @@ class TestDealing:
                 assert 0 <= i < total and owners[i] is None, (i, owners[i], j)
                 owners[i] = j
         assert None not in owners
-        # round-robin: batch i goes to task i mod the tasks
+        # round-robin: batch i goes to process i mod P
         assert owners == [i % len(tasks) for i in range(total)]
 
     def test_roundtrip_reads_split_evenly(self):
-        # the benchmark's jobs-2 roundtrip (p = 5, N = 8, full space): the
-        # reads bunch at low ordinals, so one run of batches per task, the
-        # first four of its seven and the last three, would give the first
-        # task 76 % of them; a gate that passes every ell shows each read
+        # the benchmark's jobs-2 roundtrip on 2 CPUs (p = 5, N = 8, full
+        # space): the reads bunch at low ordinals, so one run of batches per
+        # process, the first four of its seven and the last three, would give
+        # the first process 76 % of them; a gate that passes every ell shows
+        # each read
         config = SearchConfig(p=5, period=8, zeros=2, normalize_phase=False, job_count=2)
         with every_leaf_shown():
-            reads = [len(visited(config, batches=batches)[1]) for batches in dealt_tasks(config)]
+            tasks = dealt_tasks(config, cpus=2)
+            reads = [len(visited(config, batches=batches)[1]) for batches in tasks]
         assert len(reads) == 2 and sum(reads) == 410
         assert max(reads) <= 0.6 * sum(reads), reads
 
